@@ -16,6 +16,7 @@ measurement file.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .errors import (
@@ -59,6 +60,12 @@ import numpy as np
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own matcher misreads "-1e-10" as an option; accept the
+        # exponent spelling fmt_float writes (no option here looks numeric)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

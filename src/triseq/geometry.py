@@ -1,10 +1,12 @@
 """Plane geometry behind the optimality decision.
 
-Averaging an operator over the cyclic phase rotation kills its
-off-diagonal entries, so every outcome of a symmetrized strategy is
-characterized by its normalized diagonal: a point in the probability
-simplex, drawn here in the plane of two of its coordinates (the pair
-picked out by the joint-amplitude rank permutation).
+Averaging an operator over the cyclic phase rotation keeps exactly its
+diagonal (entry (i, j) picks up tau^(k(i-j)), which sums to zero off the
+diagonal), so every outcome of a symmetrized strategy is characterized
+by its normalized diagonal, the squared moduli of a rank-one outcome's
+components: a point in the probability simplex, drawn here in the plane
+of two of its coordinates (the pair picked out by the joint-amplitude
+rank permutation).
 
 The extremal Alice outcomes map to three such points: the announce
 vector, the exclude vector, and the origin (the defer slot).  A
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import DomainError, ZeroOperator
 from .numerics import TOL
 from .optimality import filter_level
-from .states import CanonicalPair, TAU
+from .states import CanonicalPair
 
 
 class PlanePoint(NamedTuple):
@@ -44,18 +46,21 @@ class Triangle(NamedTuple):
     degenerate: bool
 
 
-_ROT = np.diag([1.0 + 0j, TAU, TAU**2])
-
-
 def symmetrize(t) -> np.ndarray:
-    """Average t over the cyclic phase rotation; the result is diagonal
-    up to rounding."""
-    t = np.asarray(t, dtype=complex)
-    out = np.zeros_like(t)
-    for k in range(3):
-        rk = np.linalg.matrix_power(_ROT, k)
-        out += rk @ t @ rk.conj().T
-    return out / 3.0
+    """Average t over the cyclic phase rotation: exactly diag(diagonal(t))."""
+    return np.diag(np.diagonal(np.asarray(t, dtype=complex)))
+
+
+def _plane_points(d, perm) -> list[PlanePoint]:
+    """Rows of real diagonals d scaled to unit trace, read at the permuted slots.
+
+    raises: ZeroOperator when a trace is numerically zero
+    """
+    tr = d.sum(axis=1)
+    if np.abs(tr).min() < TOL.zero_trace:
+        raise ZeroOperator("cannot normalize a zero-trace operator")
+    d = d / tr[:, None]
+    return list(map(PlanePoint, d[:, perm[1]].tolist(), d[:, perm[0]].tolist()))
 
 
 def diagonal_point(t, perm) -> PlanePoint:
@@ -63,12 +68,7 @@ def diagonal_point(t, perm) -> PlanePoint:
 
     raises: ZeroOperator when the trace is numerically zero
     """
-    d = np.real(np.diag(symmetrize(t)))
-    tr = float(d.sum())
-    if abs(tr) < 1e-14:
-        raise ZeroOperator("cannot normalize a zero-trace operator")
-    d = d / tr
-    return PlanePoint(u=float(d[perm[1]]), v=float(d[perm[0]]))
+    return _plane_points(np.real(np.diagonal(np.asarray(t)))[None], perm)[0]
 
 
 def _offsets(pair: CanonicalPair):
@@ -77,7 +77,9 @@ def _offsets(pair: CanonicalPair):
 
 
 def outcome_triangle(pair: CanonicalPair) -> Triangle:
-    """Triangle of extremal Alice outcomes (generic regime only).
+    """Triangle of extremal Alice outcomes (generic regime only): the
+    normalized squared moduli of 1/x_n (announce) and 1/(x_n z_{perm[n]})
+    (exclude), and the origin (defer).
 
     raises: DomainError off the generic regime, where Bob's lower
             amplitudes tie and both their offsets vanish
@@ -85,33 +87,41 @@ def outcome_triangle(pair: CanonicalPair) -> Triangle:
     _, z = _offsets(pair)
     if pair.y[1] - pair.y[2] <= TOL.tie or min(abs(v) for v in z) == 0.0:
         raise DomainError("extremal outcomes undefined: a Bob offset vanishes")
-    x, perm = pair.x, pair.perm
-    v1 = np.array([1.0 / x[n] for n in range(3)], dtype=complex)
-    v2 = np.array([1.0 / (x[n] * z[perm[n]]) for n in range(3)], dtype=complex)
-    e1 = diagonal_point(np.outer(v1, v1.conj()), perm)
-    e2 = diagonal_point(np.outer(v2, v2.conj()), perm)
-    e3 = PlanePoint(0.0, 0.0)
+    x = np.array(pair.x)
+    e1, e2 = _plane_points(np.square(1.0 / np.array([x, x * np.take(z, pair.perm)])), pair.perm)
     cross = e1.u * e2.v - e1.v * e2.u
-    return Triangle(e1=e1, e2=e2, e3=e3, degenerate=abs(cross) < 1e-10)
+    return Triangle(e1, e2, PlanePoint(0.0, 0.0), abs(cross) < TOL.collinear)
+
+
+def _level_rows(pair: CanonicalPair, qs) -> np.ndarray:
+    """Components 1/(x_n (y_{perm[n]}^2 - q)) of the extremal family, one
+    row per level; a level within TOL.defer_snap of Bob's smallest squared
+    amplitude degenerates to the defer basis slot perm[2].
+
+    raises: DomainError when another level hits a squared amplitude
+    """
+    x, y, perm = pair.x, pair.y, pair.perm
+    qs = np.array(qs, dtype=float)
+    snap = np.abs(qs - y[2] ** 2) <= TOL.defer_snap
+    denom = np.array([y[perm[n]] ** 2 for n in range(3)]) - qs[:, None]
+    pole = ~snap & np.any(np.abs(denom) < TOL.pole, axis=1)
+    if pole.any():
+        raise DomainError(f"level {qs[pole][0]} hits a squared amplitude; vector undefined")
+    denom[snap] = 1.0
+    rows = 1.0 / (np.array(x) * denom)
+    rows[snap] = np.eye(3)[perm[2]]
+    return rows
 
 
 def level_vector(pair: CanonicalPair, q: float) -> np.ndarray:
     """Unit vector of the extremal family at level q.
 
     Components go as 1/(x_n (y_{perm[n]}^2 - q)); at q equal to Bob's
-    smallest squared amplitude (within 1e-10) the family degenerates to
-    the defer basis slot.
+    smallest squared amplitude (within TOL.defer_snap) the family
+    degenerates to the defer basis slot.
     """
-    x, y, perm = pair.x, pair.y, pair.perm
-    if abs(q - y[2] ** 2) <= 1e-10:
-        vec = np.zeros(3, dtype=complex)
-        vec[perm[2]] = 1.0
-        return vec
-    denom = [y[perm[n]] ** 2 - q for n in range(3)]
-    if min(abs(d) for d in denom) < 1e-14:
-        raise DomainError(f"level {q} hits a squared amplitude; vector undefined")
-    vec = np.array([1.0 / (x[n] * denom[n]) for n in range(3)], dtype=complex)
-    return vec / np.linalg.norm(vec)
+    vec = _level_rows(pair, [q])[0]
+    return (vec / np.linalg.norm(vec)).astype(complex)
 
 
 def level_curve(pair: CanonicalPair, samples: int):
@@ -119,6 +129,7 @@ def level_curve(pair: CanonicalPair, samples: int):
 
     The grid maps t in (0, 1] to q = threshold - (1/t - 1), reaching the
     exclude vertex at t = 1; the defer level q = y_2^2 is spliced in.
+    Every level is evaluated in one pass over the squared moduli.
 
     returns: list of (q, PlanePoint), length samples + 1
     """
@@ -128,13 +139,8 @@ def level_curve(pair: CanonicalPair, samples: int):
     level, _ = _offsets(pair)
     qs = [level - (samples / i - 1.0) for i in range(1, samples + 1)]
     q_defer = pair.y[2] ** 2
-    lo = sum(1 for q in qs if q < q_defer)
-    qs.insert(lo, q_defer)
-    points = []
-    for q in qs:
-        vec = level_vector(pair, q)
-        points.append((q, diagonal_point(np.outer(vec, vec.conj()), pair.perm)))
-    return points
+    qs.insert(sum(1 for q in qs if q < q_defer), q_defer)
+    return list(zip(qs, _plane_points(np.square(_level_rows(pair, qs)), pair.perm)))
 
 
 def in_triangle(point: PlanePoint, tri: Triangle, tol: float) -> bool:
@@ -143,32 +149,26 @@ def in_triangle(point: PlanePoint, tri: Triangle, tol: float) -> bool:
     A degenerate (collinear) triangle is tested as the segment from e3
     to e1, with tol as the transverse distance allowance.
     """
-    p = np.array([point.u - tri.e3.u, point.v - tri.e3.v])
+    px, py = point.u - tri.e3.u, point.v - tri.e3.v
+    ax, ay = tri.e1.u - tri.e3.u, tri.e1.v - tri.e3.v
     if not tri.degenerate:
-        m = np.array(
-            [
-                [tri.e1.u - tri.e3.u, tri.e2.u - tri.e3.u],
-                [tri.e1.v - tri.e3.v, tri.e2.v - tri.e3.v],
-            ]
-        )
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) > 1e-18:
-            w1 = (p[0] * m[1, 1] - p[1] * m[0, 1]) / det
-            w2 = (m[0, 0] * p[1] - m[1, 0] * p[0]) / det
+        bx, by = tri.e2.u - tri.e3.u, tri.e2.v - tri.e3.v
+        det = ax * by - bx * ay
+        if abs(det) > TOL.det_floor:
+            w1 = (px * by - py * bx) / det
+            w2 = (ax * py - ay * px) / det
             return bool(min(w1, w2, 1.0 - w1 - w2) >= -tol)
-    e = np.array([tri.e1.u - tri.e3.u, tri.e1.v - tri.e3.v])
-    ee = float(e @ e)
+    ee = ax * ax + ay * ay
     if ee == 0.0:
-        return bool(math.hypot(*p) <= tol)
-    t = float(p @ e) / ee
-    dist = math.hypot(*(p - t * e))
-    return bool(dist <= tol and -tol <= t <= 1.0 + tol)
+        return bool(math.hypot(px, py) <= tol)
+    t = (px * ax + py * ay) / ee
+    return bool(math.hypot(px - t * ax, py - t * ay) <= tol and -tol <= t <= 1.0 + tol)
 
 
 def identity_membership(pair: CanonicalPair) -> bool:
     """True iff the uniform point lies in the extremal-outcome triangle;
     agrees with the inequality verdict away from region boundaries."""
-    return in_triangle(PlanePoint(1.0 / 3.0, 1.0 / 3.0), outcome_triangle(pair), 1e-9)
+    return in_triangle(PlanePoint(1.0 / 3.0, 1.0 / 3.0), outcome_triangle(pair), TOL.membership)
 
 
 def chord_ratio(pair: CanonicalPair, q: float) -> float:

@@ -7,6 +7,7 @@ import pytest
 
 from triseq import check_global_optimality, psk_overlap
 from triseq.cli import main
+from triseq.serialize import fmt_float
 
 
 def run(argv):
@@ -48,6 +49,19 @@ def test_check_overlap_modes(capsys):
     assert doc["ka"] == pytest.approx([k.real, k.imag], abs=1e-15)
 
     assert run(["check", "--ppm", "0.9", "0", "0", "0"]) in (0, 1)
+
+
+def test_check_reads_its_own_exponent_spelling(capsys):
+    code = run(["check", "--ka", "0.5", "0.1", "--kb", "0.3", "-1e-10"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kb"] == [0.3, -1e-10]
+    assert doc["verdict"] == check_global_optimality(0.5 + 0.1j, 0.3 - 1e-10j).verdict
+    argv = ["check", "--ka", *map(fmt_float, doc["ka"]), "--kb", *map(fmt_float, doc["kb"])]
+    assert argv[-1] == "-1e-10"
+    assert run(argv) == code
+    again = json.loads(capsys.readouterr().out)
+    assert (again["verdict"], again["branch"]) == (doc["verdict"], doc["branch"])
+    assert run(["check", "--ka", "0.5", "0.1", "--kb", "0.3", "-1E-10"]) == code
 
 
 def test_usage_errors():

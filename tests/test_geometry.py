@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from helpers import random_pair
+from helpers import random_overlap, random_pair
 from triseq import (
     PlanePoint,
     Triangle,
@@ -34,6 +34,7 @@ def test_symmetrize_kills_off_diagonals():
         s = symmetrize(t)
         assert np.max(np.abs(s - np.diag(np.diag(t)))) < 1e-13
         assert np.max(np.abs(symmetrize(s) - s)) < 1e-13
+        assert np.all(s[~np.eye(3, dtype=bool)] == 0.0)
 
 
 def test_diagonal_point_reads_permuted_slots():
@@ -129,6 +130,29 @@ def test_level_curve_shape():
         assert in_triangle(p, tri, 1e-8)
     with pytest.raises(DomainError):
         level_curve(pair, 1)
+
+
+def test_level_curve_matches_pointwise_path():
+    rng = np.random.default_rng(45)
+    reports = [check_global_optimality(*random_pair(rng)) for _ in range(30)]
+    reports += [check_global_optimality(random_overlap(rng), rng.uniform(0.02, 0.95))
+                for _ in range(10)]
+    assert {r.branch for r in reports} == {"Inequality", "Fails", "PositiveRealB"}
+    pairs = [r.pair for r in reports] + [canonicalize(0.2 + 0.1j, 0.25)]
+    snapped = 0
+    for pair in pairs:
+        curve = level_curve(pair, 200)
+        level = filter_level(pair.kb)
+        qs = [level - (200 / i - 1.0) for i in range(1, 201)]
+        q_defer = pair.y[2] ** 2
+        qs.insert(sum(1 for q in qs if q < q_defer), q_defer)
+        assert [q for q, _ in curve] == qs
+        for q, point in curve:
+            vec = level_vector(pair, q)
+            snapped += q != q_defer and np.count_nonzero(vec) == 1
+            ref = diagonal_point(np.outer(vec, vec.conj()), pair.perm)
+            assert max(abs(point.u - ref.u), abs(point.v - ref.v)) <= 1e-15
+    assert snapped == 11  # PositiveRealB: the threshold level snaps onto the defer slot
 
 
 def test_in_triangle_unit():

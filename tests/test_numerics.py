@@ -13,6 +13,9 @@ def test_tolerances_frozen():
     assert TOL.psd == 1e-9
     assert TOL.tie == 1e-9
     assert TOL.cond == 1e-10
+    assert (TOL.zero_trace, TOL.pole) == (1e-14, 1e-14)
+    assert (TOL.defer_snap, TOL.collinear) == (1e-10, 1e-10)
+    assert (TOL.det_floor, TOL.membership) == (1e-18, 1e-9)
 
 
 def test_eigen_identity():
