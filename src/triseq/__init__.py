@@ -50,8 +50,8 @@ from .povm import (
     PovmCheck,
     SequentialMeasurement,
     binary_unambiguous,
-    build_bob_only,
     build_sequential,
+    construct,
     dual_certificate,
     flatten,
     joint_states,
@@ -70,6 +70,7 @@ from .states import (
     amplitudes_from_overlap,
     canonicalize,
     coherent_overlap,
+    frame,
     lifted_trine_overlap,
     ppm_overlap,
     psk_overlap,

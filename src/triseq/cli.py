@@ -10,12 +10,14 @@ Subcommands:
 
 Exit codes: 0 success / verdict true; 1 verdict false or verification
 failure; 2 internal error; 64 usage or parameter domain; 65 unreadable
-measurement file.
+measurement file; 141 the reader closed standard output early (the
+status a shell reports for a SIGPIPE death).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -23,18 +25,16 @@ from .errors import (
     DegenerateStates,
     DomainError,
     InvalidPovm,
-    NoCanonicalForm,
     NotGloballyOptimal,
     RankDeficient,
     TriseqError,
 )
 from .multipartite import check_copies_psk
-from .numerics import TOL
 from .optimality import check_global_optimality, global_optimum
 from .povm import (
     CertificateViolation,
-    build_bob_only,
-    build_sequential,
+    _outcome_probs,
+    construct,
     dual_certificate,
     flatten,
     joint_states,
@@ -45,16 +45,7 @@ from .povm import (
     verify_unambiguous,
 )
 from .serialize import fmt_float, json_dumps
-from .states import (
-    StateVectors,
-    TAU,
-    amplitudes_from_overlap,
-    canonicalize,
-    lifted_trine_overlap,
-    ppm_overlap,
-    psk_overlap,
-    state_vectors,
-)
+from .states import frame, lifted_trine_overlap, ppm_overlap, psk_overlap
 
 import numpy as np
 
@@ -144,37 +135,14 @@ def cmd_check(args, parser) -> int:
     return 0 if report.verdict else 1
 
 
-def _construct(ka, kb, report):
-    """returns (seq, state_vectors, success)"""
-    if report.pair is not None:
-        pair = report.pair
-        seq = build_sequential(pair)
-        sv = state_vectors(pair)
-    else:
-        try:
-            pair = canonicalize(ka, kb)
-            seq = build_sequential(pair)
-            sv = state_vectors(pair)
-        except NoCanonicalForm:
-            seq, sv = build_bob_only(ka, kb)
-    success, _ = verify_unambiguous(flatten(seq), joint_states(sv))
-    return seq, sv, success
-
-
 def cmd_construct(args, parser) -> int:
     ka, kb = _resolve_overlaps(args, parser)
-    report = check_global_optimality(ka, kb)
-    if not report.verdict:
-        print("no globally optimal sequential measurement exists for this pair")
-        return 1
     try:
-        seq, _, success = _construct(ka, kb, report)
+        report, seq, _, success = construct(ka, kb)
     except NotGloballyOptimal as exc:
-        print(f"no globally optimal sequential measurement exists for this pair: {exc}")
+        reason = f": {exc}" if str(exc) else ""
+        print(f"no globally optimal sequential measurement exists for this pair{reason}")
         return 1
-    # meta records the decision branch; the construction regime can differ
-    # only on the Orthogonal branch
-    seq = type(seq)(alice=seq.alice, bob=seq.bob, weights=seq.weights, branch=report.branch)
     save_povm(args.out, seq, ka, kb, success)
     print(json_dumps({
         "out": str(args.out),
@@ -184,17 +152,6 @@ def cmd_construct(args, parser) -> int:
         "kappa": list(seq.weights),
     }))
     return 0
-
-
-def _reconstruct_states(ka, kb):
-    try:
-        return state_vectors(canonicalize(ka, kb))
-    except NoCanonicalForm:
-        x = amplitudes_from_overlap(ka)
-        y = amplitudes_from_overlap(kb)
-        a = np.array([[x[n] * TAU ** (r * n) for n in range(3)] for r in range(3)])
-        b = np.array([[y[n] * TAU ** (r * n) for n in range(3)] for r in range(3)])
-        return StateVectors(a=a, b=b)
 
 
 def cmd_verify(args, parser) -> int:
@@ -217,13 +174,15 @@ def cmd_verify(args, parser) -> int:
     )
     checks.append(("internal-consistency", drift <= 1e-12, drift))
 
-    sv = _reconstruct_states(ka, kb)
+    pair, sv = frame(ka, kb)
     success, leak = verify_unambiguous(loaded.povm, joint_states(sv))
     checks.append(("unambiguity", leak <= 1e-10, leak))
 
     orthogonal = loaded.meta.get("branch") == "Orthogonal"
-    if not orthogonal:
-        pair = canonicalize(ka, kb)
+    if not orthogonal and pair is None:
+        # only a measurement stamped Orthogonal fits a pair with no canonical form
+        checks.append(("canonical-form", False, "none for this pair; the file is not Orthogonal"))
+    elif not orthogonal:
         gap = abs(success - global_optimum(pair))
         checks.append(("success-vs-global", gap <= 1e-10, gap))
         try:
@@ -319,7 +278,7 @@ def cmd_curve(args, parser) -> int:
             lines.append(f"{fmt_float(s)},NA,NA,")
             continue
         if rep.verdict:
-            _, _, success = _construct(k, k, rep)
+            _, _, _, success = construct(k, k)
             p_seq = fmt_float(success)
         else:
             p_seq = ""
@@ -342,16 +301,13 @@ def cmd_simulate(args, parser) -> int:
         parser.error("--state must be 0, 1, or 2")
     if args.shots < 0:
         parser.error("--shots must be >= 0")
-    sv = _reconstruct_states(loaded.meta["ka"], loaded.meta["kb"])
+    _, sv = frame(loaded.meta["ka"], loaded.meta["kb"])
     state = joint_states(sv)[args.state]
     counts = sample_outcomes(loaded.povm, state, args.shots, args.seed)
-    probs = [
-        max(float(np.real(np.vdot(state, op @ state))), 0.0) for op in loaded.povm.outcomes
-    ]
     print(json_dumps({
         "labels": list(loaded.povm.labels),
         "counts": [int(c) for c in counts],
-        "probs": probs,
+        "probs": _outcome_probs(loaded.povm, state),
         "shots": args.shots,
         "seed": args.seed,
         "state": args.state,
@@ -413,11 +369,17 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
-    except SystemExit:
-        raise
+        args = parser.parse_args(argv)
+        code = _COMMANDS[args.command](args, parser)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; let that land in devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     except (DomainError, DegenerateStates, RankDeficient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64

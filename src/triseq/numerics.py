@@ -19,11 +19,8 @@ class Tolerances:
     """Numerical thresholds used across the package.
 
     herm:       max |H - H^dag| entry accepted as Hermitian
-    eig:        eigenvector residual bound |H v - w v|
     psd:        eigenvalue floor accepted as positive semidefinite
     tie:        amplitude gap treated as a tie
-    cond:       slack on measurement-weight nonnegativity
-    singular:   determinant cutoff (relative to norm^3) for 3x3 solves
     zero_trace: trace below which a plane point cannot be normalized
     pole:       distance of a level from a squared amplitude (a pole)
     defer_snap: distance of a level from the defer level that snaps it
@@ -33,11 +30,8 @@ class Tolerances:
     """
 
     herm: float = 1e-12
-    eig: float = 1e-10
     psd: float = 1e-9
     tie: float = 1e-9
-    cond: float = 1e-10
-    singular: float = 1e-13
     zero_trace: float = 1e-14
     pole: float = 1e-14
     defer_snap: float = 1e-10

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,9 +40,9 @@ from .errors import (
     SingularSystem,
 )
 from .numerics import TOL, hermitian_eigen, solve3
-from .optimality import filter_level, global_optimum
+from .optimality import check_global_optimality, filter_level, global_optimum
 from .serialize import json_dumps
-from .states import TAU, CanonicalPair, StateVectors, amplitudes_from_overlap, state_vectors
+from .states import TAU, CanonicalPair, StateVectors, amplitudes_from_overlap, frame, state_vectors
 
 LABELS = (
     "announce0",
@@ -274,29 +274,43 @@ def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
     )
 
 
-def build_bob_only(ka, kb):
-    """Construction for kb numerically zero: Alice defers outright and
-    Bob's three states are (near-)orthogonal, so he discriminates alone.
-
-    returns: (SequentialMeasurement, StateVectors) built from the raw,
-             uncanonicalized amplitudes
-    """
-    x = amplitudes_from_overlap(ka)
-    y = amplitudes_from_overlap(kb)
-    sv = StateVectors(
-        a=np.array([[x[n] * TAU ** (r * n) for n in range(3)] for r in range(3)]),
-        b=np.array([[y[n] * TAU ** (r * n) for n in range(3)] for r in range(3)]),
-    )
+def _bob_only(y, b) -> SequentialMeasurement:
+    """Alice defers outright: Bob's three states are (near-)orthogonal, so
+    he discriminates alone."""
     zero = np.zeros((3, 3), dtype=complex)
     alice = {label: zero for label in LABELS[:6]}
     alice["defer"] = np.eye(3, dtype=complex)
-    seq = SequentialMeasurement(
-        alice=alice,
-        bob=_bob_map(y, sv.b),
-        weights=(0.0, 0.0, 3.0),
-        branch="Orthogonal",
+    return SequentialMeasurement(
+        alice=alice, bob=_bob_map(y, b), weights=(0.0, 0.0, 3.0), branch="Orthogonal"
     )
-    return seq, sv
+
+
+def construct(ka, kb):
+    """Decide, build and score the sequential measurement for an overlap pair.
+
+    On the Orthogonal branch a pair that still has a canonical form (ka
+    numerically zero) goes through build_sequential; one that has none
+    (kb numerically zero) gets Bob discriminating alone.
+
+    returns: (report, seq, states, success) with seq.branch == report.branch,
+             states the StateVectors seq acts on, and success its verified
+             success probability
+    raises:  NotGloballyOptimal with an empty message when the verdict is
+             false, with the build's reason when the build refuses
+    """
+    report = check_global_optimality(ka, kb)
+    if not report.verdict:
+        raise NotGloballyOptimal()
+    if report.pair is not None:
+        pair, sv = report.pair, state_vectors(report.pair)
+    else:
+        pair, sv = frame(ka, kb)
+    if pair is None:
+        seq = _bob_only(amplitudes_from_overlap(kb), sv.b)
+    else:
+        seq = replace(build_sequential(pair), branch=report.branch)
+    success, _ = verify_unambiguous(flatten(seq), joint_states(sv))
+    return report, seq, sv, success
 
 
 def flatten(seq: SequentialMeasurement) -> Povm:
@@ -477,6 +491,12 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     return report
 
 
+def _outcome_probs(p: Povm, state) -> list[float]:
+    """<state|E|state> per outcome E, rounding noise below zero clipped."""
+    state = np.asarray(state, dtype=complex)
+    return [max(float(np.real(np.vdot(state, op @ state))), 0.0) for op in p.outcomes]
+
+
 def sample_outcomes(p: Povm, state, shots, seed):
     """Multinomial outcome counts for repeated measurement of one state.
 
@@ -486,10 +506,7 @@ def sample_outcomes(p: Povm, state, shots, seed):
     shots = int(shots)
     if shots < 0:
         raise DomainError(f"shots must be >= 0, got {shots}")
-    state = np.asarray(state, dtype=complex)
-    probs = np.array(
-        [max(float(np.real(np.vdot(state, op @ state))), 0.0) for op in p.outcomes]
-    )
+    probs = np.array(_outcome_probs(p, state))
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-8:
         raise InvalidPovm(f"outcome probabilities sum to {total:.12g}")

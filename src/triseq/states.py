@@ -16,7 +16,9 @@ descending and Alice's minimal weight in the last slot.  `canonicalize`
 finds it by searching the 18 relabelings that leave the discrimination
 problem invariant (rotating either overlap by tau and conjugating both
 jointly), keeping the first hit in a fixed search order so equal inputs
-always produce identical output.
+always produce identical output.  `frame` pairs it with the state
+vectors, and falls back to the raw amplitudes when Bob's overlap is
+numerically zero and no such orientation exists.
 """
 
 from __future__ import annotations
@@ -188,12 +190,30 @@ def canonicalize(ka, kb) -> CanonicalPair:
     raise NoCanonicalForm("Bob's amplitudes cannot be separated; kb is numerically 0")
 
 
+def _vectors(x, y) -> StateVectors:
+    a = np.array([[x[n] * TAU ** (r * n) for n in range(3)] for r in range(3)])
+    b = np.array([[y[n] * TAU ** (r * n) for n in range(3)] for r in range(3)])
+    return StateVectors(a=a, b=b)
+
+
 def state_vectors(pair: CanonicalPair) -> StateVectors:
     """Explicit component vectors a_r, b_r for a canonical pair.
 
     post: rows are unit vectors and <v_r|v_{r+1}> equals the canonical
           overlap on each side
     """
-    a = np.array([[pair.x[n] * TAU ** (r * n) for n in range(3)] for r in range(3)])
-    b = np.array([[pair.y[n] * TAU ** (r * n) for n in range(3)] for r in range(3)])
-    return StateVectors(a=a, b=b)
+    return _vectors(pair.x, pair.y)
+
+
+def frame(ka, kb) -> tuple[CanonicalPair | None, StateVectors]:
+    """The orientation every measurement on this overlap pair is built in.
+
+    returns: (pair, state_vectors(pair)), or (None, vectors from the raw
+             amplitudes of ka, kb) when no canonical form exists
+    raises:  DegenerateStates / RankDeficient from state validation
+    """
+    try:
+        pair = canonicalize(ka, kb)
+    except NoCanonicalForm:
+        return None, _vectors(amplitudes_from_overlap(ka), amplitudes_from_overlap(kb))
+    return pair, state_vectors(pair)

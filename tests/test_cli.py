@@ -1,6 +1,10 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,55 @@ def test_construct_verify_round_trip(tmp_path, capsys):
                  "success-vs-global", "certificate"):
         assert f"ok   {name}" in report
     assert "success 0.92" in report
+
+
+FIG_ARGS = ["--ka", "0.19021130325903071", "0.061803398874989479",
+            "--kb", "0.19021130325903071", "0.061803398874989479"]
+
+
+def test_verify_fails_cleanly_on_pair_without_canonical_form(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert run(["construct", *FIG_ARGS, "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = run(["verify", str(out), "--ka", "0.3", "0", "--kb", "0", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FAIL canonical-form" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("overlaps", [
+    ["--ka", "0", "0", "--kb", "0.38", "0.11"],  # ka ~ 0: canonical build
+    ["--ka", "0.3", "0", "--kb", "0", "0"],  # kb ~ 0: Bob alone
+    ["--ka", "0", "0", "--kb", "0", "0"],
+    ["--ka", "0.3", "0", "--kb", "1.05e-9", "0"],  # too small for a strict Bob order
+])
+def test_orthogonal_routes(tmp_path, capsys, overlaps):
+    out = tmp_path / "m.json"
+    assert run(["construct", *overlaps, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["branch"] == "Orthogonal"
+    assert run(["verify", str(out), *overlaps]) == 0
+    capsys.readouterr()
+    argv = ["simulate", "--povm", str(out), "--state", "2", "--shots", "1000", "--seed", "3"]
+    assert run(argv) == 0
+    assert sum(json.loads(capsys.readouterr().out)["counts"]) == 1000
+
+
+def test_closed_stdout_is_not_a_verdict():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "triseq.cli", "check",
+             "--ka", "0.5", "0.1", "--kb", "0.3", "-1e-10"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode not in (0, 1)
 
 
 def test_construct_refuses_failing_pair(tmp_path, capsys):

@@ -9,10 +9,8 @@ from triseq.errors import NonHermitian, SingularSystem
 
 def test_tolerances_frozen():
     assert TOL.herm == 1e-12
-    assert TOL.eig == 1e-10
     assert TOL.psd == 1e-9
     assert TOL.tie == 1e-9
-    assert TOL.cond == 1e-10
     assert (TOL.zero_trace, TOL.pole) == (1e-14, 1e-14)
     assert (TOL.defer_snap, TOL.collinear) == (1e-10, 1e-10)
     assert (TOL.det_floor, TOL.membership) == (1e-18, 1e-9)
@@ -40,7 +38,7 @@ def test_eigen_random_spectrum():
         w, v = hermitian_eigen(h)
         assert np.allclose(w, spectrum, atol=1e-12)
         for i in range(3):
-            assert np.linalg.norm(h @ v[:, i] - w[i] * v[:, i]) <= TOL.eig
+            assert np.linalg.norm(h @ v[:, i] - w[i] * v[:, i]) <= 1e-10
 
 
 def test_eigen_rejects_non_hermitian():

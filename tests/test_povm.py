@@ -10,10 +10,10 @@ import pytest
 from helpers import random_pair
 from triseq import (
     binary_unambiguous,
-    build_bob_only,
     build_sequential,
     canonicalize,
     check_global_optimality,
+    construct,
     dual_certificate,
     flatten,
     global_optimum,
@@ -215,18 +215,22 @@ def test_failing_pair_raises():
     pair = canonicalize(-0.2, -0.2)
     with pytest.raises(NotGloballyOptimal):
         build_sequential(pair)
+    with pytest.raises(NotGloballyOptimal, match="^$"):  # the verdict refuses, bare
+        construct(-0.2, -0.2)
 
 
 def test_bob_only_orthogonal_bob():
-    seq, sv = build_bob_only(0.3, 0.0)
-    assert seq.branch == "Orthogonal"
+    report, seq, sv, success = construct(0.3, 0.0)
+    assert report.pair is None
+    assert seq.branch == report.branch == "Orthogonal"
     assert seq.weights == (0.0, 0.0, 3.0)
     assert np.allclose(seq.alice["defer"], np.eye(3))
     flat = flatten(seq)
     chk = verify_povm(flat)
     assert chk.psd_margin >= -1e-12
     assert chk.completeness <= 1e-10
-    success, resid = verify_unambiguous(flat, joint_states(sv))
+    again, resid = verify_unambiguous(flat, joint_states(sv))
+    assert again == success
     assert resid <= 1e-12
     assert success == pytest.approx(1.0, abs=1e-12)
 
