@@ -34,6 +34,7 @@ from .optimality import check_global_optimality, global_optimum
 from .povm import (
     CertificateViolation,
     _outcome_probs,
+    _realize,
     construct,
     dual_certificate,
     flatten,
@@ -278,7 +279,7 @@ def cmd_curve(args, parser) -> int:
             lines.append(f"{fmt_float(s)},NA,NA,")
             continue
         if rep.verdict:
-            _, _, _, success = construct(k, k)
+            _, _, success = _realize(rep, k, k)
             p_seq = fmt_float(success)
         else:
             p_seq = ""

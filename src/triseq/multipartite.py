@@ -11,6 +11,7 @@ result is reported as "sufficient", never as a necessity claim.
 from __future__ import annotations
 
 from .errors import DomainError
+from .numerics import TOL
 from .optimality import check_global_optimality
 from .states import _check_overlap, psk_overlap
 
@@ -18,8 +19,8 @@ from .states import _check_overlap, psk_overlap
 def _clamp(k: complex) -> complex:
     # rounding can push a product of near-unit overlaps over the
     # degeneracy gate; pull it just inside
-    if abs(k) >= 1.0 - 1e-12:
-        k = k / abs(k) * (1.0 - 2e-12)
+    if abs(k) >= 1.0 - TOL.degenerate:
+        k = k / abs(k) * (1.0 - 2 * TOL.degenerate)
     return k
 
 

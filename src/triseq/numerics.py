@@ -27,6 +27,9 @@ class Tolerances:
     collinear:  |cross product| below which the outcome triangle is flat
     det_floor:  determinant floor of the barycentric membership solve
     membership: slack of the uniform-point membership test
+    degenerate: distance of |overlap| from 1 below which two states count
+                as parallel
+    solve_resid: relative residual bound of solve3
     """
 
     herm: float = 1e-12
@@ -38,6 +41,8 @@ class Tolerances:
     collinear: float = 1e-10
     det_floor: float = 1e-18
     membership: float = 1e-9
+    degenerate: float = 1e-12
+    solve_resid: float = 1e-10
 
 
 TOL = Tolerances()
@@ -114,7 +119,7 @@ def solve3(m, b):
     even when m mixes entries of very different magnitude.
 
     returns: u as a tuple of three floats with
-             max |m @ u - b| <= 1e-10 * max(1, max |b|)
+             max |m @ u - b| <= TOL.solve_resid * max(1, max |b|)
     raises:  SingularSystem on an exactly singular matrix or if the
              residual bound cannot be met
     """
@@ -134,6 +139,6 @@ def solve3(m, b):
     dx = _lu3_solve(lu, perm, resid)
     x = [x[i] + dx[i] for i in range(3)]
     resid = max(abs(rhs[i] - sum(rows[i][j] * x[j] for j in range(3))) for i in range(3))
-    if not resid <= 1e-10 * max(1.0, max(abs(v) for v in rhs)):
+    if not resid <= TOL.solve_resid * max(1.0, max(abs(v) for v in rhs)):
         raise SingularSystem(f"refined residual {resid:.3e} still above bound")
     return tuple(x)

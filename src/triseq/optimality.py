@@ -33,15 +33,12 @@ from .states import (
     CanonicalPair,
     _check_overlap,
     _joint_squares,
-    _perm_of,
-    amplitudes_from_overlap,
-    canonicalize,
+    _orient,
+    _rank,
+    _validated,
 )
 
 BRANCHES = ("Orthogonal", "PositiveRealB", "PositiveRealA", "Inequality", "Fails")
-
-_IDX1 = (1, 0, 2)  # (1 - k) mod 3
-_IDX3 = (0, 2, 1)  # (3 - k) mod 3, i.e. -k mod 3
 
 
 @dataclass(frozen=True)
@@ -100,10 +97,10 @@ def _inv_sq(v: float) -> float:
 
 def _conditions(x, y, z):
     c1 = x[2] * z[0] - x[1] * z[1]
-    iz = tuple(_inv_sq(v) for v in z)
-    c2 = 0.0
-    for k in range(3):
-        c2 += x[k] ** 2 * (iz[_IDX1[k]] - iz[_IDX3[k]])
+    iz0, iz1, iz2 = _inv_sq(z[0]), _inv_sq(z[1]), _inv_sq(z[2])
+    # term k is x_k^2 (iz_{(1-k) mod 3} - iz_{-k mod 3}), summed in k order
+    # from 0.0 (which turns a leading -0.0 into 0.0); c2 is printed exactly
+    c2 = 0.0 + x[0] ** 2 * (iz1 - iz0) + x[1] ** 2 * (iz0 - iz2) + x[2] ** 2 * (iz2 - iz1)
     return c1, c2
 
 
@@ -112,27 +109,22 @@ def check_global_optimality(ka, kb) -> OptimalityReport:
 
     raises: DegenerateStates / RankDeficient from state validation
     """
-    ka = _check_overlap(ka)
-    kb = _check_overlap(kb)
+    ka, kb, x, y = _validated(ka, kb)
 
     pair = None
     if abs(ka) >= TOL.tie and abs(kb) >= TOL.tie:
         try:
-            pair = canonicalize(ka, kb)
+            pair = _orient(ka, kb, x, y)
         except NoCanonicalForm:
             pair = None  # kb in the gray zone just above tie; Bob is
             # near-perfect alone, same as the orthogonal case
 
     if pair is None:
-        x = amplitudes_from_overlap(ka)
-        y = amplitudes_from_overlap(kb)
         branch = "Orthogonal"
         verdict = True
-        perm = _perm_of(x, y)
         level = (1.0 - abs(kb)) / 3.0
     else:
         x, y = pair.x, pair.y
-        perm = pair.perm
         level = (1.0 - abs(pair.kb)) / 3.0
         if y[1] - y[2] <= TOL.tie:
             branch, verdict = "PositiveRealB", True
@@ -141,7 +133,7 @@ def check_global_optimality(ka, kb) -> OptimalityReport:
         else:
             branch = None
 
-    z = tuple(v**2 - level for v in y)
+    z = (y[0] ** 2 - level, y[1] ** 2 - level, y[2] ** 2 - level)
     c1, c2 = _conditions(x, y, z)
     if pair is not None and branch is None:
         verdict = c1 >= 0.0 and c2 >= 0.0
@@ -153,8 +145,8 @@ def check_global_optimality(ka, kb) -> OptimalityReport:
         branch=branch,
         threshold=level,
         offsets=z,
-        joint=tuple(math.sqrt(t) for t in tj_sq),
-        perm=perm,
+        joint=(math.sqrt(tj_sq[0]), math.sqrt(tj_sq[1]), math.sqrt(tj_sq[2])),
+        perm=_rank(tj_sq),
         p_global=3.0 * min(tj_sq),
         c1=c1,
         c2=c2,

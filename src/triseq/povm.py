@@ -118,7 +118,7 @@ def binary_unambiguous(u, v) -> Povm:
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     c = np.vdot(u, v)
-    if abs(c) >= 1.0 - 1e-12:
+    if abs(c) >= 1.0 - TOL.degenerate:
         raise DegenerateStates(f"|<u|v>| = {abs(c):.15g} is too close to 1")
     wu = u - c.conjugate() * v  # component of u orthogonal to v
     wu = wu / np.linalg.norm(wu)
@@ -299,6 +299,14 @@ def construct(ka, kb):
              false, with the build's reason when the build refuses
     """
     report = check_global_optimality(ka, kb)
+    return (report, *_realize(report, ka, kb))
+
+
+def _realize(report, ka, kb):
+    """construct's build-and-score tail, for a pair already decided.
+
+    returns: (seq, states, success) as in construct
+    """
     if not report.verdict:
         raise NotGloballyOptimal()
     if report.pair is not None:
@@ -310,7 +318,7 @@ def construct(ka, kb):
     else:
         seq = replace(build_sequential(pair), branch=report.branch)
     success, _ = verify_unambiguous(flatten(seq), joint_states(sv))
-    return report, seq, sv, success
+    return seq, sv, success
 
 
 def flatten(seq: SequentialMeasurement) -> Povm:

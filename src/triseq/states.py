@@ -34,6 +34,8 @@ from .errors import DegenerateStates, DomainError, NoCanonicalForm, RankDeficien
 from .numerics import TOL
 
 TAU = cmath.exp(2j * cmath.pi / 3)
+_TAU_S = tuple(TAU**s for s in range(3))  # rotation of a candidate overlap
+_TAU_2N = tuple(TAU ** (2 * n) for n in range(3))  # phase of radicand n
 
 
 class Transform(NamedTuple):
@@ -76,7 +78,7 @@ def _check_overlap(k) -> complex:
     k = complex(k)
     if not cmath.isfinite(k):
         raise DomainError(f"overlap must be finite, got {k!r}")
-    if abs(k) >= 1.0 - 1e-12:
+    if abs(k) >= 1.0 - TOL.degenerate:
         raise DegenerateStates(f"|K| = {abs(k):.15g} is too close to 1")
     return k
 
@@ -120,7 +122,23 @@ def ppm_overlap(alpha, beta) -> complex:
 
 
 def _radicands(k: complex) -> tuple[float, float, float]:
-    return tuple((1.0 + 2.0 * (TAU ** (2 * n) * k).real) / 3.0 for n in range(3))
+    return (
+        (1.0 + 2.0 * (_TAU_2N[0] * k).real) / 3.0,
+        (1.0 + 2.0 * (_TAU_2N[1] * k).real) / 3.0,
+        (1.0 + 2.0 * (_TAU_2N[2] * k).real) / 3.0,
+    )
+
+
+def _sqrt3(r) -> tuple[float, float, float]:
+    return (math.sqrt(r[0]), math.sqrt(r[1]), math.sqrt(r[2]))
+
+
+def _amplitudes(k: complex) -> tuple[float, float, float]:
+    # amplitudes_from_overlap for an overlap that already passed _check_overlap
+    rad = _radicands(k)
+    if min(rad) <= TOL.tie**2:
+        raise RankDeficient(f"squared amplitudes {rad} include a numerical zero")
+    return _sqrt3(rad)
 
 
 def amplitudes_from_overlap(k) -> tuple[float, float, float]:
@@ -130,22 +148,31 @@ def amplitudes_from_overlap(k) -> tuple[float, float, float]:
     raises: DegenerateStates if |k| is numerically 1,
             RankDeficient if any squared amplitude is <= TOL.tie^2
     """
-    k = _check_overlap(k)
-    rad = _radicands(k)
-    if min(rad) <= TOL.tie**2:
-        raise RankDeficient(f"squared amplitudes {rad} include a numerical zero")
-    return tuple(math.sqrt(r) for r in rad)
+    return _amplitudes(_check_overlap(k))
 
 
 def _joint_squares(x, y) -> tuple[float, float, float]:
-    return tuple(
-        sum(x[k] ** 2 * y[(n - k) % 3] ** 2 for k in range(3)) for n in range(3)
+    # sum_k x_k^2 y_{(n-k) mod 3}^2, summed in k order: the order fixes the
+    # last bit of the joint amplitudes and p_global that reports print
+    x0, x1, x2 = x[0] ** 2, x[1] ** 2, x[2] ** 2
+    y0, y1, y2 = y[0] ** 2, y[1] ** 2, y[2] ** 2
+    return (
+        x0 * y0 + x1 * y2 + x2 * y1,
+        x0 * y1 + x1 * y0 + x2 * y2,
+        x0 * y2 + x1 * y1 + x2 * y0,
     )
 
 
-def _perm_of(x, y) -> tuple[int, int, int]:
-    tj = _joint_squares(x, y)
+def _rank(tj) -> tuple[int, int, int]:
+    # rank permutation of joint squares tj: slot 0 marks the minimum
     return (2, 1, 0) if tj[0] >= tj[2] else (0, 2, 1)
+
+
+def _validated(ka, kb):
+    # each overlap checked once: (ka, kb, x, y) with their seed amplitudes
+    ka = _check_overlap(ka)
+    kb = _check_overlap(kb)
+    return ka, kb, _amplitudes(ka), _amplitudes(kb)
 
 
 def canonicalize(ka, kb) -> CanonicalPair:
@@ -158,33 +185,41 @@ def canonicalize(ka, kb) -> CanonicalPair:
         y_0 >= y_1 >= y_2 within tie, y_0 - y_2 > tie   (Bob: descending)
 
     The first candidate in lexicographic (conjugated, shift_a, shift_b)
-    order wins, so the result is deterministic.
+    order wins, so the result is deterministic.  Each overlap is validated
+    once; the first candidate (no rotation, no conjugation) reuses the
+    amplitudes that validation computed, and every other candidate triple
+    is computed at most once, from its own rotated overlap.
 
     raises: RankDeficient (propagated; the radicand multiset is transform-
             invariant), NoCanonicalForm when Bob's amplitudes cannot be
             strictly separated (kb numerically zero)
     """
-    ka = _check_overlap(ka)
-    kb = _check_overlap(kb)
-    amplitudes_from_overlap(ka)
-    amplitudes_from_overlap(kb)
+    return _orient(*_validated(ka, kb))
+
+
+def _orient(ka: complex, kb: complex, x0, y0) -> CanonicalPair:
+    # canonicalize for validated overlaps whose amplitudes are x0, y0
     tie = TOL.tie
     for conj in (False, True):
         base_a = ka.conjugate() if conj else ka
         base_b = kb.conjugate() if conj else kb
+        ys = [None if conj else y0, None, None]  # Bob's triple per sb
         for sa in (0, 1, 2):
-            x = tuple(math.sqrt(r) for r in _radicands(TAU**sa * base_a))
+            rot_a = _TAU_S[sa] * base_a
+            x = x0 if sa == 0 and not conj else _sqrt3(_radicands(rot_a))
             if not (x[0] - x[2] > -tie and x[1] - x[2] >= -tie):
                 continue
             for sb in (0, 1, 2):
-                y = tuple(math.sqrt(r) for r in _radicands(TAU**sb * base_b))
+                y = ys[sb]
+                if y is None:
+                    y = ys[sb] = _sqrt3(_radicands(_TAU_S[sb] * base_b))
                 if y[0] - y[1] >= -tie and y[1] - y[2] >= -tie and y[0] - y[2] > tie:
                     return CanonicalPair(
-                        ka=TAU**sa * base_a,
-                        kb=TAU**sb * base_b,
+                        ka=rot_a,
+                        kb=_TAU_S[sb] * base_b,
                         x=x,
                         y=y,
-                        perm=_perm_of(x, y),
+                        perm=_rank(_joint_squares(x, y)),
                         record=Transform(sa, sb, conj),
                     )
     raise NoCanonicalForm("Bob's amplitudes cannot be separated; kb is numerically 0")
@@ -212,8 +247,9 @@ def frame(ka, kb) -> tuple[CanonicalPair | None, StateVectors]:
              amplitudes of ka, kb) when no canonical form exists
     raises:  DegenerateStates / RankDeficient from state validation
     """
+    ka, kb, x, y = _validated(ka, kb)
     try:
-        pair = canonicalize(ka, kb)
+        pair = _orient(ka, kb, x, y)
     except NoCanonicalForm:
-        return None, _vectors(amplitudes_from_overlap(ka), amplitudes_from_overlap(kb))
+        return None, _vectors(x, y)
     return pair, state_vectors(pair)

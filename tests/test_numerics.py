@@ -14,6 +14,8 @@ def test_tolerances_frozen():
     assert (TOL.zero_trace, TOL.pole) == (1e-14, 1e-14)
     assert (TOL.defer_snap, TOL.collinear) == (1e-10, 1e-10)
     assert (TOL.det_floor, TOL.membership) == (1e-18, 1e-9)
+    assert (TOL.degenerate, TOL.solve_resid) == (1e-12, 1e-10)
+    assert 2 * TOL.degenerate == 2e-12  # multipartite's clamp target, bit-equal
 
 
 def test_eigen_identity():

@@ -10,16 +10,29 @@ from hypothesis import strategies as st
 
 from helpers import random_overlap, random_pair
 from triseq import (
+    BRANCHES,
+    TOL,
+    CanonicalPair,
+    OptimalityReport,
     amplitudes_from_overlap,
     canonicalize,
+    check_global_optimality,
     coherent_overlap,
     lifted_trine_overlap,
     ppm_overlap,
     psk_overlap,
     state_vectors,
 )
-from triseq.errors import DegenerateStates, DomainError, NoCanonicalForm, RankDeficient
-from triseq.states import TAU
+from triseq.cli import _report_json
+from triseq.errors import (
+    DegenerateStates,
+    DomainError,
+    NoCanonicalForm,
+    RankDeficient,
+    TriseqError,
+)
+from triseq.serialize import json_dumps
+from triseq.states import TAU, Transform
 
 # overlaps with modulus < 0.45 can never be rank-deficient, so they are
 # safe for unconditioned property tests
@@ -236,3 +249,156 @@ def test_state_vectors_structure():
     assert abs(np.vdot(sv.a[0], sv.a[1]) - pair.ka) < 1e-12
     assert abs(np.vdot(sv.b[0], sv.b[1]) - pair.kb) < 1e-12
     assert abs(np.vdot(sv.a[1], sv.a[2]) - pair.ka) < 1e-12
+
+
+# ---- bit identity with the straightforward decision ------------------------
+# The reference below is the plain 18-candidate search and decision: every
+# candidate triple recomputed from its own rotated overlap, sums taken by
+# loops.  The package must give the same bits (compared with ==, repr and the
+# `check` JSON bytes), the same exceptions and the same messages.
+
+
+def _ref_check_overlap(k):
+    k = complex(k)
+    if not cmath.isfinite(k):
+        raise DomainError(f"overlap must be finite, got {k!r}")
+    if abs(k) >= 1.0 - 1e-12:
+        raise DegenerateStates(f"|K| = {abs(k):.15g} is too close to 1")
+    return k
+
+
+def _ref_radicands(k):
+    return tuple((1.0 + 2.0 * (TAU ** (2 * n) * k).real) / 3.0 for n in range(3))
+
+
+def _ref_amplitudes(k):
+    k = _ref_check_overlap(k)
+    rad = _ref_radicands(k)
+    if min(rad) <= TOL.tie**2:
+        raise RankDeficient(f"squared amplitudes {rad} include a numerical zero")
+    return tuple(math.sqrt(r) for r in rad)
+
+
+def _ref_joint_squares(x, y):
+    return tuple(sum(x[k] ** 2 * y[(n - k) % 3] ** 2 for k in range(3)) for n in range(3))
+
+
+def _ref_perm(x, y):
+    tj = _ref_joint_squares(x, y)
+    return (2, 1, 0) if tj[0] >= tj[2] else (0, 2, 1)
+
+
+def _ref_canonicalize(ka, kb):
+    ka = _ref_check_overlap(ka)
+    kb = _ref_check_overlap(kb)
+    _ref_amplitudes(ka)
+    _ref_amplitudes(kb)
+    tie = TOL.tie
+    for conj in (False, True):
+        base_a = ka.conjugate() if conj else ka
+        base_b = kb.conjugate() if conj else kb
+        for sa in (0, 1, 2):
+            x = tuple(math.sqrt(r) for r in _ref_radicands(TAU**sa * base_a))
+            if not (x[0] - x[2] > -tie and x[1] - x[2] >= -tie):
+                continue
+            for sb in (0, 1, 2):
+                y = tuple(math.sqrt(r) for r in _ref_radicands(TAU**sb * base_b))
+                if y[0] - y[1] >= -tie and y[1] - y[2] >= -tie and y[0] - y[2] > tie:
+                    return CanonicalPair(
+                        ka=TAU**sa * base_a, kb=TAU**sb * base_b, x=x, y=y,
+                        perm=_ref_perm(x, y), record=Transform(sa, sb, conj),
+                    )
+    raise NoCanonicalForm("Bob's amplitudes cannot be separated; kb is numerically 0")
+
+
+def _ref_report(ka, kb):
+    ka = _ref_check_overlap(ka)
+    kb = _ref_check_overlap(kb)
+    pair = None
+    if abs(ka) >= TOL.tie and abs(kb) >= TOL.tie:
+        try:
+            pair = _ref_canonicalize(ka, kb)
+        except NoCanonicalForm:
+            pair = None
+    if pair is None:
+        x, y = _ref_amplitudes(ka), _ref_amplitudes(kb)
+        branch, verdict, perm = "Orthogonal", True, _ref_perm(x, y)
+        level = (1.0 - abs(kb)) / 3.0
+    else:
+        x, y, perm = pair.x, pair.y, pair.perm
+        level = (1.0 - abs(pair.kb)) / 3.0
+        if y[1] - y[2] <= TOL.tie:
+            branch, verdict = "PositiveRealB", True
+        elif x[1] - x[2] <= TOL.tie:
+            branch, verdict = "PositiveRealA", True
+        else:
+            branch = None
+    z = tuple(v**2 - level for v in y)
+    c1 = x[2] * z[0] - x[1] * z[1]
+    iz = tuple(math.inf if v == 0.0 else v**-2 for v in z)
+    c2 = 0.0
+    for k in range(3):
+        c2 += x[k] ** 2 * (iz[(1 - k) % 3] - iz[(3 - k) % 3])
+    if pair is not None and branch is None:
+        verdict = c1 >= 0.0 and c2 >= 0.0
+        branch = "Inequality" if verdict else "Fails"
+    tj_sq = _ref_joint_squares(x, y)
+    return OptimalityReport(
+        verdict=verdict, branch=branch, threshold=level, offsets=z,
+        joint=tuple(math.sqrt(t) for t in tj_sq), perm=perm,
+        p_global=3.0 * min(tj_sq), c1=c1, c2=c2, pair=pair,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TriseqError as exc:
+        return type(exc), str(exc)
+
+
+def _decision_inputs():
+    rng = np.random.default_rng(2024)
+    pairs = [random_pair(rng) for _ in range(600)]
+    pairs += [(psk_overlap(a), psk_overlap(b)) for a, b in rng.uniform(0.01, 4.0, (200, 2))]
+    pairs += [(complex(re, im),) * 2 for re, im in
+              zip(rng.uniform(-0.5, 1.0, 300), rng.uniform(-0.87, 0.87, 300))]
+    pairs += [(random_overlap(rng), complex(r)) for r in rng.uniform(0.01, 0.95, 150)]
+    pairs += [(random_overlap(rng), r * cmath.exp(1j * p))
+              for r, p in zip(rng.uniform(0.0, 2e-9, 100), rng.uniform(0, 2 * math.pi, 100))]
+    axes = [m * math.pi / 3 for m in range(6)]
+    for m, phase in enumerate(axes):
+        for e in range(6, 13):
+            for off in (10.0**-e, -(10.0**-e)):
+                k = rng.uniform(0.02, 0.95) * cmath.exp(1j * (phase + off))
+                pairs += [(k, random_overlap(rng)), (random_overlap(rng), k)]
+        for r in (0.05, 0.25, 0.45, 0.6, 0.9):
+            on_axis = (r * cmath.exp(1j * phase), r * TAU**m, complex(r if m % 2 == 0 else -r))
+            pairs += [(k, random_overlap(rng)) for k in on_axis]
+            pairs += [(random_overlap(rng), k) for k in on_axis]
+            pairs += [(k, k) for k in on_axis]
+    pairs += [(0.25, 0.25), (-0.2, -0.2), (0.0, 0.3), (0.3, 0.0), (0.0, 0.0),
+              (-0.5, 0.3), (0.3, -0.5), (-0.5 * TAU, 0.2j), (1.0, 0.3), (0.3, 1 - 1e-13),
+              (0.3, 1.05e-9), (1e-10j, 0.4 - 0.2j), (complex("nan"), 0.3), (0.3, math.inf)]
+    return pairs
+
+
+def test_decision_bit_identical_to_reference():
+    seen = set()
+    for ka, kb in _decision_inputs():
+        got, want = _outcome(canonicalize, ka, kb), _outcome(_ref_canonicalize, ka, kb)
+        assert got == want and repr(got) == repr(want), (ka, kb)
+        if isinstance(got, CanonicalPair):
+            assert (got.ka, got.kb, got.x, got.y) == (want.ka, want.kb, want.x, want.y)
+            assert (got.perm, got.record) == (want.perm, want.record)
+        else:
+            seen.add(got[0].__name__)
+        got, want = _outcome(check_global_optimality, ka, kb), _outcome(_ref_report, ka, kb)
+        assert repr(got) == repr(want), (ka, kb)
+        if isinstance(got, OptimalityReport):
+            doc = json_dumps(_report_json(got, complex(ka), complex(kb)))
+            assert doc == json_dumps(_report_json(want, complex(ka), complex(kb)))
+            seen.add(got.branch)
+    # every branch and every refusal was exercised
+    assert seen >= set(BRANCHES) | {"RankDeficient", "DegenerateStates", "DomainError",
+                                     "NoCanonicalForm"}
