@@ -31,17 +31,14 @@ from .geometry import (
     level_curve,
     level_vector,
     outcome_triangle,
-    symmetrize,
 )
 from .multipartite import check_copies_psk, check_multipartite
-from .numerics import TOL, Tolerances, hermitian_eigen, psd_check, solve3
+from .numerics import TOL, Tolerances, hermitian_eigen, solve3
 from .optimality import (
     BRANCHES,
     OptimalityReport,
     check_global_optimality,
-    filter_level,
     global_optimum,
-    joint_amplitudes,
 )
 from .povm import (
     CertificateReport,

@@ -10,13 +10,15 @@ Subcommands:
 
 Exit codes: 0 success / verdict true; 1 verdict false or verification
 failure; 2 internal error; 64 usage or parameter domain; 65 unreadable
-measurement file; 141 the reader closed standard output early (the
-status a shell reports for a SIGPIPE death).
+measurement file; 73 an output file cannot be written; 141 the reader
+closed standard output early (the status a shell reports for a SIGPIPE
+death).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -30,6 +32,7 @@ from .errors import (
     TriseqError,
 )
 from .multipartite import check_copies_psk
+from .numerics import TOL
 from .optimality import check_global_optimality, global_optimum
 from .povm import (
     CertificateViolation,
@@ -165,19 +168,21 @@ def cmd_verify(args, parser) -> int:
     checks = []
 
     povm_check = verify_povm(loaded.povm)
-    checks.append(("psd", povm_check.psd_margin >= -1e-12, povm_check.psd_margin))
-    checks.append(("completeness", povm_check.completeness <= 1e-10, povm_check.completeness))
+    checks.append(("psd", povm_check.psd_margin >= -TOL.povm_psd, povm_check.psd_margin))
+    checks.append(
+        ("completeness", povm_check.completeness <= TOL.completeness, povm_check.completeness)
+    )
 
     rebuilt = flatten(loaded.seq)
     drift = max(
         float(np.max(np.abs(a - b)))
         for a, b in zip(rebuilt.outcomes, loaded.povm.outcomes)
     )
-    checks.append(("internal-consistency", drift <= 1e-12, drift))
+    checks.append(("internal-consistency", drift <= TOL.drift, drift))
 
     pair, sv = frame(ka, kb)
     success, leak = verify_unambiguous(loaded.povm, joint_states(sv))
-    checks.append(("unambiguity", leak <= 1e-10, leak))
+    checks.append(("unambiguity", leak <= TOL.leak, leak))
 
     orthogonal = loaded.meta.get("branch") == "Orthogonal"
     if not orthogonal and pair is None:
@@ -185,7 +190,7 @@ def cmd_verify(args, parser) -> int:
         checks.append(("canonical-form", False, "none for this pair; the file is not Orthogonal"))
     elif not orthogonal:
         gap = abs(success - global_optimum(pair))
-        checks.append(("success-vs-global", gap <= 1e-10, gap))
+        checks.append(("success-vs-global", gap <= TOL.success_gap, gap))
         try:
             dual_certificate(pair, loaded.seq)
             checks.append(("certificate", True, 0.0))
@@ -207,47 +212,53 @@ def _grid(lo, hi, count):
     return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
 
 
+def _scan_row(a, b, overlaps, na_errors) -> str:
+    """One scan row: grid point a, b, then the decision on overlaps(a, b)
+    (verdict, branch, c1, c2, p_global), or NA cells on na_errors."""
+    cells = [fmt_float(a), fmt_float(b)]
+    try:
+        rep = check_global_optimality(*overlaps(a, b))
+        cells += [
+            "true" if rep.verdict else "false",
+            rep.branch,
+            fmt_float(rep.c1),
+            fmt_float(rep.c2),
+            fmt_float(rep.p_global),
+        ]
+    except na_errors:
+        cells += ["NA"] * 5
+    return ",".join(cells)
+
+
+def _write_csv(path, lines) -> int:
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+    print(f"wrote {len(lines) - 1} rows to {path}")
+    return 0
+
+
 def cmd_scan(args, parser) -> int:
     res = args.resolution
     if res < 2:
         parser.error("--resolution must be at least 2")
-    lines = []
     if args.mode == "complex-k":
-        lines.append("re,im,verdict,branch,c1,c2,p_global")
-        for re in _grid(args.re_min, args.re_max, res):
-            for im in _grid(args.im_min, args.im_max, res):
-                cells = [fmt_float(re), fmt_float(im)]
-                try:
-                    rep = check_global_optimality(complex(re, im), complex(re, im))
-                    cells += [
-                        "true" if rep.verdict else "false",
-                        rep.branch,
-                        fmt_float(rep.c1),
-                        fmt_float(rep.c2),
-                        fmt_float(rep.p_global),
-                    ]
-                except (DegenerateStates, RankDeficient):
-                    cells += ["NA"] * 5
-                lines.append(",".join(cells))
+        lines = ["re,im,verdict,branch,c1,c2,p_global"] + [
+            _scan_row(re, im, lambda re, im: (complex(re, im),) * 2,
+                      (DegenerateStates, RankDeficient))
+            for re in _grid(args.re_min, args.re_max, res)
+            for im in _grid(args.im_min, args.im_max, res)
+        ]
     elif args.mode == "psk-grid":
-        lines.append("sa,sb,verdict,branch,c1,c2,p_global")
-        for sa in _grid(args.s_min, args.s_max, res):
-            for sb in _grid(args.s_min, args.s_max, res):
-                cells = [fmt_float(sa), fmt_float(sb)]
-                try:
-                    rep = check_global_optimality(psk_overlap(sa), psk_overlap(sb))
-                    cells += [
-                        "true" if rep.verdict else "false",
-                        rep.branch,
-                        fmt_float(rep.c1),
-                        fmt_float(rep.c2),
-                        fmt_float(rep.p_global),
-                    ]
-                except (DegenerateStates, RankDeficient, DomainError):
-                    cells += ["NA"] * 5
-                lines.append(",".join(cells))
+        s_grid = _grid(args.s_min, args.s_max, res)
+        lines = ["sa,sb,verdict,branch,c1,c2,p_global"] + [
+            _scan_row(sa, sb, lambda sa, sb: (psk_overlap(sa), psk_overlap(sb)),
+                      (DegenerateStates, RankDeficient, DomainError))
+            for sa in s_grid
+            for sb in s_grid
+        ]
     else:  # copies
-        lines.append("s_total,n,sufficient")
+        lines = ["s_total,n,sufficient"]
         for s in _grid(args.s_min, args.s_max, res):
             for n in range(2, args.n_max + 1):
                 try:
@@ -256,16 +267,14 @@ def cmd_scan(args, parser) -> int:
                 except (DegenerateStates, RankDeficient, DomainError):
                     verdict = "NA"
                 lines.append(f"{fmt_float(s)},{n},{verdict}")
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-    print(f"wrote {len(lines) - 1} rows to {args.out}")
-    return 0
+    return _write_csv(args.out, lines)
 
 
 def cmd_curve(args, parser) -> int:
-    if args.step <= 0:
+    if not args.step > 0:
         parser.error("--step must be positive")
+    if not math.isfinite(args.s_max / args.step):
+        parser.error("--s-max / --step must be finite")
     lines = ["s,p_global,verdict,p_seq"]
     count = int(args.s_max / args.step + 0.5)
     for i in range(1, count + 1):
@@ -285,11 +294,7 @@ def cmd_curve(args, parser) -> int:
             p_seq = ""
         verdict = "true" if rep.verdict else "false"
         lines.append(f"{fmt_float(s)},{fmt_float(rep.p_global)},{verdict},{p_seq}")
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-    print(f"wrote {len(lines) - 1} rows to {args.out}")
-    return 0
+    return _write_csv(args.out, lines)
 
 
 def cmd_simulate(args, parser) -> int:
@@ -381,6 +386,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, 1)
         os.close(devnull)
         return 141
+    except OSError as exc:
+        # the file reads catch their own OSError (exit 65); this is a write
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 73
     except (DomainError, DegenerateStates, RankDeficient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64

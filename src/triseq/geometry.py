@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ZeroOperator
 from .numerics import TOL
-from .optimality import filter_level
+from .optimality import _offsets, _tie_branch
 from .states import CanonicalPair
 
 
@@ -44,11 +44,6 @@ class Triangle(NamedTuple):
     e2: PlanePoint
     e3: PlanePoint
     degenerate: bool
-
-
-def symmetrize(t) -> np.ndarray:
-    """Average t over the cyclic phase rotation: exactly diag(diagonal(t))."""
-    return np.diag(np.diagonal(np.asarray(t, dtype=complex)))
 
 
 def _plane_points(d, perm) -> list[PlanePoint]:
@@ -71,11 +66,6 @@ def diagonal_point(t, perm) -> PlanePoint:
     return _plane_points(np.real(np.diagonal(np.asarray(t)))[None], perm)[0]
 
 
-def _offsets(pair: CanonicalPair):
-    level = filter_level(pair.kb)
-    return level, tuple(v**2 - level for v in pair.y)
-
-
 def outcome_triangle(pair: CanonicalPair) -> Triangle:
     """Triangle of extremal Alice outcomes (generic regime only): the
     normalized squared moduli of 1/x_n (announce) and 1/(x_n z_{perm[n]})
@@ -84,8 +74,8 @@ def outcome_triangle(pair: CanonicalPair) -> Triangle:
     raises: DomainError off the generic regime, where Bob's lower
             amplitudes tie and both their offsets vanish
     """
-    _, z = _offsets(pair)
-    if pair.y[1] - pair.y[2] <= TOL.tie or min(abs(v) for v in z) == 0.0:
+    _, z = _offsets(pair.kb, pair.y)
+    if _tie_branch(pair) == "PositiveRealB" or min(abs(v) for v in z) == 0.0:
         raise DomainError("extremal outcomes undefined: a Bob offset vanishes")
     x = np.array(pair.x)
     e1, e2 = _plane_points(np.square(1.0 / np.array([x, x * np.take(z, pair.perm)])), pair.perm)
@@ -136,7 +126,7 @@ def level_curve(pair: CanonicalPair, samples: int):
     samples = int(samples)
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
-    level, _ = _offsets(pair)
+    level, _ = _offsets(pair.kb, pair.y)
     qs = [level - (samples / i - 1.0) for i in range(1, samples + 1)]
     q_defer = pair.y[2] ** 2
     qs.insert(sum(1 for q in qs if q < q_defer), q_defer)

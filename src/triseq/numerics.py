@@ -30,6 +30,17 @@ class Tolerances:
     degenerate: distance of |overlap| from 1 below which two states count
                 as parallel
     solve_resid: relative residual bound of solve3
+    product_gap: miss of the optimum accepted from the product fallback build
+    null_space: Gram eigenvalue below which a direction is outside the span
+    active:     norm above which an Alice operator counts as used
+    kernel_resid: certificate bound on |witness @ A| / |A| per Alice label
+    kernel_zero: |eigenvalue| of the projected witness counted as kernel
+    leak:       unambiguity leak (certificate per label, verify on the POVM)
+    completeness: max |sum - identity| entry (certificate on Alice, verify)
+    prob_sum:   distance of sampled outcome probabilities' sum from 1
+    povm_psd:   eigenvalue floor of verify's positivity gate
+    drift:      verify's bound on the stored POVM against its re-flattening
+    success_gap: verify's bound on the success probability's miss of optimum
     """
 
     herm: float = 1e-12
@@ -43,6 +54,17 @@ class Tolerances:
     membership: float = 1e-9
     degenerate: float = 1e-12
     solve_resid: float = 1e-10
+    product_gap: float = 1e-9
+    null_space: float = 1e-8
+    active: float = 1e-14
+    kernel_resid: float = 1e-8
+    kernel_zero: float = 1e-9
+    leak: float = 1e-10
+    completeness: float = 1e-10
+    prob_sum: float = 1e-8
+    povm_psd: float = 1e-12
+    drift: float = 1e-12
+    success_gap: float = 1e-10
 
 
 TOL = Tolerances()
@@ -64,12 +86,6 @@ def hermitian_eigen(h):
         raise NonHermitian(f"symmetry residual {skew:.3e} exceeds {TOL.herm:.1e}")
     w, v = np.linalg.eigh(h)
     return w, v
-
-
-def psd_check(h, tol=TOL.psd):
-    """True iff every eigenvalue of Hermitian h is >= -tol."""
-    w, _ = hermitian_eigen(h)
-    return bool(w[0] >= -tol)
 
 
 def _lu3(m):

@@ -29,14 +29,7 @@ from dataclasses import dataclass
 
 from .errors import NoCanonicalForm
 from .numerics import TOL
-from .states import (
-    CanonicalPair,
-    _check_overlap,
-    _joint_squares,
-    _orient,
-    _rank,
-    _validated,
-)
+from .states import CanonicalPair, _joint_squares, _orient, _rank, _validated
 
 BRANCHES = ("Orthogonal", "PositiveRealB", "PositiveRealA", "Inequality", "Fails")
 
@@ -69,21 +62,22 @@ class OptimalityReport:
     pair: CanonicalPair | None
 
 
-def filter_level(kb) -> float:
-    """Threshold (1 - |kb|)/3: one third of the success probability of the
-    optimal unambiguous filter between two states with overlap modulus |kb|."""
-    kb = _check_overlap(kb)
-    return (1.0 - abs(kb)) / 3.0
+def _offsets(kb, y):
+    """Bob's filter level (1 - |kb|)/3, one third of the optimal unambiguous
+    filter's success between two states of overlap modulus |kb|, and the
+    offsets z_k = y_k^2 - level.  The one place either is computed."""
+    level = (1.0 - abs(kb)) / 3.0
+    return level, (y[0] ** 2 - level, y[1] ** 2 - level, y[2] ** 2 - level)
 
 
-def joint_amplitudes(pair: CanonicalPair):
-    """Joint-state amplitudes and their rank permutation.
-
-    returns: (tjoint, perm) with tjoint_n = sqrt(sum_k x_k^2 y_{(n-k)%3}^2);
-             tjoint[perm[0]] is minimal and perm is an involution
-    """
-    tj = tuple(math.sqrt(t) for t in _joint_squares(pair.x, pair.y))
-    return tj, pair.perm
+def _tie_branch(pair: CanonicalPair):
+    """The tie branch a canonical pair falls on, Bob's tie first, or None
+    when neither party's amplitudes tie within TOL.tie."""
+    if pair.y[1] - pair.y[2] <= TOL.tie:
+        return "PositiveRealB"
+    if pair.x[1] - pair.x[2] <= TOL.tie:
+        return "PositiveRealA"
+    return None
 
 
 def global_optimum(pair: CanonicalPair) -> float:
@@ -120,23 +114,14 @@ def check_global_optimality(ka, kb) -> OptimalityReport:
             # near-perfect alone, same as the orthogonal case
 
     if pair is None:
-        branch = "Orthogonal"
-        verdict = True
-        level = (1.0 - abs(kb)) / 3.0
+        branch, level_kb = "Orthogonal", kb
     else:
         x, y = pair.x, pair.y
-        level = (1.0 - abs(pair.kb)) / 3.0
-        if y[1] - y[2] <= TOL.tie:
-            branch, verdict = "PositiveRealB", True
-        elif x[1] - x[2] <= TOL.tie:
-            branch, verdict = "PositiveRealA", True
-        else:
-            branch = None
-
-    z = (y[0] ** 2 - level, y[1] ** 2 - level, y[2] ** 2 - level)
+        branch, level_kb = _tie_branch(pair), pair.kb
+    level, z = _offsets(level_kb, y)
     c1, c2 = _conditions(x, y, z)
-    if pair is not None and branch is None:
-        verdict = c1 >= 0.0 and c2 >= 0.0
+    verdict = branch is not None or (c1 >= 0.0 and c2 >= 0.0)
+    if branch is None:
         branch = "Inequality" if verdict else "Fails"
 
     tj_sq = _joint_squares(x, y)

@@ -40,7 +40,7 @@ from .errors import (
     SingularSystem,
 )
 from .numerics import TOL, hermitian_eigen, solve3
-from .optimality import check_global_optimality, filter_level, global_optimum
+from .optimality import _offsets, _tie_branch, check_global_optimality, global_optimum
 from .serialize import json_dumps
 from .states import TAU, CanonicalPair, StateVectors, amplitudes_from_overlap, frame, state_vectors
 
@@ -87,8 +87,9 @@ class SequentialMeasurement:
 
 @dataclass(frozen=True)
 class PovmCheck:
-    """psd_margin: smallest eigenvalue over all outcomes (want >= -1e-12);
-    completeness: max |sum of outcomes - identity| entry."""
+    """psd_margin: smallest eigenvalue over all outcomes (verify wants
+    >= -TOL.povm_psd); completeness: max |sum of outcomes - identity| entry
+    (verify wants <= TOL.completeness)."""
 
     psd_margin: float
     completeness: float
@@ -166,8 +167,7 @@ def solve_weights(pair: CanonicalPair):
              sequential measurement exists
     raises:  SingularSystem when Bob's top offsets tie (z_0 == z_1)
     """
-    level = filter_level(pair.kb)
-    z = tuple(v**2 - level for v in pair.y)
+    _, z = _offsets(pair.kb, pair.y)
     if min(abs(v) for v in z) == 0.0:
         raise SingularSystem("an offset z_k vanishes; weight system undefined")
     rows = []
@@ -236,16 +236,15 @@ def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
             the global optimum)
     """
     x, y, perm = pair.x, pair.y, pair.perm
-    if y[1] - y[2] <= TOL.tie:
-        return _product_sequential(pair, "PositiveRealB")
-
-    branch = "PositiveRealA" if x[1] - x[2] <= TOL.tie else "Inequality"
+    branch = _tie_branch(pair) or "Inequality"
+    if branch == "PositiveRealB":
+        return _product_sequential(pair, branch)
     try:
         u = solve_weights(pair)
     except SingularSystem:
         # Bob's top offsets tie; the weight system degenerates.  The
         # product strategy is the only candidate left.
-        if abs(_product_success(pair) - global_optimum(pair)) <= 1e-9:
+        if abs(_product_success(pair) - global_optimum(pair)) <= TOL.product_gap:
             return _product_sequential(pair, branch)
         raise NotGloballyOptimal(
             "weight system is singular and the product strategy is suboptimal"
@@ -255,8 +254,7 @@ def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
         raise NotGloballyOptimal(f"negative measurement weight: u = {u}")
     u = tuple(max(v, 0.0) for v in u)
 
-    level = filter_level(pair.kb)
-    z = tuple(v**2 - level for v in y)
+    _, z = _offsets(pair.kb, y)
     zero = np.zeros((3, 3), dtype=complex)
     alice = {}
     for j in range(3):
@@ -390,7 +388,7 @@ def _null_projector(vectors) -> np.ndarray:
         return np.eye(3, dtype=complex)
     gram = sum(np.outer(v, v.conj()) for v in vectors)
     w, vv = hermitian_eigen(gram)
-    keep = [vv[:, i] for i in range(3) if w[i] < 1e-8]
+    keep = [vv[:, i] for i in range(3) if w[i] < TOL.null_space]
     out = np.zeros((3, 3), dtype=complex)
     for v in keep:
         out += np.outer(v, v.conj())
@@ -415,19 +413,22 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     report (T is the set he still may).  Checks per label:
 
       (i)   projected witness PSD within TOL.psd
-      (ii)  it annihilates Alice's operator range (residual <= 1e-8)
+      (ii)  it annihilates Alice's operator range (residual within
+            TOL.kernel_resid)
       (iii) its kernel inside the projected subspace is one-dimensional
             (skipped where the construction legitimately has a larger
             kernel: the defer label off the generic branches)
 
-    plus Alice completeness and per-label unambiguity leaks.
+    plus Alice completeness (TOL.completeness) and per-label unambiguity
+    leaks (TOL.leak).  An Alice operator of norm at most TOL.active counts
+    as unused; kernel eigenvalues are those within TOL.kernel_zero of 0.
 
     raises: CertificateViolation naming every failed label and margin
     """
     x, y, perm = pair.x, pair.y, pair.perm
     sv = state_vectors(pair)
     witness = np.diag([3.0 * x[n] ** 2 * y[perm[n]] ** 2 for n in range(3)]).astype(complex)
-    level = filter_level(pair.kb)
+    level, _ = _offsets(pair.kb, y)
     p_value = {
         "announce": 1.0,
         "exclude": 3.0 * level,
@@ -456,10 +457,10 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
 
         a_op = seq.alice[label]
         a_norm = float(np.linalg.norm(a_op))
-        active = a_norm > 1e-14
+        active = a_norm > TOL.active
         if active:
             kernel_residual[label] = float(np.linalg.norm(g @ a_op) / a_norm)
-            if kernel_residual[label] > 1e-8:
+            if kernel_residual[label] > TOL.kernel_resid:
                 failures.append(f"{label}: kernel residual {kernel_residual[label]:.3e}")
         else:
             kernel_residual[label] = 0.0
@@ -467,7 +468,7 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
         check_dim = active and (label != "defer" or seq.branch != "PositiveRealB")
         if check_dim:
             rank_proj = int(round(float(np.trace(proj).real)))
-            near_zero = int(np.sum(np.abs(w) < 1e-9))
+            near_zero = int(np.sum(np.abs(w) < TOL.kernel_zero))
             dim_in = near_zero - (3 - rank_proj)
             kernel_dim[label] = dim_in
             if dim_in != 1:
@@ -477,12 +478,12 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
         for r in blocked:
             leak = max(leak, abs(float(np.real(np.vdot(sv.a[r], a_op @ sv.a[r])))))
         unambiguity[label] = leak
-        if leak > 1e-10:
+        if leak > TOL.leak:
             failures.append(f"{label}: unambiguity leak {leak:.3e}")
 
     total = sum(seq.alice[label] for label in LABELS)
     completeness = float(np.max(np.abs(total - np.eye(3))))
-    if completeness > 1e-10:
+    if completeness > TOL.completeness:
         failures.append(f"completeness residual {completeness:.3e}")
 
     success, _ = verify_unambiguous(flatten(seq), joint_states(sv))
@@ -516,7 +517,7 @@ def sample_outcomes(p: Povm, state, shots, seed):
         raise DomainError(f"shots must be >= 0, got {shots}")
     probs = np.array(_outcome_probs(p, state))
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > TOL.prob_sum:
         raise InvalidPovm(f"outcome probabilities sum to {total:.12g}")
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, probs / total)

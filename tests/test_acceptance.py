@@ -18,7 +18,6 @@ from triseq import (
     check_copies_psk,
     check_global_optimality,
     dual_certificate,
-    filter_level,
     flatten,
     identity_membership,
     in_triangle,
@@ -35,6 +34,7 @@ from triseq import (
 )
 from triseq.cli import main as cli_main
 from triseq.errors import SingularSystem
+from triseq.optimality import _offsets
 
 BOUNDARY = 1e-7  # normalized distance to a region boundary below which
 # the three verdict routes are allowed to disagree
@@ -179,7 +179,7 @@ def test_criterion_06_geometry_invariants():
         if report.branch not in ("Inequality", "Fails"):
             continue
         pair = report.pair
-        level = filter_level(pair.kb)
+        level, _ = _offsets(pair.kb, pair.y)
         assert pair.y[2] ** 2 < level < pair.y[1] ** 2
         inv = [1.0 / z for z in report.offsets]
         assert abs(sum(inv)) <= 1e-8 * sum(abs(v) for v in inv)

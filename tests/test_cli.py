@@ -159,6 +159,22 @@ def test_closed_stdout_is_not_a_verdict():
     assert proc.returncode not in (0, 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--psk", "0.3", "0.3"],
+    ["scan", "--mode", "copies", "--resolution", "2", "--n-max", "3"],
+    ["curve", "--s-max", "0.1", "--step", "0.05"],
+])
+def test_unwritable_output_is_not_a_verdict(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out"
+    code = run([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 73
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write output: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_construct_refuses_failing_pair(tmp_path, capsys):
     out = tmp_path / "m.json"
     code = run(["construct", "--ka", "-0.2", "0", "--kb", "-0.2", "0", "--out", str(out)])
@@ -256,6 +272,8 @@ def test_curve(tmp_path, capsys):
         assert float(p_global) == pytest.approx(ref.p_global, rel=1e-12)
         assert float(p_seq) == pytest.approx(ref.p_global, abs=1e-9)
     assert run(["curve", "--s-max", "1.0", "--step", "0", "--out", str(out)]) == 64
+    for s_max, step in (("1.0", "nan"), ("inf", "0.1"), ("nan", "0.1")):
+        assert run(["curve", "--s-max", s_max, "--step", step, "--out", str(out)]) == 64
 
 
 def test_curve_leaves_p_seq_empty_when_false(tmp_path, capsys):

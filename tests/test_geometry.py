@@ -14,27 +14,39 @@ from triseq import (
     chord_ratio,
     chord_ratio_limit,
     diagonal_point,
-    filter_level,
     identity_membership,
     in_triangle,
     level_curve,
     level_vector,
     outcome_triangle,
-    symmetrize,
 )
 from triseq.errors import DomainError, ZeroOperator
+from triseq.optimality import _offsets
+from triseq.states import TAU
 
 FIG_K = 0.2 * cmath.exp(1j * cmath.pi / 10)
 
 
 def test_symmetrize_kills_off_diagonals():
+    # the module's premise: averaging t over the cyclic phase rotation
+    # diag(1, tau, tau^2)^k leaves diag(diagonal(t)), so the plane point of
+    # a symmetrized outcome is read from the diagonal alone
+    rot = [np.diag([1.0, TAU**k, TAU ** (2 * k)]) for k in range(3)]
+
+    def symmetrize(t):
+        return sum(r @ t @ r.conj().T for r in rot) / 3.0
+
     rng = np.random.default_rng(41)
     for _ in range(20):
         t = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         s = symmetrize(t)
         assert np.max(np.abs(s - np.diag(np.diag(t)))) < 1e-13
         assert np.max(np.abs(symmetrize(s) - s)) < 1e-13
-        assert np.all(s[~np.eye(3, dtype=bool)] == 0.0)
+        assert np.max(np.abs(s[~np.eye(3, dtype=bool)])) < 1e-13
+        h = t @ t.conj().T  # a positive operator, as every outcome is
+        assert diagonal_point(symmetrize(h), (2, 1, 0)) == pytest.approx(
+            diagonal_point(h, (2, 1, 0)), abs=1e-14
+        )
 
 
 def test_diagonal_point_reads_permuted_slots():
@@ -70,8 +82,7 @@ def test_outcome_triangle_matches_direct_formula():
             continue
         tri = outcome_triangle(pair)
         x, perm = pair.x, pair.perm
-        level = filter_level(pair.kb)
-        z = [v**2 - level for v in pair.y]
+        _, z = _offsets(pair.kb, pair.y)
         d1 = [x[n] ** -2 for n in range(3)]
         d2 = [(x[n] * z[perm[n]]) ** -2 for n in range(3)]
         s1, s2 = sum(d1), sum(d2)
@@ -93,7 +104,7 @@ def test_level_vector_endpoints():
     pair = canonicalize(FIG_K, FIG_K)
     tri = outcome_triangle(pair)
     # threshold level reproduces the exclude vertex
-    vec = level_vector(pair, filter_level(pair.kb))
+    vec = level_vector(pair, _offsets(pair.kb, pair.y)[0])
     pt = diagonal_point(np.outer(vec, vec.conj()), pair.perm)
     assert pt == pytest.approx(tri.e2, abs=1e-12)
     # deep negative level approaches the announce vertex
@@ -119,7 +130,7 @@ def test_level_curve_shape():
     assert len(pts) == 101
     qs = [q for q, _ in pts]
     assert qs == sorted(qs)
-    assert qs[-1] == pytest.approx(filter_level(pair.kb), abs=1e-15)
+    assert qs[-1] == pytest.approx(_offsets(pair.kb, pair.y)[0], abs=1e-15)
     assert pair.y[2] ** 2 in qs
     tri = outcome_triangle(pair)
     # curve ends at the exclude vertex and passes through the origin
@@ -142,7 +153,7 @@ def test_level_curve_matches_pointwise_path():
     snapped = 0
     for pair in pairs:
         curve = level_curve(pair, 200)
-        level = filter_level(pair.kb)
+        level, _ = _offsets(pair.kb, pair.y)
         qs = [level - (200 / i - 1.0) for i in range(1, 201)]
         q_defer = pair.y[2] ** 2
         qs.insert(sum(1 for q in qs if q < q_defer), q_defer)
@@ -200,7 +211,7 @@ def test_chord_ratio_identity_at_threshold():
         if pair.y[1] - pair.y[2] <= 1e-9:
             continue
         lim = chord_ratio_limit(pair)
-        at_eta = chord_ratio(pair, filter_level(pair.kb))
+        at_eta = chord_ratio(pair, _offsets(pair.kb, pair.y)[0])
         assert at_eta == pytest.approx(lim, rel=1e-9)
         assert 0.0 < lim < 1.0
 

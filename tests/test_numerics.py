@@ -1,9 +1,14 @@
-"""Eigensolver, 3x3 solver, and PSD gate."""
+"""Tolerance table, eigensolver and 3x3 solver."""
+
+import ast
+import io
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triseq import TOL, hermitian_eigen, psd_check, solve3
+from triseq import TOL, hermitian_eigen, solve3
 from triseq.errors import NonHermitian, SingularSystem
 
 
@@ -16,6 +21,27 @@ def test_tolerances_frozen():
     assert (TOL.det_floor, TOL.membership) == (1e-18, 1e-9)
     assert (TOL.degenerate, TOL.solve_resid) == (1e-12, 1e-10)
     assert 2 * TOL.degenerate == 2e-12  # multipartite's clamp target, bit-equal
+    assert (TOL.product_gap, TOL.null_space, TOL.active) == (1e-9, 1e-8, 1e-14)
+    assert (TOL.kernel_resid, TOL.kernel_zero, TOL.leak) == (1e-8, 1e-9, 1e-10)
+    assert (TOL.completeness, TOL.prob_sum, TOL.povm_psd) == (1e-10, 1e-8, 1e-12)
+    assert (TOL.drift, TOL.success_gap) == (1e-12, 1e-10)
+
+
+def test_tolerances_live_in_tol():
+    # every threshold is a TOL field: no module but numerics spells one out
+    src = Path(__file__).resolve().parents[1] / "src" / "triseq"
+    modules = sorted(p for p in src.glob("*.py") if p.name != "numerics.py")
+    assert len(modules) >= 8
+    found = []
+    for path in modules:
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type != tokenize.NUMBER:
+                continue
+            text = tok.string.lower()
+            exponent = "e" in text and not text.startswith("0x")
+            if exponent or 0.0 < abs(ast.literal_eval(text)) < 1e-6:
+                found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []
 
 
 def test_eigen_identity():
@@ -96,10 +122,3 @@ def test_solve3_singular_raises():
     m = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]  # rank 2
     with pytest.raises(SingularSystem):
         solve3(m, (1.0, 1.0, 1.0))
-
-
-def test_psd_check():
-    assert psd_check(np.eye(3))
-    assert psd_check(np.zeros((3, 3)))
-    assert psd_check(np.diag([1.0, 0.5, -0.5e-9]))  # inside the floor
-    assert not psd_check(np.diag([1.0, 1.0, -1e-6]))

@@ -8,11 +8,8 @@ import pytest
 
 from helpers import random_pair
 from triseq import (
-    canonicalize,
     check_global_optimality,
-    filter_level,
     global_optimum,
-    joint_amplitudes,
     psk_overlap,
 )
 from triseq.errors import DegenerateStates
@@ -20,16 +17,20 @@ from triseq.states import TAU
 
 
 def test_filter_level_values():
-    assert filter_level(0.25) == 0.25
-    assert filter_level(-0.2) == pytest.approx(0.8 / 3, abs=1e-16)
-    assert filter_level(0.3 * cmath.exp(1.1j)) == pytest.approx(0.7 / 3, abs=1e-15)
+    # the decision's threshold is Bob's filter level (1 - |kb|) / 3
+    def threshold(kb):
+        return check_global_optimality(0.5 + 0.1j, kb).threshold
+
+    assert threshold(0.25) == 0.25
+    assert threshold(-0.2) == pytest.approx(0.8 / 3, abs=1e-16)
+    assert threshold(0.3 * cmath.exp(1.1j)) == pytest.approx(0.7 / 3, abs=1e-15)
     with pytest.raises(DegenerateStates):
-        filter_level(1.0)
+        threshold(1.0)
 
 
 def test_joint_amplitudes_trine():
-    pair = canonicalize(0.25, 0.25)
-    tj, perm = joint_amplitudes(pair)
+    report = check_global_optimality(0.25, 0.25)
+    pair, tj, perm = report.pair, report.joint, report.perm
     assert [t**2 for t in tj] == pytest.approx([0.375, 0.3125, 0.3125], abs=1e-14)
     assert perm == (2, 1, 0)
     assert global_optimum(pair) == pytest.approx(0.9375, abs=1e-14)
@@ -40,8 +41,9 @@ def test_joint_minimum_never_in_middle_slot():
     # sits in slot perm[0] which is always 0 or 2
     rng = np.random.default_rng(21)
     for _ in range(300):
-        pair = canonicalize(*random_pair(rng))
-        tj, perm = joint_amplitudes(pair)
+        report = check_global_optimality(*random_pair(rng))
+        assert report.pair is not None
+        tj, perm = report.joint, report.perm
         assert tj[1] >= tj[2] - 1e-12
         assert perm[0] in (0, 2)
         assert tj[perm[0]] <= min(tj) + 1e-15
