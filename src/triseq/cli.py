@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 success / verdict true; 1 verdict false or verification
 failure; 2 internal error; 64 usage or parameter domain; 65 unreadable
-measurement file; 73 an output file cannot be written; 141 the reader
-closed standard output early (the status a shell reports for a SIGPIPE
-death).
+or invalid measurement file; 73 an output file cannot be written; 141
+the reader closed standard output early (the status a shell reports for
+a SIGPIPE death).
 """
 
 from __future__ import annotations
@@ -167,11 +167,14 @@ def cmd_verify(args, parser) -> int:
     ka, kb = _resolve_overlaps(args, parser)
     checks = []
 
-    povm_check = verify_povm(loaded.povm)
-    checks.append(("psd", povm_check.psd_margin >= -TOL.povm_psd, povm_check.psd_margin))
-    checks.append(
-        ("completeness", povm_check.completeness <= TOL.completeness, povm_check.completeness)
-    )
+    try:
+        povm_check = verify_povm(loaded.povm)
+        checks.append(("psd", povm_check.psd_margin >= -TOL.povm_psd, povm_check.psd_margin))
+        checks.append(
+            ("completeness", povm_check.completeness <= TOL.completeness, povm_check.completeness)
+        )
+    except InvalidPovm as exc:  # an outcome that is not Hermitian has no eigenvalues to bound
+        checks.append(("psd", False, str(exc)))
 
     rebuilt = flatten(loaded.seq)
     drift = max(
@@ -349,7 +352,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n-max", type=int, default=20)
 
     sp = sub.add_parser("curve", help="success curve along the phase-keyed axis")
-    sp.add_argument("--mode", choices=("psk-global",), default="psk-global")
     sp.add_argument("--s-max", type=float, required=True)
     sp.add_argument("--step", type=float, required=True)
     sp.add_argument("--out", required=True, help="output CSV path")
@@ -393,6 +395,9 @@ def main(argv=None) -> int:
     except (DomainError, DegenerateStates, RankDeficient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
+    except InvalidPovm as exc:  # a file that loads but is not a measurement
+        print(f"invalid measurement file: {exc}", file=sys.stderr)
+        return 65
     except TriseqError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

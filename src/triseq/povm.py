@@ -104,7 +104,6 @@ class CertificateReport:
     kernel_dim: dict
     completeness: float
     unambiguity: dict
-    success: float
 
 
 def binary_unambiguous(u, v) -> Povm:
@@ -361,11 +360,11 @@ def verify_povm(p: Povm) -> PovmCheck:
     return PovmCheck(psd_margin=min_eig, completeness=completeness)
 
 
-def verify_unambiguous(p: Povm, states, priors=(1 / 3, 1 / 3, 1 / 3)):
-    """Success probability and worst misidentification leak.
+def verify_unambiguous(p: Povm, states):
+    """Success probability under equal priors and worst misidentification leak.
 
     args:    states -- array with the three state vectors as rows,
-             matching p's dimension; priors -- weights for the success
+             matching p's dimension
     returns: (success, residual) where residual is the largest
              probability of reporting r on a state r' != r
     """
@@ -376,7 +375,7 @@ def verify_unambiguous(p: Povm, states, priors=(1 / 3, 1 / 3, 1 / 3)):
         for rp in range(3):
             prob = float(np.real(np.vdot(states[rp], p.outcomes[r] @ states[rp])))
             if r == rp:
-                success += priors[r] * prob
+                success += (1 / 3) * prob
             else:
                 residual = max(residual, abs(prob))
     return success, residual
@@ -486,18 +485,15 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     if completeness > TOL.completeness:
         failures.append(f"completeness residual {completeness:.3e}")
 
-    success, _ = verify_unambiguous(flatten(seq), joint_states(sv))
-    report = CertificateReport(
+    if failures:
+        raise CertificateViolation("; ".join(failures))
+    return CertificateReport(
         psd_margin=psd_margin,
         kernel_residual=kernel_residual,
         kernel_dim=kernel_dim,
         completeness=completeness,
         unambiguity=unambiguity,
-        success=success,
     )
-    if failures:
-        raise CertificateViolation("; ".join(failures))
-    return report
 
 
 def _outcome_probs(p: Povm, state) -> list[float]:
@@ -517,28 +513,31 @@ def sample_outcomes(p: Povm, state, shots, seed):
         raise DomainError(f"shots must be >= 0, got {shots}")
     probs = np.array(_outcome_probs(p, state))
     total = float(probs.sum())
-    if abs(total - 1.0) > TOL.prob_sum:
+    if not abs(total - 1.0) <= TOL.prob_sum:  # NaN fails too
         raise InvalidPovm(f"outcome probabilities sum to {total:.12g}")
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, probs / total)
 
 
-def _matrix_to_json(op: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(op, dtype=complex)]
+def _to_json(ops) -> list:
+    """Complex array of any shape as nested [re, im] pairs."""
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    return ops.view(float).reshape(*ops.shape, 2).tolist()
 
 
-def _matrix_from_json(data, dim, context):
-    try:
-        arr = np.array(
-            [[complex(float(e[0]), float(e[1])) for e in row] for row in data], dtype=complex
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InvalidPovm(f"{context}: malformed matrix") from exc
-    if arr.shape != (dim, dim):
-        raise InvalidPovm(f"{context}: expected {dim}x{dim}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+def _from_json(data, shape, context) -> np.ndarray:
+    """Inverse of _to_json: nested [re, im] pairs of JSON numbers (not
+    bools), exactly `shape` deep, every entry finite.
+
+    raises: InvalidPovm naming `context`
+    """
+    arr = np.array(data, dtype=object)
+    if arr.shape != (*shape, 2) or not set(map(type, arr.flat)) <= {int, float}:
+        raise InvalidPovm(f"{context}: expected a {(*shape, 2)} array of numbers")
+    arr = arr.astype(float)  # OverflowError on an integer beyond float range
+    if not np.isfinite(arr).all():
         raise InvalidPovm(f"{context}: non-finite entries")
-    return arr
+    return arr.view(complex)[..., 0]
 
 
 def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, success: float):
@@ -547,7 +546,7 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
     doc = {
         "dim": 9,
         "outcomes": [
-            {"label": label, "matrix": _matrix_to_json(op)}
+            {"label": label, "matrix": _to_json(op)}
             for label, op in zip(flat.labels, flat.outcomes)
         ],
         "meta": {
@@ -558,11 +557,8 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
             "success": success,
         },
         "sequential": {
-            "alice": {label: _matrix_to_json(seq.alice[label]) for label in LABELS},
-            "bob": {
-                label: [_matrix_to_json(op) for op in seq.bob[label].outcomes]
-                for label in LABELS
-            },
+            "alice": {label: _to_json(seq.alice[label]) for label in LABELS},
+            "bob": {label: _to_json(seq.bob[label].outcomes) for label in LABELS},
         },
     }
     with open(path, "w", newline="\n") as fh:
@@ -581,61 +577,38 @@ def load_povm(path) -> LoadedMeasurement:
     """Read a measurement file back; inverse of save_povm.
 
     raises: InvalidPovm on any structural problem (missing keys, wrong
-            shapes, non-numeric entries)
+            shapes, entries that are not finite numbers)
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8, deep nesting
         raise InvalidPovm(f"not valid JSON: {exc}") from exc
     try:
-        dim = int(doc["dim"])
+        if doc["dim"] != 9:
+            raise InvalidPovm(f"expected dim 9, got {doc['dim']!r}")
         raw_outcomes = doc["outcomes"]
+        labels = tuple(entry["label"] for entry in raw_outcomes)
+        if labels != OUTCOME_LABELS:
+            raise InvalidPovm(f"unexpected outcome labels {list(labels)}")
+        outcomes = tuple(
+            _from_json(entry["matrix"], (9, 9), f"outcome {i}")
+            for i, entry in enumerate(raw_outcomes)
+        )
         meta = dict(doc["meta"])
-        seq_block = doc["sequential"]
-        ka = complex(float(meta["ka"][0]), float(meta["ka"][1]))
-        kb = complex(float(meta["kb"][0]), float(meta["kb"][1]))
-        branch = str(meta["branch"])
+        meta["ka"] = complex(_from_json(meta["ka"], (), "meta ka"))
+        meta["kb"] = complex(_from_json(meta["kb"], (), "meta kb"))
         weights = tuple(float(v) for v in meta["kappa"])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InvalidPovm(f"missing or malformed field: {exc}") from exc
-    if dim != 9:
-        raise InvalidPovm(f"expected dim 9, got {dim}")
-    if len(raw_outcomes) != 4:
-        raise InvalidPovm(f"expected 4 outcomes, got {len(raw_outcomes)}")
-    outcomes = []
-    labels = []
-    for i, entry in enumerate(raw_outcomes):
-        try:
-            labels.append(str(entry["label"]))
-            matrix = entry["matrix"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidPovm(f"outcome {i}: missing label or matrix") from exc
-        outcomes.append(_matrix_from_json(matrix, 9, f"outcome {i}"))
-    if tuple(labels) != OUTCOME_LABELS:
-        raise InvalidPovm(f"unexpected outcome labels {labels}")
-
-    try:
-        alice = {
-            label: _matrix_from_json(seq_block["alice"][label], 3, f"alice {label}")
-            for label in LABELS
-        }
-        bob = {}
+        branch = str(meta["branch"])
+        block = doc["sequential"]
+        alice, bob = {}, {}
         for label in LABELS:
-            ops = seq_block["bob"][label]
-            if len(ops) != 4:
-                raise InvalidPovm(f"bob {label}: expected 4 outcomes")
-            bob[label] = Povm(
-                outcomes=tuple(
-                    _matrix_from_json(op, 3, f"bob {label}[{r}]") for r, op in enumerate(ops)
-                ),
-                labels=OUTCOME_LABELS,
-            )
-    except (KeyError, TypeError) as exc:
-        raise InvalidPovm(f"malformed sequential block: {exc}") from exc
+            alice[label] = _from_json(block["alice"][label], (3, 3), f"alice {label}")
+            ops = _from_json(block["bob"][label], (4, 3, 3), f"bob {label}")
+            bob[label] = Povm(outcomes=tuple(ops), labels=OUTCOME_LABELS)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidPovm(f"missing or malformed field: {exc}") from exc
 
-    meta["ka"] = ka
-    meta["kb"] = kb
-    povm = Povm(outcomes=tuple(outcomes), labels=OUTCOME_LABELS)
+    povm = Povm(outcomes=outcomes, labels=OUTCOME_LABELS)
     seq = SequentialMeasurement(alice=alice, bob=bob, weights=weights, branch=branch)
     return LoadedMeasurement(povm=povm, seq=seq, meta=meta)

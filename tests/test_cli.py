@@ -274,6 +274,8 @@ def test_curve(tmp_path, capsys):
     assert run(["curve", "--s-max", "1.0", "--step", "0", "--out", str(out)]) == 64
     for s_max, step in (("1.0", "nan"), ("inf", "0.1"), ("nan", "0.1")):
         assert run(["curve", "--s-max", s_max, "--step", step, "--out", str(out)]) == 64
+    assert run(["curve", "--mode", "psk-global", "--s-max", "0.2", "--step", "0.05",
+                "--out", str(out)]) == 64  # the one-choice option is gone
 
 
 def test_curve_leaves_p_seq_empty_when_false(tmp_path, capsys):
@@ -317,3 +319,120 @@ def test_simulate_bad_arguments(tmp_path, capsys):
     assert run(["simulate", "--povm", str(tmp_path / "no.json"), "--state", "0",
                 "--shots", "10", "--seed", "0"]) == 65
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def psk_file(tmp_path_factory):
+    """Text of the measurement file `construct --psk 0.3 0.3` writes."""
+    out = tmp_path_factory.mktemp("psk") / "m.json"
+    assert main(["construct", "--psk", "0.3", "0.3", "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+    return mutate
+
+
+def _edit(mutate):
+    return lambda text: json.dumps(mutate(json.loads(text))).encode()
+
+
+def _dim_overflow(text):
+    assert '"dim":9,' in text
+    return text.replace('"dim":9,', '"dim":1e400,').encode()
+
+
+def _ragged(doc):
+    doc["outcomes"][1]["matrix"][4].pop()
+    return doc
+
+
+def _no_bob_defer(doc):
+    del doc["sequential"]["bob"]["defer"]
+    return doc
+
+
+def _two_by_two(doc):
+    alice = doc["sequential"]["alice"]
+    alice["exclude2"] = [row[:2] for row in alice["exclude2"][:2]]
+    return doc
+
+
+# each maps the text of a good file to the bytes of a bad one
+MALFORMED = {
+    "entry_object": _edit(_set(["outcomes", 0, "matrix", 0, 0], {"re": 1.0, "im": 0.0})),
+    "outcomes_not_list": _edit(_set(["outcomes"], 5)),
+    "dim_overflow": _dim_overflow,
+    "huge_int_entry": _edit(_set(["outcomes", 0, "matrix", 0, 0, 0], 10**400)),
+    "three_numbers": _edit(_set(["sequential", "alice", "announce0", 0, 0], [1.0, 0.0, 7.0])),
+    "string_numbers": _edit(_set(["sequential", "bob", "exclude1", 2, 0, 0], ["1.0", "0"])),
+    "bool_entry": _edit(_set(["outcomes", 2, "matrix", 1, 1, 0], True)),
+    "null_entry": _edit(_set(["outcomes", 3, "matrix", 0, 0], None)),
+    "nan_entry": _edit(_set(["sequential", "alice", "defer", 2, 2, 0], float("nan"))),
+    "ragged_row": _edit(_ragged),
+    "wrong_shape": _edit(_two_by_two),
+    "missing_label": _edit(_no_bob_defer),
+    "non_object": _edit(lambda doc: [1, 2, 3]),
+    "meta_ka_three_numbers": _edit(_set(["meta", "ka"], [0.3, 0.0, 1.0])),
+    "kappa_huge_int": _edit(_set(["meta", "kappa"], [10**400, 0.0, 0.0])),
+    "label_not_string": _edit(_set(["outcomes", 0, "label"], 0)),
+    "not_utf8": lambda text: b"\xff" + text.encode(),
+    "deep_nesting": lambda text: b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_is_unreadable(tmp_path, capsys, psk_file, name):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(MALFORMED[name](psk_file))
+    for argv in (["verify", str(bad), "--psk", "0.3", "0.3"],
+                 ["simulate", "--povm", str(bad), "--state", "0", "--shots", "10", "--seed", "0"]):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 65, (argv[0], captured.err)
+        assert captured.out == ""
+        assert captured.err.startswith("cannot load measurement file: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+
+def test_loader_names_the_failing_piece(tmp_path, capsys, psk_file):
+    bad = tmp_path / "bad.json"
+    for path, name in ((["outcomes", 2, "matrix", 1, 1, 0], "outcome 2"),
+                       (["sequential", "alice", "exclude0", 1, 1, 0], "alice exclude0"),
+                       (["sequential", "bob", "announce1", 3, 1, 1, 0], "bob announce1")):
+        bad.write_text(json.dumps(_set(path, "0.5")(json.loads(psk_file))))
+        assert run(["verify", str(bad), "--psk", "0.3", "0.3"]) == 65
+        assert f"cannot load measurement file: {name}: " in capsys.readouterr().err
+
+
+def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_file):
+    # a non-Hermitian outcome fails verify's psd check
+    doc = json.loads(psk_file)
+    doc["outcomes"][0]["matrix"][0][1] = [0.3, 0.0]
+    bad = tmp_path / "skew.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["verify", str(bad), "--psk", "0.3", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FAIL psd: outcome 0: symmetry residual" in captured.out
+    assert captured.err == ""
+
+    # outcome probabilities that do not sum to one make simulate refuse the file
+    doc = json.loads(psk_file)
+    for i in range(9):
+        doc["outcomes"][0]["matrix"][i][i][0] += 0.2
+    bad = tmp_path / "heavy.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["simulate", "--povm", str(bad), "--state", "0", "--shots", "10", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err.startswith("invalid measurement file: outcome probabilities sum to")
+    assert len(captured.err.splitlines()) == 1

