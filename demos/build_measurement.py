@@ -14,6 +14,7 @@ import tempfile
 import numpy as np
 
 from triseq import (
+    LABELS,
     build_sequential,
     check_global_optimality,
     dual_certificate,
@@ -35,7 +36,7 @@ pair = report.pair
 
 seq = build_sequential(pair)
 print(f"branch            {seq.branch}")
-print(f"alice labels      {sorted(seq.alice)}")
+print(f"alice labels      {sorted(LABELS)}")
 print(f"weights u         ({seq.weights[0]:.9f}, {seq.weights[1]:.9f},"
       f" {seq.weights[2]:.9f})")
 

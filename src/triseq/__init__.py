@@ -41,6 +41,7 @@ from .optimality import (
     global_optimum,
 )
 from .povm import (
+    LABELS,
     CertificateReport,
     LoadedMeasurement,
     Povm,

@@ -310,7 +310,10 @@ def cmd_simulate(args, parser) -> int:
         parser.error("--state must be 0, 1, or 2")
     if args.shots < 0:
         parser.error("--shots must be >= 0")
-    _, sv = frame(loaded.meta["ka"], loaded.meta["kb"])
+    try:
+        _, sv = frame(loaded.meta["ka"], loaded.meta["kb"])
+    except (DomainError, DegenerateStates, RankDeficient) as exc:
+        raise InvalidPovm(f"meta overlaps: {exc}") from exc  # the file's fault, not the command's
     state = joint_states(sv)[args.state]
     counts = sample_outcomes(loaded.povm, state, args.shots, args.seed)
     print(json_dumps({

@@ -73,14 +73,15 @@ class Povm:
 class SequentialMeasurement:
     """Alice's instrument plus Bob's conditioned measurements.
 
-    alice:   label -> 3x3 PSD operator, summing to the identity
-    bob:     label -> four-outcome Povm ("0", "1", "2", "inconclusive")
+    alice:   (7, 3, 3) PSD operators in LABELS order, summing to the identity
+    bob:     (7, 4, 3, 3) Bob's outcomes ("0", "1", "2", "inconclusive")
+             after each label, in LABELS order
     weights: (u_1, u_2, u_3) announce / exclude / defer scale factors
     branch:  construction regime, matches the optimality report branch
     """
 
-    alice: dict
-    bob: dict
+    alice: np.ndarray
+    bob: np.ndarray
     weights: tuple
     branch: str
 
@@ -176,48 +177,28 @@ def solve_weights(pair: CanonicalPair):
     return solve3(rows, (1.0, 1.0, 1.0))
 
 
-def _always(j: int) -> Povm:
-    eye = np.eye(3, dtype=complex)
-    zero = np.zeros((3, 3), dtype=complex)
-    outcomes = tuple(eye if r == j else zero for r in range(3)) + (zero,)
-    return Povm(outcomes=outcomes, labels=OUTCOME_LABELS)
-
-
-def _exclude_bob(j: int, b: np.ndarray) -> Povm:
-    """Bob's measurement after Alice ruled out state j: unambiguously
-    separate b_{j+1} from b_{j+2}; outcome j never fires."""
-    r1, r2 = (j + 1) % 3, (j + 2) % 3
-    binary = binary_unambiguous(b[r1], b[r2])
-    outcomes = [np.zeros((3, 3), dtype=complex) for _ in range(4)]
-    outcomes[r1] = binary.outcomes[0]
-    outcomes[r2] = binary.outcomes[1]
-    outcomes[3] = binary.outcomes[2]
-    return Povm(outcomes=tuple(outcomes), labels=OUTCOME_LABELS)
-
-
-def _bob_map(pair_y, b_rows) -> dict:
-    bob = {}
+def _bob_stack(y, b) -> np.ndarray:
+    """Bob's four outcomes ("0", "1", "2", "inconclusive") after each Alice
+    label, in LABELS order: after announce j he reports j blindly; after
+    exclude j he unambiguously separates b_{j+1} from b_{j+2} (outcome j
+    never fires); after defer he runs the three-state measurement on y."""
+    bob = np.zeros((7, 4, 3, 3), dtype=complex)
     for j in range(3):
-        bob[f"announce{j}"] = _always(j)
-        bob[f"exclude{j}"] = _exclude_bob(j, b_rows)
-    bob["defer"] = ternary_unambiguous(pair_y)
+        bob[j, j] = np.eye(3)
+        r1, r2 = (j + 1) % 3, (j + 2) % 3
+        bob[3 + j, [r1, r2, 3]] = binary_unambiguous(b[r1], b[r2]).outcomes
+    bob[6] = ternary_unambiguous(y).outcomes
     return bob
 
 
 def _product_sequential(pair: CanonicalPair, branch: str) -> SequentialMeasurement:
     """Alice and Bob each run their own optimal three-state measurement;
     Bob only acts when Alice defers."""
-    tern = ternary_unambiguous(pair.x)
-    zero = np.zeros((3, 3), dtype=complex)
-    alice = {}
-    for j in range(3):
-        alice[f"announce{j}"] = tern.outcomes[j]
-        alice[f"exclude{j}"] = zero
-    alice["defer"] = tern.outcomes[3]
-    b = state_vectors(pair).b
-    weights = (min(pair.x) ** 2, 0.0, float(np.trace(alice["defer"]).real))
+    alice = np.zeros((7, 3, 3), dtype=complex)
+    alice[[0, 1, 2, 6]] = ternary_unambiguous(pair.x).outcomes
+    weights = (min(pair.x) ** 2, 0.0, float(np.trace(alice[6]).real))
     return SequentialMeasurement(
-        alice=alice, bob=_bob_map(pair.y, b), weights=weights, branch=branch
+        alice=alice, bob=_bob_stack(pair.y, state_vectors(pair).b), weights=weights, branch=branch
     )
 
 
@@ -254,31 +235,28 @@ def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
     u = tuple(max(v, 0.0) for v in u)
 
     _, z = _offsets(pair.kb, y)
-    zero = np.zeros((3, 3), dtype=complex)
-    alice = {}
+    alice = np.zeros((7, 3, 3), dtype=complex)
     for j in range(3):
         vec1 = np.array([TAU ** (j * n) / x[n] for n in range(3)])
-        alice[f"announce{j}"] = (u[0] / 3.0) * np.outer(vec1, vec1.conj())
-        vec2 = np.array([TAU ** (j * n) / (x[n] * z[perm[n]]) for n in range(3)])
-        alice[f"exclude{j}"] = (u[1] / 3.0) * np.outer(vec2, vec2.conj()) if u[1] > 0 else zero
+        alice[j] = (u[0] / 3.0) * np.outer(vec1, vec1.conj())
+        if u[1] > 0:
+            vec2 = np.array([TAU ** (j * n) / (x[n] * z[perm[n]]) for n in range(3)])
+            alice[3 + j] = (u[1] / 3.0) * np.outer(vec2, vec2.conj())
     slot = np.zeros(3, dtype=complex)
     slot[perm[2]] = 1.0
-    alice["defer"] = u[2] * np.outer(slot, slot.conj())
-
-    b = state_vectors(pair).b
+    alice[6] = u[2] * np.outer(slot, slot.conj())
     return SequentialMeasurement(
-        alice=alice, bob=_bob_map(y, b), weights=u, branch=branch
+        alice=alice, bob=_bob_stack(y, state_vectors(pair).b), weights=u, branch=branch
     )
 
 
 def _bob_only(y, b) -> SequentialMeasurement:
     """Alice defers outright: Bob's three states are (near-)orthogonal, so
     he discriminates alone."""
-    zero = np.zeros((3, 3), dtype=complex)
-    alice = {label: zero for label in LABELS[:6]}
-    alice["defer"] = np.eye(3, dtype=complex)
+    alice = np.zeros((7, 3, 3), dtype=complex)
+    alice[6] = np.eye(3)
     return SequentialMeasurement(
-        alice=alice, bob=_bob_map(y, b), weights=(0.0, 0.0, 3.0), branch="Orthogonal"
+        alice=alice, bob=_bob_stack(y, b), weights=(0.0, 0.0, 3.0), branch="Orthogonal"
     )
 
 
@@ -320,13 +298,13 @@ def _realize(report, ka, kb):
 
 def flatten(seq: SequentialMeasurement) -> Povm:
     """Combine Alice and Bob into one four-outcome POVM on the 9-dim space."""
-    outcomes = []
-    for r in range(4):
-        total = np.zeros((9, 9), dtype=complex)
-        for label in LABELS:
-            total += np.kron(seq.alice[label], seq.bob[label].outcomes[r])
-        outcomes.append(total)
-    return Povm(outcomes=tuple(outcomes), labels=OUTCOME_LABELS)
+    # terms[l, r] is kron(alice[l], bob[l, r]); adding the labels into zeros
+    # in LABELS order repeats the per-label kron loop bit for bit
+    terms = seq.alice[:, None, :, None, :, None] * seq.bob[:, :, None, :, None, :]
+    total = np.zeros((4, 9, 9), dtype=complex)
+    for term in terms.reshape(7, 4, 9, 9):
+        total += term
+    return Povm(outcomes=tuple(total), labels=OUTCOME_LABELS)
 
 
 def joint_states(sv: StateVectors) -> np.ndarray:
@@ -394,16 +372,14 @@ def _null_projector(vectors) -> np.ndarray:
     return out
 
 
-def _allowed_states(label: str):
-    """States Bob may still report after Alice's label."""
-    if label.startswith("announce"):
-        return (int(label[-1]),)
-    if label.startswith("exclude"):
-        j = int(label[-1])
-        return ((j + 1) % 3, (j + 2) % 3)
-    return (0, 1, 2)
+# states Bob may still report after each Alice label, in LABELS order;
+# exclude j lists (j+1, j+2), the order the witness is summed in
+_ALLOWED = ((0,), (1,), (2,), (1, 2), (2, 0), (0, 1), (0, 1, 2))
 
 
+# A huge finite entry in a loaded file can overflow a margin to inf or NaN.
+# Every gate below fails on NaN, so numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> CertificateReport:
     """Independent optimality proof for a constructed measurement.
 
@@ -428,21 +404,15 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     sv = state_vectors(pair)
     witness = np.diag([3.0 * x[n] ** 2 * y[perm[n]] ** 2 for n in range(3)]).astype(complex)
     level, _ = _offsets(pair.kb, y)
-    p_value = {
-        "announce": 1.0,
-        "exclude": 3.0 * level,
-        "defer": 3.0 * y[2] ** 2,
-    }
+    p_value = (1.0,) * 3 + (3.0 * level,) * 3 + (3.0 * y[2] ** 2,)
 
     psd_margin = {}
     kernel_residual = {}
     kernel_dim = {}
     unambiguity = {}
     failures = []
-    for label in LABELS:
-        allowed = _allowed_states(label)
+    for label, allowed, pv, a_op in zip(LABELS, _ALLOWED, p_value, seq.alice):
         blocked = tuple(r for r in range(3) if r not in allowed)
-        pv = p_value[label.rstrip("012")]
         d = witness.copy()
         for r in allowed:
             d -= (pv / 3.0) * np.outer(sv.a[r], sv.a[r].conj())
@@ -451,15 +421,14 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
         g = (g + g.conj().T) / 2.0
         w, _ = hermitian_eigen(g)
         psd_margin[label] = float(w[0])
-        if w[0] < -TOL.psd:
+        if not w[0] >= -TOL.psd:
             failures.append(f"{label}: witness eigenvalue {w[0]:.3e}")
 
-        a_op = seq.alice[label]
         a_norm = float(np.linalg.norm(a_op))
-        active = a_norm > TOL.active
+        active = not a_norm <= TOL.active
         if active:
             kernel_residual[label] = float(np.linalg.norm(g @ a_op) / a_norm)
-            if kernel_residual[label] > TOL.kernel_resid:
+            if not kernel_residual[label] <= TOL.kernel_resid:
                 failures.append(f"{label}: kernel residual {kernel_residual[label]:.3e}")
         else:
             kernel_residual[label] = 0.0
@@ -473,16 +442,14 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
             if dim_in != 1:
                 failures.append(f"{label}: kernel dimension {dim_in} != 1")
 
-        leak = 0.0
-        for r in blocked:
-            leak = max(leak, abs(float(np.real(np.vdot(sv.a[r], a_op @ sv.a[r])))))
+        leaks = [abs(float(np.real(np.vdot(sv.a[r], a_op @ sv.a[r])))) for r in blocked]
+        leak = float(np.max(leaks, initial=0.0))  # a NaN propagates, unlike max()
         unambiguity[label] = leak
-        if leak > TOL.leak:
+        if not leak <= TOL.leak:
             failures.append(f"{label}: unambiguity leak {leak:.3e}")
 
-    total = sum(seq.alice[label] for label in LABELS)
-    completeness = float(np.max(np.abs(total - np.eye(3))))
-    if completeness > TOL.completeness:
+    completeness = float(np.max(np.abs(sum(seq.alice) - np.eye(3))))
+    if not completeness <= TOL.completeness:
         failures.append(f"completeness residual {completeness:.3e}")
 
     if failures:
@@ -525,19 +492,24 @@ def _to_json(ops) -> list:
     return ops.view(float).reshape(*ops.shape, 2).tolist()
 
 
-def _from_json(data, shape, context) -> np.ndarray:
-    """Inverse of _to_json: nested [re, im] pairs of JSON numbers (not
-    bools), exactly `shape` deep, every entry finite.
+def _numbers(data, shape, context) -> np.ndarray:
+    """Float array from nested lists of JSON numbers (not bools or
+    strings), exactly `shape` deep, every entry finite.
 
     raises: InvalidPovm naming `context`
     """
     arr = np.array(data, dtype=object)
-    if arr.shape != (*shape, 2) or not set(map(type, arr.flat)) <= {int, float}:
-        raise InvalidPovm(f"{context}: expected a {(*shape, 2)} array of numbers")
+    if arr.shape != shape or not set(map(type, arr.flat)) <= {int, float}:
+        raise InvalidPovm(f"{context}: expected a {shape} array of numbers")
     arr = arr.astype(float)  # OverflowError on an integer beyond float range
     if not np.isfinite(arr).all():
         raise InvalidPovm(f"{context}: non-finite entries")
-    return arr.view(complex)[..., 0]
+    return arr
+
+
+def _from_json(data, shape, context) -> np.ndarray:
+    """Inverse of _to_json: nested [re, im] pairs, exactly `shape` deep."""
+    return _numbers(data, (*shape, 2), context).view(complex)[..., 0]
 
 
 def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, success: float):
@@ -557,8 +529,8 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
             "success": success,
         },
         "sequential": {
-            "alice": {label: _to_json(seq.alice[label]) for label in LABELS},
-            "bob": {label: _to_json(seq.bob[label].outcomes) for label in LABELS},
+            "alice": dict(zip(LABELS, _to_json(seq.alice))),
+            "bob": dict(zip(LABELS, _to_json(seq.bob))),
         },
     }
     with open(path, "w", newline="\n") as fh:
@@ -598,14 +570,15 @@ def load_povm(path) -> LoadedMeasurement:
         meta = dict(doc["meta"])
         meta["ka"] = complex(_from_json(meta["ka"], (), "meta ka"))
         meta["kb"] = complex(_from_json(meta["kb"], (), "meta kb"))
-        weights = tuple(float(v) for v in meta["kappa"])
+        weights = tuple(_numbers(meta["kappa"], (3,), "meta kappa").tolist())
         branch = str(meta["branch"])
         block = doc["sequential"]
-        alice, bob = {}, {}
-        for label in LABELS:
-            alice[label] = _from_json(block["alice"][label], (3, 3), f"alice {label}")
-            ops = _from_json(block["bob"][label], (4, 3, 3), f"bob {label}")
-            bob[label] = Povm(outcomes=tuple(ops), labels=OUTCOME_LABELS)
+        pieces = [
+            (_from_json(block["alice"][label], (3, 3), f"alice {label}"),
+             _from_json(block["bob"][label], (4, 3, 3), f"bob {label}"))
+            for label in LABELS
+        ]
+        alice, bob = (np.stack(stack) for stack in zip(*pieces))
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidPovm(f"missing or malformed field: {exc}") from exc
 

@@ -78,6 +78,8 @@ def _check_overlap(k) -> complex:
     k = complex(k)
     if not cmath.isfinite(k):
         raise DomainError(f"overlap must be finite, got {k!r}")
+    if abs(k) > 1.0:
+        raise DegenerateStates(f"|K| = {abs(k):.15g} exceeds 1: no states have this overlap")
     if abs(k) >= 1.0 - TOL.degenerate:
         raise DegenerateStates(f"|K| = {abs(k):.15g} is too close to 1")
     return k

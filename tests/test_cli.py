@@ -381,6 +381,8 @@ MALFORMED = {
     "non_object": _edit(lambda doc: [1, 2, 3]),
     "meta_ka_three_numbers": _edit(_set(["meta", "ka"], [0.3, 0.0, 1.0])),
     "kappa_huge_int": _edit(_set(["meta", "kappa"], [10**400, 0.0, 0.0])),
+    "kappa_string_bool": _edit(_set(["meta", "kappa"], ["1.5", True])),
+    "kappa_two_numbers": _edit(_set(["meta", "kappa"], [0.25, 0.5])),
     "label_not_string": _edit(_set(["outcomes", 0, "label"], 0)),
     "not_utf8": lambda text: b"\xff" + text.encode(),
     "deep_nesting": lambda text: b"[" * 100_000,
@@ -436,3 +438,30 @@ def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_fi
     assert captured.out == ""
     assert captured.err.startswith("invalid measurement file: outcome probabilities sum to")
     assert len(captured.err.splitlines()) == 1
+
+    # meta overlaps outside the state domain are the file's fault, not the command line's
+    doc = json.loads(psk_file)
+    doc["meta"]["ka"] = [1.5, 0.0]
+    bad = tmp_path / "far.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["simulate", "--povm", str(bad), "--state", "0", "--shots", "10", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err.startswith("invalid measurement file: meta overlaps: |K| = 1.5 exceeds 1")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_certificate_fails_a_nan_margin(tmp_path, capsys, psk_file):
+    # a huge finite entry overflows announce0's kernel residual to NaN
+    doc = json.loads(psk_file)
+    doc["sequential"]["alice"]["announce0"][0][0] = [1e308, 0.0]
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["verify", str(bad), "--psk", "0.3", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    (line,) = [ln for ln in captured.out.splitlines() if " certificate: " in ln]
+    assert line.startswith("FAIL certificate: ")
+    assert "announce0: kernel residual nan" in line
+    assert captured.err == ""

@@ -154,6 +154,7 @@ def test_generic_construction_frozen():
     success, resid = verify_unambiguous(flat, joint_states(state_vectors(pair)))
     assert resid <= 1e-10
     assert success == pytest.approx(global_optimum(pair), abs=1e-10)
+    assert seq.alice.shape == (7, 3, 3) and seq.bob.shape == (7, 4, 3, 3)
     rep = dual_certificate(pair, seq)
     assert set(rep.kernel_dim) == set(LABELS)
     assert all(d == 1 for d in rep.kernel_dim.values())
@@ -168,10 +169,10 @@ def test_alice_completeness_random():
             seq = build_sequential(pair)
         except NotGloballyOptimal:
             continue
-        total = sum(seq.alice[label] for label in LABELS)
+        total = sum(seq.alice)
         assert np.max(np.abs(total - np.eye(3))) < 1e-10
-        for label in LABELS:
-            w = np.linalg.eigvalsh(seq.alice[label])
+        for op in seq.alice:
+            w = np.linalg.eigvalsh(op)
             assert w[0] >= -1e-12
         built += 1
 
@@ -182,9 +183,9 @@ def test_trine_construction():
     assert seq.branch == "PositiveRealB"
     assert seq.weights == pytest.approx((0.25, 0.0, 0.5), abs=1e-12)
     for j in range(3):
-        assert np.max(np.abs(seq.alice[f"exclude{j}"])) == 0.0
+        assert np.max(np.abs(seq.alice[LABELS.index(f"exclude{j}")])) == 0.0
     # both lower amplitudes sit at the minimum, one slot survives deferral
-    assert np.linalg.matrix_rank(seq.alice["defer"], tol=1e-9) == 1
+    assert np.linalg.matrix_rank(seq.alice[LABELS.index("defer")], tol=1e-9) == 1
     success, resid = verify_unambiguous(flatten(seq), joint_states(state_vectors(pair)))
     assert resid <= 1e-12
     assert success == pytest.approx(0.9375, abs=1e-12)
@@ -196,7 +197,7 @@ def test_positive_real_b_generic_alice_defer_rank_two():
     pair = canonicalize(FIG_K, 0.25)
     seq = build_sequential(pair)
     assert seq.branch == "PositiveRealB"
-    assert np.linalg.matrix_rank(seq.alice["defer"], tol=1e-9) == 2
+    assert np.linalg.matrix_rank(seq.alice[LABELS.index("defer")], tol=1e-9) == 2
     success, _ = verify_unambiguous(flatten(seq), joint_states(state_vectors(pair)))
     assert success == pytest.approx(global_optimum(pair), abs=1e-10)
     dual_certificate(pair, seq)
@@ -227,7 +228,7 @@ def test_bob_only_orthogonal_bob():
     assert report.pair is None
     assert seq.branch == report.branch == "Orthogonal"
     assert seq.weights == (0.0, 0.0, 3.0)
-    assert np.allclose(seq.alice["defer"], np.eye(3))
+    assert np.allclose(seq.alice[LABELS.index("defer")], np.eye(3))
     flat = flatten(seq)
     chk = verify_povm(flat)
     assert chk.psd_margin >= -1e-12
@@ -241,9 +242,9 @@ def test_bob_only_orthogonal_bob():
 def test_certificate_rejects_tampering():
     pair = canonicalize(FIG_K, FIG_K)
     seq = build_sequential(pair)
-    bad = np.array(seq.alice["announce0"])
-    bad[0, 0] += 1e-3
-    tampered = dataclasses.replace(seq, alice={**seq.alice, "announce0": bad})
+    bad = seq.alice.copy()
+    bad[LABELS.index("announce0"), 0, 0] += 1e-3
+    tampered = dataclasses.replace(seq, alice=bad)
     with pytest.raises(CertificateViolation):
         dual_certificate(pair, tampered)
 
@@ -312,12 +313,8 @@ def test_save_load_round_trip(tmp_path):
     flat = flatten(seq)
     for got, want in zip(loaded.povm.outcomes, flat.outcomes):
         assert np.array_equal(got, want)  # 17 digits round-trips float64 exactly
-    for label in LABELS:
-        assert np.array_equal(loaded.seq.alice[label], seq.alice[label])
-        for r in range(4):
-            assert np.array_equal(
-                loaded.seq.bob[label].outcomes[r], seq.bob[label].outcomes[r]
-            )
+    assert np.array_equal(loaded.seq.alice, seq.alice)  # every label at once
+    assert np.array_equal(loaded.seq.bob, seq.bob)
     assert loaded.povm.labels == OUTCOME_LABELS
 
 
@@ -395,14 +392,25 @@ def _ref_file_text(seq, ka, kb, success):
             "success": success,
         },
         "sequential": {
-            "alice": {label: _ref_matrix_to_json(seq.alice[label]) for label in LABELS},
+            "alice": {label: _ref_matrix_to_json(op) for label, op in zip(LABELS, seq.alice)},
             "bob": {
-                label: [_ref_matrix_to_json(op) for op in seq.bob[label].outcomes]
-                for label in LABELS
+                label: [_ref_matrix_to_json(op) for op in ops]
+                for label, ops in zip(LABELS, seq.bob)
             },
         },
     }
     return json_dumps(doc) + "\n"
+
+
+def _ref_flatten(seq):
+    """flatten as the per-label loop of 28 np.kron calls spelled it."""
+    outcomes = []
+    for r in range(4):
+        total = np.zeros((9, 9), dtype=complex)
+        for i in range(len(LABELS)):
+            total += np.kron(seq.alice[i], seq.bob[i, r])
+        outcomes.append(total)
+    return outcomes
 
 
 def _ref_matrix_from_json(data):
@@ -432,15 +440,18 @@ def test_codec_matches_elementwise_reference(tmp_path):
         route = report.branch + ("/bob-only" if frame(ka, kb)[0] is None else "")
         routes[route] = routes.get(route, 0) + 1
 
+        for got, want in zip(flatten(seq).outcomes, _ref_flatten(seq)):
+            assert got.tobytes() == want.tobytes()
+
         save_povm(path, seq, ka, kb, success)
         text = _ref_file_text(seq, ka, kb, success)
         assert path.read_bytes() == text.encode()
 
         loaded, doc = load_povm(path), json.loads(text)
         pieces = [(got, e["matrix"]) for got, e in zip(loaded.povm.outcomes, doc["outcomes"])]
-        for label in LABELS:
-            pieces.append((loaded.seq.alice[label], doc["sequential"]["alice"][label]))
-            pieces += zip(loaded.seq.bob[label].outcomes, doc["sequential"]["bob"][label])
+        for label, alice_op, bob_ops in zip(LABELS, loaded.seq.alice, loaded.seq.bob):
+            pieces.append((alice_op, doc["sequential"]["alice"][label]))
+            pieces += zip(bob_ops, doc["sequential"]["bob"][label])
         for got, data in pieces:
             want = _ref_matrix_from_json(data)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()

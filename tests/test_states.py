@@ -262,6 +262,8 @@ def _ref_check_overlap(k):
     k = complex(k)
     if not cmath.isfinite(k):
         raise DomainError(f"overlap must be finite, got {k!r}")
+    if abs(k) > 1.0:
+        raise DegenerateStates(f"|K| = {abs(k):.15g} exceeds 1: no states have this overlap")
     if abs(k) >= 1.0 - 1e-12:
         raise DegenerateStates(f"|K| = {abs(k):.15g} is too close to 1")
     return k
