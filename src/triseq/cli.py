@@ -33,7 +33,7 @@ from .errors import (
 )
 from .multipartite import check_copies_psk
 from .numerics import TOL
-from .optimality import check_global_optimality, global_optimum
+from .optimality import check_global_optimality
 from .povm import (
     CertificateViolation,
     _outcome_probs,
@@ -183,19 +183,19 @@ def cmd_verify(args, parser) -> int:
     )
     checks.append(("internal-consistency", drift <= TOL.drift, drift))
 
-    pair, sv = frame(ka, kb)
+    report = check_global_optimality(ka, kb)
+    _, sv = frame(ka, kb)
     success, leak = verify_unambiguous(loaded.povm, joint_states(sv))
     checks.append(("unambiguity", leak <= TOL.leak, leak))
 
-    orthogonal = loaded.meta.get("branch") == "Orthogonal"
-    if not orthogonal and pair is None:
-        # only a measurement stamped Orthogonal fits a pair with no canonical form
-        checks.append(("canonical-form", False, "none for this pair; the file is not Orthogonal"))
-    elif not orthogonal:
-        gap = abs(success - global_optimum(pair))
+    # the decision, not the file's label, chooses the checks; the label is only compared
+    if loaded.seq.branch != report.branch:
+        checks.append(("branch", False, f"file {loaded.seq.branch}, decision {report.branch}"))
+    if report.pair is not None:
+        gap = abs(success - report.p_global)
         checks.append(("success-vs-global", gap <= TOL.success_gap, gap))
         try:
-            dual_certificate(pair, loaded.seq)
+            dual_certificate(report.pair, loaded.seq)
             checks.append(("certificate", True, 0.0))
         except CertificateViolation as exc:
             checks.append(("certificate", False, str(exc)))
@@ -261,6 +261,8 @@ def cmd_scan(args, parser) -> int:
             for sb in s_grid
         ]
     else:  # copies
+        if args.n_max < 2:
+            parser.error("--n-max must be at least 2")
         lines = ["s_total,n,sufficient"]
         for s in _grid(args.s_min, args.s_max, res):
             for n in range(2, args.n_max + 1):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,9 @@ from .errors import (
     SingularSystem,
 )
 from .numerics import TOL, hermitian_eigen, solve3
-from .optimality import _offsets, _tie_branch, check_global_optimality, global_optimum
+from .optimality import BRANCHES, _offsets, _tie_branch, check_global_optimality, global_optimum
 from .serialize import json_dumps
-from .states import TAU, CanonicalPair, StateVectors, amplitudes_from_overlap, frame, state_vectors
+from .states import TAU, CanonicalPair, StateVectors, frame, state_vectors
 
 LABELS = (
     "announce0",
@@ -191,14 +191,16 @@ def _bob_stack(y, b) -> np.ndarray:
     return bob
 
 
-def _product_sequential(pair: CanonicalPair, branch: str) -> SequentialMeasurement:
+def _product_sequential(sv: StateVectors, branch: str) -> SequentialMeasurement:
     """Alice and Bob each run their own optimal three-state measurement;
-    Bob only acts when Alice defers."""
+    Bob only acts when Alice defers.  Row 0 of each vector triple is the
+    amplitude triple itself (tau^0 = 1)."""
+    x, y = sv.a[0].real.tolist(), sv.b[0].real.tolist()
     alice = np.zeros((7, 3, 3), dtype=complex)
-    alice[[0, 1, 2, 6]] = ternary_unambiguous(pair.x).outcomes
-    weights = (min(pair.x) ** 2, 0.0, float(np.trace(alice[6]).real))
+    alice[[0, 1, 2, 6]] = ternary_unambiguous(x).outcomes
+    weights = (min(x) ** 2, 0.0, float(np.trace(alice[6]).real))
     return SequentialMeasurement(
-        alice=alice, bob=_bob_stack(pair.y, state_vectors(pair).b), weights=weights, branch=branch
+        alice=alice, bob=_bob_stack(y, sv.b), weights=weights, branch=branch
     )
 
 
@@ -218,14 +220,14 @@ def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
     x, y, perm = pair.x, pair.y, pair.perm
     branch = _tie_branch(pair) or "Inequality"
     if branch == "PositiveRealB":
-        return _product_sequential(pair, branch)
+        return _product_sequential(state_vectors(pair), branch)
     try:
         u = solve_weights(pair)
     except SingularSystem:
         # Bob's top offsets tie; the weight system degenerates.  The
         # product strategy is the only candidate left.
         if abs(_product_success(pair) - global_optimum(pair)) <= TOL.product_gap:
-            return _product_sequential(pair, branch)
+            return _product_sequential(state_vectors(pair), branch)
         raise NotGloballyOptimal(
             "weight system is singular and the product strategy is suboptimal"
         ) from None
@@ -250,22 +252,11 @@ def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
     )
 
 
-def _bob_only(y, b) -> SequentialMeasurement:
-    """Alice defers outright: Bob's three states are (near-)orthogonal, so
-    he discriminates alone."""
-    alice = np.zeros((7, 3, 3), dtype=complex)
-    alice[6] = np.eye(3)
-    return SequentialMeasurement(
-        alice=alice, bob=_bob_stack(y, b), weights=(0.0, 0.0, 3.0), branch="Orthogonal"
-    )
-
-
 def construct(ka, kb):
     """Decide, build and score the sequential measurement for an overlap pair.
 
-    On the Orthogonal branch a pair that still has a canonical form (ka
-    numerically zero) goes through build_sequential; one that has none
-    (kb numerically zero) gets Bob discriminating alone.
+    On the Orthogonal branch one party alone identifies the state, so each
+    party runs its own three-state optimum in the frame of `frame(ka, kb)`.
 
     returns: (report, seq, states, success) with seq.branch == report.branch,
              states the StateVectors seq acts on, and success its verified
@@ -284,14 +275,12 @@ def _realize(report, ka, kb):
     """
     if not report.verdict:
         raise NotGloballyOptimal()
-    if report.pair is not None:
-        pair, sv = report.pair, state_vectors(report.pair)
+    if report.pair is None:
+        _, sv = frame(ka, kb)
+        seq = _product_sequential(sv, "Orthogonal")
     else:
-        pair, sv = frame(ka, kb)
-    if pair is None:
-        seq = _bob_only(amplitudes_from_overlap(kb), sv.b)
-    else:
-        seq = replace(build_sequential(pair), branch=report.branch)
+        sv = state_vectors(report.pair)
+        seq = build_sequential(report.pair)
     success, _ = verify_unambiguous(flatten(seq), joint_states(sv))
     return seq, sv, success
 
@@ -392,7 +381,8 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
             TOL.kernel_resid)
       (iii) its kernel inside the projected subspace is one-dimensional
             (skipped where the construction legitimately has a larger
-            kernel: the defer label off the generic branches)
+            kernel: the defer label when the pair's own tie branch is
+            PositiveRealB, whatever branch seq is labelled with)
 
     plus Alice completeness (TOL.completeness) and per-label unambiguity
     leaks (TOL.leak).  An Alice operator of norm at most TOL.active counts
@@ -433,7 +423,7 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
         else:
             kernel_residual[label] = 0.0
 
-        check_dim = active and (label != "defer" or seq.branch != "PositiveRealB")
+        check_dim = active and (label != "defer" or _tie_branch(pair) != "PositiveRealB")
         if check_dim:
             rank_proj = int(round(float(np.trace(proj).real)))
             near_zero = int(np.sum(np.abs(w) < TOL.kernel_zero))
@@ -549,7 +539,8 @@ def load_povm(path) -> LoadedMeasurement:
     """Read a measurement file back; inverse of save_povm.
 
     raises: InvalidPovm on any structural problem (missing keys, wrong
-            shapes, entries that are not finite numbers)
+            shapes, entries that are not finite numbers, a meta branch
+            outside BRANCHES)
     """
     try:
         with open(path) as fh:
@@ -567,11 +558,16 @@ def load_povm(path) -> LoadedMeasurement:
             _from_json(entry["matrix"], (9, 9), f"outcome {i}")
             for i, entry in enumerate(raw_outcomes)
         )
-        meta = dict(doc["meta"])
+        meta = doc["meta"]
+        if not isinstance(meta, dict):
+            raise InvalidPovm("meta: expected a JSON object")
         meta["ka"] = complex(_from_json(meta["ka"], (), "meta ka"))
         meta["kb"] = complex(_from_json(meta["kb"], (), "meta kb"))
         weights = tuple(_numbers(meta["kappa"], (3,), "meta kappa").tolist())
-        branch = str(meta["branch"])
+        branch = meta["branch"]
+        if branch not in BRANCHES:
+            raise InvalidPovm(f"meta branch: expected one of {', '.join(BRANCHES)}")
+        _numbers(meta["success"], (), "meta success")
         block = doc["sequential"]
         pieces = [
             (_from_json(block["alice"][label], (3, 3), f"alice {label}"),

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triseq import check_global_optimality, psk_overlap
+from helpers import random_overlap
+from triseq import check_global_optimality, load_povm, psk_overlap, save_povm
 from triseq.cli import main
 from triseq.serialize import fmt_float
 
@@ -121,7 +123,7 @@ def test_verify_fails_cleanly_on_pair_without_canonical_form(tmp_path, capsys):
     code = run(["verify", str(out), "--ka", "0.3", "0", "--kb", "0", "0"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "FAIL canonical-form" in captured.out
+    assert "FAIL branch" in captured.out
     assert captured.err == ""
 
 
@@ -130,6 +132,7 @@ def test_verify_fails_cleanly_on_pair_without_canonical_form(tmp_path, capsys):
     ["--ka", "0.3", "0", "--kb", "0", "0"],  # kb ~ 0: Bob alone
     ["--ka", "0", "0", "--kb", "0", "0"],
     ["--ka", "0.3", "0", "--kb", "1.05e-9", "0"],  # too small for a strict Bob order
+    ["--ka", "0", "1e-10", "--kb", "0.4", "-0.2"],  # ka tiny but nonzero
 ])
 def test_orthogonal_routes(tmp_path, capsys, overlaps):
     out = tmp_path / "m.json"
@@ -140,6 +143,51 @@ def test_orthogonal_routes(tmp_path, capsys, overlaps):
     argv = ["simulate", "--povm", str(out), "--state", "2", "--shots", "1000", "--seed", "3"]
     assert run(argv) == 0
     assert sum(json.loads(capsys.readouterr().out)["counts"]) == 1000
+
+
+def _tiny(rng):
+    """Overlap of modulus 10^U(-16, -9) and uniform phase: numerically zero."""
+    return complex(10.0 ** rng.uniform(-16.0, -9.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+
+
+def test_orthogonal_sweep_round_trips(tmp_path, capsys):
+    rng = np.random.default_rng(29)
+    pairs = [(_tiny(rng), random_overlap(rng)) for _ in range(40)]
+    pairs += [(random_overlap(rng), _tiny(rng)) for _ in range(20)]
+    out = tmp_path / "m.json"
+    failed = []
+    for ka, kb in pairs:
+        overlaps = ["--ka", *map(fmt_float, (ka.real, ka.imag)),
+                    "--kb", *map(fmt_float, (kb.real, kb.imag))]
+        codes = [run(["construct", *overlaps, "--out", str(out)])]
+        if codes == [0]:
+            codes.append(run(["verify", str(out), *overlaps]))
+            codes.append(run(["simulate", "--povm", str(out), "--state", "1",
+                              "--shots", "100", "--seed", "5"]))
+        capsys.readouterr()
+        if codes != [0, 0, 0]:
+            failed.append((overlaps, codes))
+    assert failed == []
+
+
+def test_verify_rejects_a_forged_orthogonal_label(tmp_path, capsys, psk_file):
+    # Bob alone on a pair where Alice's states overlap: stamped Orthogonal,
+    # it must still be held to the decision's optimum
+    good = tmp_path / "good.json"
+    good.write_text(psk_file)
+    seq = load_povm(good).seq
+    alice = np.zeros_like(seq.alice)
+    alice[-1] = np.eye(3)  # defer
+    forged = dataclasses.replace(seq, alice=alice, weights=(0.0, 0.0, 3.0), branch="Orthogonal")
+    out = tmp_path / "forged.json"
+    k = psk_overlap(0.3)
+    save_povm(out, forged, k, k, 0.5)
+    code = run(["verify", str(out), "--psk", "0.3", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FAIL branch" in captured.out
+    assert "FAIL success-vs-global" in captured.out
+    assert captured.err == ""
 
 
 def test_closed_stdout_is_not_a_verdict():
@@ -255,6 +303,15 @@ def test_scan_copies(tmp_path, capsys):
 def test_scan_resolution_too_small(tmp_path):
     out = tmp_path / "x.csv"
     assert run(["scan", "--mode", "complex-k", "--resolution", "1", "--out", str(out)]) == 64
+
+
+@pytest.mark.parametrize("n_max", ["1", "-4"])
+def test_scan_copies_needs_two_copies(tmp_path, capsys, n_max):
+    out = tmp_path / "x.csv"
+    argv = ["scan", "--mode", "copies", "--resolution", "3", "--n-max", n_max, "--out", str(out)]
+    assert run(argv) == 64
+    assert "--n-max must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_curve(tmp_path, capsys):
@@ -384,6 +441,12 @@ MALFORMED = {
     "kappa_string_bool": _edit(_set(["meta", "kappa"], ["1.5", True])),
     "kappa_two_numbers": _edit(_set(["meta", "kappa"], [0.25, 0.5])),
     "label_not_string": _edit(_set(["outcomes", 0, "label"], 0)),
+    "meta_pairs": _edit(lambda doc: {**doc, "meta": list(doc["meta"].items())}),
+    "branch_number": _edit(_set(["meta", "branch"], 7)),
+    "branch_null": _edit(_set(["meta", "branch"], None)),
+    "branch_unknown": _edit(_set(["meta", "branch"], "Bogus")),
+    "success_string": _edit(_set(["meta", "success"], "lots")),
+    "success_list": _edit(_set(["meta", "success"], [0.5])),
     "not_utf8": lambda text: b"\xff" + text.encode(),
     "deep_nesting": lambda text: b"[" * 100_000,
 }
@@ -408,7 +471,10 @@ def test_loader_names_the_failing_piece(tmp_path, capsys, psk_file):
     bad = tmp_path / "bad.json"
     for path, name in ((["outcomes", 2, "matrix", 1, 1, 0], "outcome 2"),
                        (["sequential", "alice", "exclude0", 1, 1, 0], "alice exclude0"),
-                       (["sequential", "bob", "announce1", 3, 1, 1, 0], "bob announce1")):
+                       (["sequential", "bob", "announce1", 3, 1, 1, 0], "bob announce1"),
+                       (["meta"], "meta"),
+                       (["meta", "branch"], "meta branch"),
+                       (["meta", "success"], "meta success")):
         bad.write_text(json.dumps(_set(path, "0.5")(json.loads(psk_file))))
         assert run(["verify", str(bad), "--psk", "0.3", "0.3"]) == 65
         assert f"cannot load measurement file: {name}: " in capsys.readouterr().err

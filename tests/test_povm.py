@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from helpers import random_overlap, random_pair
 from triseq import (
+    BRANCHES,
+    amplitudes_from_overlap,
     binary_unambiguous,
     build_sequential,
     canonicalize,
@@ -225,10 +227,12 @@ def test_failing_pair_raises():
 
 def test_bob_only_orthogonal_bob():
     report, seq, sv, success = construct(0.3, 0.0)
+    x = amplitudes_from_overlap(0.3)  # Alice runs her own optimum beside Bob's
     assert report.pair is None
     assert seq.branch == report.branch == "Orthogonal"
-    assert seq.weights == (0.0, 0.0, 3.0)
-    assert np.allclose(seq.alice[LABELS.index("defer")], np.eye(3))
+    defer = seq.alice[LABELS.index("defer")]
+    assert seq.weights == (min(x) ** 2, 0.0, float(np.trace(defer).real))
+    assert np.allclose(defer, ternary_unambiguous(x).outcomes[3])
     flat = flatten(seq)
     chk = verify_povm(flat)
     assert chk.psd_margin >= -1e-12
@@ -247,6 +251,16 @@ def test_certificate_rejects_tampering():
     tampered = dataclasses.replace(seq, alice=bad)
     with pytest.raises(CertificateViolation):
         dual_certificate(pair, tampered)
+
+
+@pytest.mark.parametrize("label", BRANCHES)
+def test_certificate_ignores_the_branch_label(label):
+    # the pair, not the label its measurement carries, sets the defer exemption
+    for pair in (canonicalize(FIG_K, 0.25), canonicalize(FIG_K, FIG_K)):
+        seq = build_sequential(pair)
+        assert seq.branch in ("PositiveRealB", "Inequality")
+        relabelled = dataclasses.replace(seq, branch=label)
+        assert dual_certificate(pair, relabelled) == dual_certificate(pair, seq)
 
 
 def test_certificate_rejects_wrong_pair():
