@@ -18,6 +18,7 @@ a SIGPIPE death).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -302,6 +303,10 @@ def cmd_curve(args, parser) -> int:
     return _write_csv(args.out, lines)
 
 
+# numpy's multinomial counts are int64
+_MAX_SHOTS = 2**63 - 1
+
+
 def cmd_simulate(args, parser) -> int:
     try:
         loaded = load_povm(args.povm)
@@ -312,6 +317,10 @@ def cmd_simulate(args, parser) -> int:
         parser.error("--state must be 0, 1, or 2")
     if args.shots < 0:
         parser.error("--shots must be >= 0")
+    if args.shots > _MAX_SHOTS:
+        parser.error(f"--shots must be at most {_MAX_SHOTS}")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     try:
         _, sv = frame(loaded.meta["ka"], loaded.meta["kb"])
     except (DomainError, DegenerateStates, RankDeficient) as exc:
@@ -329,7 +338,10 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args keeps no state between
+    calls, and usage and help read the terminal width only when printed."""
     parser = _Parser(prog="triseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

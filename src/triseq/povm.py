@@ -41,7 +41,7 @@ from .errors import (
 )
 from .numerics import TOL, hermitian_eigen, solve3
 from .optimality import BRANCHES, _offsets, _tie_branch, check_global_optimality, global_optimum
-from .serialize import json_dumps
+from .serialize import array_json, json_dumps
 from .states import TAU, CanonicalPair, StateVectors, frame, state_vectors
 
 LABELS = (
@@ -476,10 +476,10 @@ def sample_outcomes(p: Povm, state, shots, seed):
     return rng.multinomial(shots, probs / total)
 
 
-def _to_json(ops) -> list:
-    """Complex array of any shape as nested [re, im] pairs."""
+def _to_json(ops) -> str:
+    """Complex array of any shape as the JSON text of nested [re, im] pairs."""
     ops = np.ascontiguousarray(ops, dtype=complex)
-    return ops.view(float).reshape(*ops.shape, 2).tolist()
+    return array_json(ops.view(float).ravel().tolist(), (*ops.shape, 2))
 
 
 def _numbers(data, shape, context) -> np.ndarray:
@@ -519,8 +519,8 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
             "success": success,
         },
         "sequential": {
-            "alice": dict(zip(LABELS, _to_json(seq.alice))),
-            "bob": dict(zip(LABELS, _to_json(seq.bob))),
+            "alice": dict(zip(LABELS, map(_to_json, seq.alice))),
+            "bob": dict(zip(LABELS, map(_to_json, seq.bob))),
         },
     }
     with open(path, "w", newline="\n") as fh:

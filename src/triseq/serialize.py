@@ -7,6 +7,7 @@ module cannot control float formatting, hence the small writer here.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -17,8 +18,36 @@ def fmt_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
+class Raw(str):
+    """Text that is already JSON; json_dumps writes it as it stands."""
+
+
+@functools.cache
+def _template(shape: tuple, slot: str) -> str:
+    """Nested JSON arrays of `shape` with one %-format slot per entry."""
+    if not shape:
+        return slot
+    return "[" + ",".join([_template(shape[1:], slot)] * shape[0]) + "]"
+
+
+def array_json(values, shape: tuple) -> Raw:
+    """JSON text of the row-major float list `values` nested to `shape`,
+    spelled as json_dumps spells the nested lists.
+
+    For a finite float, '%.17g' % v equals fmt_float(v); a nan or inf
+    entry (the only spellings holding the letter n) sends every entry
+    through json_dumps instead, which writes it as null.
+    """
+    text = _template(shape, "%.17g") % tuple(values)
+    if "n" in text:
+        text = _template(shape, "%s") % tuple(map(json_dumps, values))
+    return Raw(text)
+
+
 def json_dumps(obj) -> str:
     """Compact JSON with 17-digit floats; non-finite floats become null."""
+    if isinstance(obj, Raw):
+        return obj
     if obj is None:
         return "null"
     if obj is True:

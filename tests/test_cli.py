@@ -12,7 +12,7 @@ import pytest
 
 from helpers import random_overlap
 from triseq import check_global_optimality, load_povm, psk_overlap, save_povm
-from triseq.cli import main
+from triseq.cli import _build_parser, main
 from triseq.serialize import fmt_float
 
 
@@ -76,6 +76,30 @@ def test_usage_errors():
     assert run(["check", "--ka", "0.2", "0"]) == 64  # --ka without --kb
     assert run([]) == 64  # missing subcommand
     assert run(["frobnicate"]) == 64
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    refused, table = tmp_path / "refused.json", tmp_path / "copies.csv"
+    argvs = [
+        ["check", "--ka", "0.2", "0"],
+        ["verify", "--help"],
+        ["check", "--ka", "0.5", "0.1", "--kb", "0.3", "-1e-10"],
+        ["construct", "--ka", "-0.2", "0", "--kb", "-0.2", "0", "--out", str(refused)],
+        ["scan", "--mode", "copies", "--resolution", "3", "--n-max", "3", "--out", str(table)],
+    ]
+    runs = []
+    for _ in range(2):
+        results = []
+        for argv in argvs:
+            code = run(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        results.append(table.read_text())
+        runs.append(results)
+    assert runs[0] == runs[1]
+    assert [r[0] for r in runs[0][:5]] == [64, 0, 0, 1, 0]
+    assert not refused.exists()
+    assert _build_parser() is _build_parser()
 
 
 def test_domain_errors_map_to_64():
@@ -376,6 +400,27 @@ def test_simulate_bad_arguments(tmp_path, capsys):
     assert run(["simulate", "--povm", str(tmp_path / "no.json"), "--state", "0",
                 "--shots", "10", "--seed", "0"]) == 65
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("shots, seed, message", [
+    ("10", "-1", "--seed must be >= 0"),
+    (str(2**63), "0", f"--shots must be at most {2**63 - 1}"),
+])
+def test_simulate_out_of_range_is_a_usage_error(tmp_path, capsys, shots, seed, message):
+    out = tmp_path / "m.json"
+    assert run(["construct", "--trine", "0.5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", "--povm", str(out), "--state", "0", "--shots", shots, "--seed", seed]
+    assert run(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"error: {message}"
+
+    # the largest count numpy's multinomial takes still runs
+    argv = ["simulate", "--povm", str(out), "--state", "0", "--shots", str(2**63 - 1),
+            "--seed", "0"]
+    assert run(argv) == 0
+    assert sum(json.loads(capsys.readouterr().out)["counts"]) == 2**63 - 1
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import json
+import math
 import random
 
 import numpy as np
@@ -474,6 +475,29 @@ def test_codec_matches_elementwise_reference(tmp_path):
     assert set(routes) == {
         "Inequality", "PositiveRealA", "PositiveRealB", "Orthogonal", "Orthogonal/bob-only"
     }, routes
+
+
+def test_writer_spells_edge_entries_as_the_reference(tmp_path):
+    pair = canonicalize(FIG_K, FIG_K)
+    seq = build_sequential(pair)
+    finite = seq.alice.copy()
+    finite[0, 0, 0] = complex(-0.0, 5e-324)
+    finite[0, 1, 2] = complex(1e308, -1e-300)
+    bob = seq.bob.copy()
+    bob[4, 1, 0, 0] = complex(math.nan, math.inf)
+    bob[4, 2, 1, 1] = -math.inf
+    edges = (
+        (dataclasses.replace(seq, alice=finite), False),
+        (dataclasses.replace(seq, alice=finite, bob=bob), True),
+    )
+    path = tmp_path / "m.json"
+    for edited, has_null in edges:
+        with np.errstate(invalid="ignore"):  # flatten multiplies inf by zero
+            save_povm(path, edited, pair.ka, pair.kb, 0.5)
+            text = _ref_file_text(edited, pair.ka, pair.kb, 0.5)
+        assert path.read_bytes() == text.encode()
+        assert "[-0,4.9406564584124654e-324]" in text and "[1e+308,-1e-300]" in text
+        assert ("null" in text) == has_null
 
 
 @pytest.fixture(scope="module")
