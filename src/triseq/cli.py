@@ -36,6 +36,7 @@ from .multipartite import check_copies_psk
 from .numerics import TOL
 from .optimality import check_global_optimality
 from .povm import (
+    _MAX_SHOTS,
     CertificateViolation,
     _outcome_probs,
     _realize,
@@ -160,12 +161,12 @@ def cmd_construct(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    ka, kb = _resolve_overlaps(args, parser)
     try:
         loaded = load_povm(args.povm)
     except (InvalidPovm, OSError) as exc:
         print(f"cannot load measurement file: {exc}", file=sys.stderr)
         return 65
-    ka, kb = _resolve_overlaps(args, parser)
     checks = []
 
     try:
@@ -178,10 +179,7 @@ def cmd_verify(args, parser) -> int:
         checks.append(("psd", False, str(exc)))
 
     rebuilt = flatten(loaded.seq)
-    drift = max(
-        float(np.max(np.abs(a - b)))
-        for a, b in zip(rebuilt.outcomes, loaded.povm.outcomes)
-    )
+    drift = float(np.max(np.abs(rebuilt.outcomes - loaded.povm.outcomes)))
     checks.append(("internal-consistency", drift <= TOL.drift, drift))
 
     report = check_global_optimality(ka, kb)
@@ -303,16 +301,7 @@ def cmd_curve(args, parser) -> int:
     return _write_csv(args.out, lines)
 
 
-# numpy's multinomial counts are int64
-_MAX_SHOTS = 2**63 - 1
-
-
 def cmd_simulate(args, parser) -> int:
-    try:
-        loaded = load_povm(args.povm)
-    except (InvalidPovm, OSError) as exc:
-        print(f"cannot load measurement file: {exc}", file=sys.stderr)
-        return 65
     if args.state not in (0, 1, 2):
         parser.error("--state must be 0, 1, or 2")
     if args.shots < 0:
@@ -322,6 +311,11 @@ def cmd_simulate(args, parser) -> int:
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     try:
+        loaded = load_povm(args.povm)
+    except (InvalidPovm, OSError) as exc:
+        print(f"cannot load measurement file: {exc}", file=sys.stderr)
+        return 65
+    try:
         _, sv = frame(loaded.meta["ka"], loaded.meta["kb"])
     except (DomainError, DegenerateStates, RankDeficient) as exc:
         raise InvalidPovm(f"meta overlaps: {exc}") from exc  # the file's fault, not the command's
@@ -330,7 +324,7 @@ def cmd_simulate(args, parser) -> int:
     print(json_dumps({
         "labels": list(loaded.povm.labels),
         "counts": [int(c) for c in counts],
-        "probs": _outcome_probs(loaded.povm, state),
+        "probs": _outcome_probs(loaded.povm, state).tolist(),
         "shots": args.shots,
         "seed": args.seed,
         "state": args.state,

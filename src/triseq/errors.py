@@ -23,7 +23,12 @@ class NoCanonicalForm(TriseqError):
 
 
 class NonHermitian(TriseqError):
-    """Matrix handed to a Hermitian routine is not Hermitian within tolerance."""
+    """Matrix handed to a Hermitian routine is not Hermitian within tolerance;
+    `index` is the first failing matrix of a stack, in C order."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class SingularSystem(TriseqError):

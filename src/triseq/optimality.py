@@ -15,9 +15,9 @@ form regime applies, and the diagnostic quantities the decision rests on:
     c1 = x_2 z_0 - x_1 z_1
     c2 = sum_k x_k^2 (z_{(1-k) mod 3}^-2 - z_{(3-k) mod 3}^-2)
 
-In the generic regime (all Bob gaps strict, Alice's two largest weights
+In the generic regime (all Bob gaps strict, Alice's two smallest weights
 strict) the verdict is c1 >= 0 and c2 >= 0.  If Bob's lower two weights
-tie (K_B positive real) or Alice's upper two tie (K_A positive real) the
+tie (K_B positive real) or Alice's lower two tie (K_A positive real) the
 verdict is always yes.  If either overlap is numerically zero one party
 alone discriminates perfectly.
 """

@@ -36,6 +36,7 @@ from .errors import (
     DegenerateStates,
     DomainError,
     InvalidPovm,
+    NonHermitian,
     NotGloballyOptimal,
     SingularSystem,
 )
@@ -56,17 +57,21 @@ LABELS = (
 
 OUTCOME_LABELS = ("0", "1", "2", "inconclusive")
 
+# numpy's multinomial counts are int64
+_MAX_SHOTS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class Povm:
-    """Labeled positive operator-valued measure."""
+    """Labeled positive operator-valued measure: `outcomes` is one (n, d, d)
+    complex array, an operator per entry of `labels`."""
 
-    outcomes: tuple
+    outcomes: np.ndarray
     labels: tuple
 
     @property
     def dim(self) -> int:
-        return self.outcomes[0].shape[0]
+        return self.outcomes.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,20 @@ class CertificateReport:
     unambiguity: dict
 
 
+def _outer(vecs) -> np.ndarray:
+    """|v><v| for each row v of a stack of vectors."""
+    return vecs[..., :, None] * vecs.conj()[..., None, :]
+
+
+def _quad(ops, states) -> np.ndarray:
+    """Table q[e, s] = Re <s|E_e|s> over a stack of operators and the
+    state rows; the stacked products repeat np.vdot(s, E @ s) bit for bit."""
+    ops = np.asarray(ops, dtype=complex)
+    states = np.asarray(states, dtype=complex)
+    kets = ops[:, None] @ states[None, :, :, None]
+    return (states.conj()[None, :, None, :] @ kets)[..., 0, 0].real
+
+
 def binary_unambiguous(u, v) -> Povm:
     """Optimal unambiguous discrimination of two pure states.
 
@@ -125,14 +144,10 @@ def binary_unambiguous(u, v) -> Povm:
     wu = wu / np.linalg.norm(wu)
     wv = v - c * u
     wv = wv / np.linalg.norm(wv)
-    scale = 1.0 / (1.0 + abs(c))
-    detect_u = scale * np.outer(wu, wu.conj())
-    detect_v = scale * np.outer(wv, wv.conj())
-    eye = np.eye(len(u), dtype=complex)
-    return Povm(
-        outcomes=(detect_u, detect_v, eye - detect_u - detect_v),
-        labels=("first", "second", "inconclusive"),
-    )
+    detect = (1.0 / (1.0 + abs(c))) * _outer(np.stack((wu, wv)))
+    inconclusive = np.eye(len(u)) - detect[0] - detect[1]
+    labels = ("first", "second", "inconclusive")
+    return Povm(outcomes=np.stack((*detect, inconclusive)), labels=labels)
 
 
 def ternary_unambiguous(w) -> Povm:
@@ -148,12 +163,11 @@ def ternary_unambiguous(w) -> Povm:
     if min(w) <= 0.0:
         raise DomainError(f"amplitudes must be positive, got {w}")
     wmin = min(w)
-    detect = []
-    for r in range(3):
-        vec = np.array([(wmin / math.sqrt(3.0)) / w[n] * TAU ** (r * n) for n in range(3)])
-        detect.append(np.outer(vec, vec.conj()))
-    inconclusive = np.eye(3, dtype=complex) - sum(detect)
-    return Povm(outcomes=(*detect, inconclusive), labels=OUTCOME_LABELS)
+    detect = _outer(np.array(
+        [[(wmin / math.sqrt(3.0)) / w[n] * TAU ** (r * n) for n in range(3)] for r in range(3)]
+    ))
+    inconclusive = np.eye(3) - detect.sum(axis=0)
+    return Povm(outcomes=np.stack((*detect, inconclusive)), labels=OUTCOME_LABELS)
 
 
 def solve_weights(pair: CanonicalPair):
@@ -293,7 +307,7 @@ def flatten(seq: SequentialMeasurement) -> Povm:
     total = np.zeros((4, 9, 9), dtype=complex)
     for term in terms.reshape(7, 4, 9, 9):
         total += term
-    return Povm(outcomes=tuple(total), labels=OUTCOME_LABELS)
+    return Povm(outcomes=total, labels=OUTCOME_LABELS)
 
 
 def joint_states(sv: StateVectors) -> np.ndarray:
@@ -305,26 +319,23 @@ def verify_povm(p: Povm) -> PovmCheck:
     """Structural POVM validation.
 
     returns: PovmCheck margins
-    raises:  InvalidPovm on shape mismatch or a non-Hermitian outcome
+    raises:  InvalidPovm unless the outcomes form an (n, d, d) stack of
+             Hermitian matrices, n >= 1
     """
-    dim = None
-    min_eig = math.inf
-    for label, op in zip(p.labels, p.outcomes):
-        op = np.asarray(op)
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise InvalidPovm(f"outcome {label}: not square, shape {op.shape}")
-        if dim is None:
-            dim = op.shape[0]
-        elif op.shape[0] != dim:
-            raise InvalidPovm(f"outcome {label}: dimension {op.shape[0]} != {dim}")
-        try:
-            w, _ = hermitian_eigen(op)
-        except Exception as exc:
-            raise InvalidPovm(f"outcome {label}: {exc}") from exc
-        min_eig = min(min_eig, float(w[0]))
-    total = sum(np.asarray(op, dtype=complex) for op in p.outcomes)
-    completeness = float(np.max(np.abs(total - np.eye(dim))))
-    return PovmCheck(psd_margin=min_eig, completeness=completeness)
+    try:
+        ops = np.asarray(p.outcomes, dtype=complex)
+    except ValueError as exc:  # ragged
+        raise InvalidPovm(f"outcomes: {exc}") from exc
+    if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
+        raise InvalidPovm(f"outcomes: expected an (n, d, d) stack, got shape {ops.shape}")
+    try:
+        w, _ = hermitian_eigen(ops)
+    except NonHermitian as exc:
+        raise InvalidPovm(f"outcome {p.labels[exc.index]}: {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise InvalidPovm(f"outcomes: {exc}") from exc
+    completeness = float(np.max(np.abs(ops.sum(axis=0) - np.eye(ops.shape[1]))))
+    return PovmCheck(psd_margin=float(np.min(w[:, 0])), completeness=completeness)
 
 
 def verify_unambiguous(p: Povm, states):
@@ -335,35 +346,19 @@ def verify_unambiguous(p: Povm, states):
     returns: (success, residual) where residual is the largest
              probability of reporting r on a state r' != r
     """
-    states = np.asarray(states, dtype=complex)
-    success = 0.0
-    residual = 0.0
-    for r in range(3):
-        for rp in range(3):
-            prob = float(np.real(np.vdot(states[rp], p.outcomes[r] @ states[rp])))
-            if r == rp:
-                success += (1 / 3) * prob
-            else:
-                residual = max(residual, abs(prob))
+    q = _quad(p.outcomes[:3], states)
+    success = float(sum((1 / 3) * np.diagonal(q)))  # from 0.0, in outcome order
+    residual = float(np.max(np.abs(q[~np.eye(3, dtype=bool)])))
     return success, residual
 
 
-def _null_projector(vectors) -> np.ndarray:
-    """Projector onto the orthocomplement of the span of the given vectors."""
-    if not vectors:
-        return np.eye(3, dtype=complex)
-    gram = sum(np.outer(v, v.conj()) for v in vectors)
-    w, vv = hermitian_eigen(gram)
-    keep = [vv[:, i] for i in range(3) if w[i] < TOL.null_space]
-    out = np.zeros((3, 3), dtype=complex)
-    for v in keep:
-        out += np.outer(v, v.conj())
-    return out
-
-
-# states Bob may still report after each Alice label, in LABELS order;
-# exclude j lists (j+1, j+2), the order the witness is summed in
-_ALLOWED = ((0,), (1,), (2,), (1, 2), (2, 0), (0, 1), (0, 1, 2))
+# states Bob may still report after each Alice label, in LABELS order, as
+# rows of slot indices padded with 3 (a zero vector); exclude j lists
+# (j+1, j+2), the order the witness is summed in
+_ALLOWED = np.array([(0, 3, 3), (1, 3, 3), (2, 3, 3), (1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 1, 2)])
+# the states he can no longer report, likewise padded
+_BLOCKED = np.array([(1, 2), (0, 2), (0, 1), (0, 3), (1, 3), (2, 3), (3, 3)])
+_BLOCKED_MASK = (_BLOCKED[:, :, None] == np.arange(3)).any(axis=1)
 
 
 # A huge finite entry in a loaded file can overflow a margin to inf or NaN.
@@ -391,84 +386,87 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     raises: CertificateViolation naming every failed label and margin
     """
     x, y, perm = pair.x, pair.y, pair.perm
-    sv = state_vectors(pair)
+    a = np.vstack([state_vectors(pair).a, np.zeros(3)])  # row 3 pads the slot tables
+    rank_one = _outer(a)
     witness = np.diag([3.0 * x[n] ** 2 * y[perm[n]] ** 2 for n in range(3)]).astype(complex)
     level, _ = _offsets(pair.kb, y)
-    p_value = (1.0,) * 3 + (3.0 * level,) * 3 + (3.0 * y[2] ** 2,)
+    p_value = np.array((1.0,) * 3 + (3.0 * level,) * 3 + (3.0 * y[2] ** 2,))
 
-    psd_margin = {}
-    kernel_residual = {}
-    kernel_dim = {}
-    unambiguity = {}
+    # sums start from zero in slot order: bit-equal to the tests' per-label reference
+    terms = (p_value / 3.0)[:, None, None, None] * rank_one[_ALLOWED]
+    d = witness - terms[:, 0] - terms[:, 1] - terms[:, 2]
+    # the zero Gram matrix of defer has eigenvectors e_0, e_1, e_2: its
+    # projector is the identity exactly
+    w_gram, v_gram = hermitian_eigen(0.0 + rank_one[_BLOCKED[:, 0]] + rank_one[_BLOCKED[:, 1]])
+    free = w_gram < TOL.null_space
+    kept = np.where(free[:, :, None, None], _outer(np.swapaxes(v_gram, -2, -1)), 0.0)
+    proj = 0.0 + kept[:, 0] + kept[:, 1] + kept[:, 2]
+    g = proj @ d @ proj
+    g = (g + np.swapaxes(g, -2, -1).conj()) / 2.0
+    w, _ = hermitian_eigen(g)
+
+    a_norm = _frobenius(seq.alice)
+    active = ~(a_norm <= TOL.active)
+    residual = np.divide(_frobenius(g @ seq.alice), a_norm, out=np.zeros(7), where=active)
+    check_dim = active.copy()
+    check_dim[-1] &= _tie_branch(pair) != "PositiveRealB"  # defer keeps a larger kernel there
+    # the projector's rank is its count of free directions
+    dims = (np.abs(w) < TOL.kernel_zero).sum(axis=1) - (3 - free.sum(axis=1))
+    leaks = np.max(np.abs(_quad(seq.alice, a[:3])), axis=1, where=_BLOCKED_MASK, initial=0.0)
+    completeness = float(np.max(np.abs(seq.alice.sum(axis=0) - np.eye(3))))
+
     failures = []
-    for label, allowed, pv, a_op in zip(LABELS, _ALLOWED, p_value, seq.alice):
-        blocked = tuple(r for r in range(3) if r not in allowed)
-        d = witness.copy()
-        for r in allowed:
-            d -= (pv / 3.0) * np.outer(sv.a[r], sv.a[r].conj())
-        proj = _null_projector([sv.a[r] for r in blocked])
-        g = proj @ d @ proj
-        g = (g + g.conj().T) / 2.0
-        w, _ = hermitian_eigen(g)
-        psd_margin[label] = float(w[0])
-        if not w[0] >= -TOL.psd:
-            failures.append(f"{label}: witness eigenvalue {w[0]:.3e}")
-
-        a_norm = float(np.linalg.norm(a_op))
-        active = not a_norm <= TOL.active
-        if active:
-            kernel_residual[label] = float(np.linalg.norm(g @ a_op) / a_norm)
-            if not kernel_residual[label] <= TOL.kernel_resid:
-                failures.append(f"{label}: kernel residual {kernel_residual[label]:.3e}")
-        else:
-            kernel_residual[label] = 0.0
-
-        check_dim = active and (label != "defer" or _tie_branch(pair) != "PositiveRealB")
-        if check_dim:
-            rank_proj = int(round(float(np.trace(proj).real)))
-            near_zero = int(np.sum(np.abs(w) < TOL.kernel_zero))
-            dim_in = near_zero - (3 - rank_proj)
-            kernel_dim[label] = dim_in
-            if dim_in != 1:
-                failures.append(f"{label}: kernel dimension {dim_in} != 1")
-
-        leaks = [abs(float(np.real(np.vdot(sv.a[r], a_op @ sv.a[r])))) for r in blocked]
-        leak = float(np.max(leaks, initial=0.0))  # a NaN propagates, unlike max()
-        unambiguity[label] = leak
-        if not leak <= TOL.leak:
-            failures.append(f"{label}: unambiguity leak {leak:.3e}")
-
-    completeness = float(np.max(np.abs(sum(seq.alice) - np.eye(3))))
+    for i, label in enumerate(LABELS):
+        if not w[i, 0] >= -TOL.psd:
+            failures.append(f"{label}: witness eigenvalue {w[i, 0]:.3e}")
+        if not residual[i] <= TOL.kernel_resid:  # 0.0 for an unused operator
+            failures.append(f"{label}: kernel residual {residual[i]:.3e}")
+        if check_dim[i] and dims[i] != 1:
+            failures.append(f"{label}: kernel dimension {dims[i]} != 1")
+        if not leaks[i] <= TOL.leak:
+            failures.append(f"{label}: unambiguity leak {leaks[i]:.3e}")
     if not completeness <= TOL.completeness:
         failures.append(f"completeness residual {completeness:.3e}")
 
     if failures:
         raise CertificateViolation("; ".join(failures))
     return CertificateReport(
-        psd_margin=psd_margin,
-        kernel_residual=kernel_residual,
-        kernel_dim=kernel_dim,
+        psd_margin=dict(zip(LABELS, w[:, 0].tolist())),
+        kernel_residual=dict(zip(LABELS, residual.tolist())),
+        kernel_dim={label: int(n) for label, n, c in zip(LABELS, dims, check_dim) if c},
         completeness=completeness,
-        unambiguity=unambiguity,
+        unambiguity=dict(zip(LABELS, leaks.tolist())),
     )
 
 
-def _outcome_probs(p: Povm, state) -> list[float]:
-    """<state|E|state> per outcome E, rounding noise below zero clipped."""
-    state = np.asarray(state, dtype=complex)
-    return [max(float(np.real(np.vdot(state, op @ state))), 0.0) for op in p.outcomes]
+def _frobenius(ops) -> np.ndarray:
+    """np.linalg.norm of each matrix in a stack, bit for bit: the square
+    root of re.re + im.im as dot products."""
+    flat = ops.reshape(len(ops), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ np.swapaxes(re, -2, -1) + im @ np.swapaxes(im, -2, -1))[:, 0, 0]
+
+
+def _outcome_probs(p: Povm, state) -> np.ndarray:
+    """<state|E|state> per outcome E, rounding noise below zero clipped
+    (as max(prob, 0.0) clips: a NaN or a -0.0 passes through)."""
+    probs = _quad(p.outcomes, np.asarray(state)[None])[:, 0]
+    return np.where(0.0 > probs, 0.0, probs)
 
 
 def sample_outcomes(p: Povm, state, shots, seed):
     """Multinomial outcome counts for repeated measurement of one state.
 
     returns: integer array, one count per outcome, summing to shots
-    raises:  InvalidPovm if the outcome probabilities do not sum to 1
+    raises:  DomainError unless 0 <= shots <= _MAX_SHOTS and seed >= 0;
+             InvalidPovm if the outcome probabilities do not sum to 1
     """
-    shots = int(shots)
-    if shots < 0:
-        raise DomainError(f"shots must be >= 0, got {shots}")
-    probs = np.array(_outcome_probs(p, state))
+    shots, seed = int(shots), int(seed)
+    if not 0 <= shots <= _MAX_SHOTS:
+        raise DomainError(f"shots must be in [0, {_MAX_SHOTS}], got {shots}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    probs = _outcome_probs(p, state)
     total = float(probs.sum())
     if not abs(total - 1.0) <= TOL.prob_sum:  # NaN fails too
         raise InvalidPovm(f"outcome probabilities sum to {total:.12g}")
@@ -554,10 +552,10 @@ def load_povm(path) -> LoadedMeasurement:
         labels = tuple(entry["label"] for entry in raw_outcomes)
         if labels != OUTCOME_LABELS:
             raise InvalidPovm(f"unexpected outcome labels {list(labels)}")
-        outcomes = tuple(
+        outcomes = np.stack([
             _from_json(entry["matrix"], (9, 9), f"outcome {i}")
             for i, entry in enumerate(raw_outcomes)
-        )
+        ])
         meta = doc["meta"]
         if not isinstance(meta, dict):
             raise InvalidPovm("meta: expected a JSON object")

@@ -399,6 +399,10 @@ def test_simulate_bad_arguments(tmp_path, capsys):
                 "--seed", "0"]) == 64
     assert run(["simulate", "--povm", str(tmp_path / "no.json"), "--state", "0",
                 "--shots", "10", "--seed", "0"]) == 65
+    # the arguments are checked before the file is read
+    assert run(["simulate", "--povm", str(tmp_path / "no.json"), "--state", "0",
+                "--shots", "1", "--seed", "-1"]) == 64
+    assert run(["verify", str(tmp_path / "no.json"), "--ka", "0.5", "0.1"]) == 64
     capsys.readouterr()
 
 
@@ -535,6 +539,16 @@ def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_fi
     captured = capsys.readouterr()
     assert code == 1
     assert "FAIL psd: outcome 0: symmetry residual" in captured.out
+    assert captured.err == ""
+
+    # the stacked check names the failing outcome by its label
+    doc = json.loads(psk_file)
+    doc["outcomes"][3]["matrix"][0][1] = [0.3, 0.0]
+    bad.write_text(json.dumps(doc))
+    code = run(["verify", str(bad), "--psk", "0.3", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FAIL psd: outcome inconclusive: symmetry residual" in captured.out
     assert captured.err == ""
 
     # outcome probabilities that do not sum to one make simulate refuse the file

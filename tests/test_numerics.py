@@ -81,6 +81,26 @@ def test_eigen_rejects_non_square():
         hermitian_eigen(np.ones((2, 3)))
 
 
+def test_eigen_on_a_stack():
+    rng = np.random.default_rng(43)
+    m = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    stack = m + np.swapaxes(m, -2, -1).conj()
+    w, v = hermitian_eigen(stack)
+    assert w.shape == (5, 4) and v.shape == (5, 4, 4)
+    for h, got in zip(stack, w):
+        assert got.tobytes() == hermitian_eigen(h)[0].tobytes()
+    with pytest.raises(NonHermitian) as one:
+        hermitian_eigen(stack[0] + np.triu(np.ones((4, 4)), 1))
+    assert one.value.index == 0
+
+    skewed = stack.copy()
+    skewed[3, 0, 2] += 0.25
+    skewed[4, 1, 0] += 0.5  # a later failure is not the one named
+    with pytest.raises(NonHermitian, match="symmetry residual 2.500e-01") as many:
+        hermitian_eigen(skewed)
+    assert many.value.index == 3
+
+
 def test_solve3_identity():
     assert solve3(np.eye(3), (1.0, 1.0, 1.0)) == (1.0, 1.0, 1.0)
 

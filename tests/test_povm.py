@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import random_overlap, random_pair
 from triseq import (
     BRANCHES,
+    TOL,
     amplitudes_from_overlap,
     binary_unambiguous,
     build_sequential,
@@ -23,6 +24,7 @@ from triseq import (
     dual_certificate,
     flatten,
     global_optimum,
+    hermitian_eigen,
     joint_states,
     load_povm,
     sample_outcomes,
@@ -40,7 +42,8 @@ from triseq.errors import (
     InvalidPovm,
     NotGloballyOptimal,
 )
-from triseq.povm import LABELS, OUTCOME_LABELS, Povm
+from triseq.optimality import _offsets, _tie_branch
+from triseq.povm import _MAX_SHOTS, LABELS, OUTCOME_LABELS, CertificateReport, Povm, _quad
 from triseq.serialize import json_dumps
 from triseq.states import TAU, frame
 
@@ -311,6 +314,10 @@ def test_sample_outcomes_validates():
     eye = Povm(outcomes=(np.eye(2, dtype=complex),), labels=("only",))
     with pytest.raises(DomainError):
         sample_outcomes(eye, [1, 0], -5, seed=0)
+    with pytest.raises(DomainError):
+        sample_outcomes(eye, [1, 0], 100, seed=-1)
+    with pytest.raises(DomainError):
+        sample_outcomes(eye, [1, 0], _MAX_SHOTS + 1, seed=0)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -428,6 +435,68 @@ def _ref_flatten(seq):
     return outcomes
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _ref_dual_certificate(pair, seq):
+    """dual_certificate as the per-label loop spelled it, with one
+    null-space projector and two eigensolves per label."""
+
+    def null_projector(vectors):
+        if not vectors:
+            return np.eye(3, dtype=complex)
+        gram = sum(np.outer(v, v.conj()) for v in vectors)
+        w, vv = hermitian_eigen(gram)
+        out = np.zeros((3, 3), dtype=complex)
+        for i in range(3):
+            if w[i] < TOL.null_space:
+                out += np.outer(vv[:, i], vv[:, i].conj())
+        return out
+
+    x, y, perm = pair.x, pair.y, pair.perm
+    sv = state_vectors(pair)
+    witness = np.diag([3.0 * x[n] ** 2 * y[perm[n]] ** 2 for n in range(3)]).astype(complex)
+    level, _ = _offsets(pair.kb, y)
+    p_value = (1.0,) * 3 + (3.0 * level,) * 3 + (3.0 * y[2] ** 2,)
+    allowed_sets = ((0,), (1,), (2,), (1, 2), (2, 0), (0, 1), (0, 1, 2))
+    psd_margin, kernel_residual, kernel_dim, unambiguity = {}, {}, {}, {}
+    failures = []
+    for label, allowed, pv, a_op in zip(LABELS, allowed_sets, p_value, seq.alice):
+        blocked = tuple(r for r in range(3) if r not in allowed)
+        d = witness.copy()
+        for r in allowed:
+            d -= (pv / 3.0) * np.outer(sv.a[r], sv.a[r].conj())
+        proj = null_projector([sv.a[r] for r in blocked])
+        g = proj @ d @ proj
+        g = (g + g.conj().T) / 2.0
+        w, _ = hermitian_eigen(g)
+        psd_margin[label] = float(w[0])
+        if not w[0] >= -TOL.psd:
+            failures.append(f"{label}: witness eigenvalue {w[0]:.3e}")
+        a_norm = float(np.linalg.norm(a_op))
+        active = not a_norm <= TOL.active
+        if active:
+            kernel_residual[label] = float(np.linalg.norm(g @ a_op) / a_norm)
+            if not kernel_residual[label] <= TOL.kernel_resid:
+                failures.append(f"{label}: kernel residual {kernel_residual[label]:.3e}")
+        else:
+            kernel_residual[label] = 0.0
+        if active and (label != "defer" or _tie_branch(pair) != "PositiveRealB"):
+            rank_proj = int(round(float(np.trace(proj).real)))
+            dim_in = int(np.sum(np.abs(w) < TOL.kernel_zero)) - (3 - rank_proj)
+            kernel_dim[label] = dim_in
+            if dim_in != 1:
+                failures.append(f"{label}: kernel dimension {dim_in} != 1")
+        leaks = [abs(float(np.real(np.vdot(sv.a[r], a_op @ sv.a[r])))) for r in blocked]
+        unambiguity[label] = float(np.max(leaks, initial=0.0))
+        if not unambiguity[label] <= TOL.leak:
+            failures.append(f"{label}: unambiguity leak {unambiguity[label]:.3e}")
+    completeness = float(np.max(np.abs(sum(seq.alice) - np.eye(3))))
+    if not completeness <= TOL.completeness:
+        failures.append(f"completeness residual {completeness:.3e}")
+    if failures:
+        raise CertificateViolation("; ".join(failures))
+    return CertificateReport(psd_margin, kernel_residual, kernel_dim, completeness, unambiguity)
+
+
 def _ref_matrix_from_json(data):
     return np.array([[complex(float(e[0]), float(e[1])) for e in row] for row in data])
 
@@ -475,6 +544,64 @@ def test_codec_matches_elementwise_reference(tmp_path):
     assert set(routes) == {
         "Inequality", "PositiveRealA", "PositiveRealB", "Orthogonal", "Orthogonal/bob-only"
     }, routes
+
+
+def _certify(certify, pair, seq):
+    """The report's fields, or the failure string, as exact text."""
+    try:
+        return repr(certify(pair, seq))
+    except CertificateViolation as exc:
+        return f"violation: {exc}"
+
+
+def test_certificate_matches_per_label_reference():
+    rng = np.random.default_rng(72)
+    tiny = lambda: complex(*rng.uniform(-1e-10, 1e-10, size=2))  # noqa: E731
+    draws = (
+        lambda: random_pair(rng),
+        lambda: (complex(rng.uniform(0.02, 0.95)), random_overlap(rng)),
+        lambda: (random_overlap(rng), complex(rng.uniform(0.02, 0.95))),
+        lambda: (tiny(), random_overlap(rng)),  # Orthogonal with a canonical form
+    )
+    branches = {}
+    i = 0
+    while sum(branches.values()) < 60:
+        ka, kb = draws[i % len(draws)]()
+        i += 1
+        try:
+            report, seq, _, _ = construct(ka, kb)
+        except NotGloballyOptimal:
+            continue
+        pair = frame(ka, kb)[0]
+        branches[report.branch] = branches.get(report.branch, 0) + 1
+        scaled, huge = seq.alice.copy(), seq.alice.copy()
+        scaled[i % 7] *= 1.001
+        huge[i % 7, 0, 0] = 1e308
+        cases = (
+            (pair, seq),
+            (pair, dataclasses.replace(seq, alice=scaled)),
+            (canonicalize(*random_pair(rng)), seq),
+            (pair, dataclasses.replace(seq, alice=huge)),
+        )
+        for case in cases:
+            assert _certify(dual_certificate, *case) == _certify(_ref_dual_certificate, *case)
+    assert set(branches) == {"Inequality", "PositiveRealA", "PositiveRealB", "Orthogonal"}
+
+
+def test_quadratic_form_matches_vdot():
+    # one table serves verify_unambiguous, the simulated probabilities and the leaks
+    rng = np.random.default_rng(74)
+    built = 0
+    while built < 20:
+        try:
+            _, seq, sv, success = construct(*random_pair(rng))
+        except NotGloballyOptimal:
+            continue
+        built += 1
+        flat, states = flatten(seq), joint_states(sv)
+        want = [[float(np.real(np.vdot(s, op @ s))) for s in states] for op in flat.outcomes]
+        assert _quad(flat.outcomes, states).tolist() == want
+        assert success == sum((1 / 3) * want[r][r] for r in range(3))
 
 
 def test_writer_spells_edge_entries_as_the_reference(tmp_path):
