@@ -47,32 +47,32 @@ from .povm import (
     Povm,
     PovmCheck,
     SequentialMeasurement,
+    StateVectors,
     binary_unambiguous,
     build_sequential,
     construct,
     dual_certificate,
     flatten,
+    frame,
     joint_states,
     load_povm,
     sample_outcomes,
     save_povm,
     solve_weights,
+    state_vectors,
     ternary_unambiguous,
     verify_povm,
     verify_unambiguous,
 )
 from .states import (
     CanonicalPair,
-    StateVectors,
     Transform,
     amplitudes_from_overlap,
     canonicalize,
     coherent_overlap,
-    frame,
     lifted_trine_overlap,
     ppm_overlap,
     psk_overlap,
-    state_vectors,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

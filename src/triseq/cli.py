@@ -43,6 +43,7 @@ from .povm import (
     construct,
     dual_certificate,
     flatten,
+    frame,
     joint_states,
     load_povm,
     sample_outcomes,
@@ -51,7 +52,7 @@ from .povm import (
     verify_unambiguous,
 )
 from .serialize import fmt_float, json_dumps
-from .states import frame, lifted_trine_overlap, ppm_overlap, psk_overlap
+from .states import lifted_trine_overlap, ppm_overlap, psk_overlap
 
 import numpy as np
 

@@ -15,7 +15,10 @@ operators use components 1/(x_n z), and the defer operator sits on the
 basis slot carrying the minimal joint amplitude.  The three weights
 (u_1, u_2, u_3) are fixed by her completeness relation, a real 3x3
 system; nonnegativity of its solution is exactly the optimality verdict,
-so a negative weight raises NotGloballyOptimal.
+so a negative weight raises NotGloballyOptimal.  `frame` pairs the
+canonical orientation with its state vectors, the amplitude rows times
+PHASE[r, n] = tau^(r n), and falls back to the raw amplitudes when Bob's
+overlap is numerically zero and no such orientation exists.
 
 `dual_certificate` re-proves optimality independently of how the
 measurement was built: for each label it projects the dual witness
@@ -36,6 +39,7 @@ from .errors import (
     DegenerateStates,
     DomainError,
     InvalidPovm,
+    NoCanonicalForm,
     NonHermitian,
     NotGloballyOptimal,
     SingularSystem,
@@ -43,7 +47,7 @@ from .errors import (
 from .numerics import TOL, hermitian_eigen, solve3
 from .optimality import BRANCHES, _offsets, _tie_branch, check_global_optimality, global_optimum
 from .serialize import array_json, json_dumps
-from .states import TAU, CanonicalPair, StateVectors, frame, state_vectors
+from .states import TAU, CanonicalPair, _orient, _validated
 
 LABELS = (
     "announce0",
@@ -60,6 +64,8 @@ OUTCOME_LABELS = ("0", "1", "2", "inconclusive")
 # numpy's multinomial counts are int64
 _MAX_SHOTS = 2**63 - 1
 
+PHASE = np.array([[TAU ** (r * n) for n in range(3)] for r in range(3)])
+
 
 @dataclass(frozen=True)
 class Povm:
@@ -72,6 +78,14 @@ class Povm:
     @property
     def dim(self) -> int:
         return self.outcomes.shape[-1]
+
+
+@dataclass(frozen=True)
+class StateVectors:
+    """Component vectors of the three states; row r of `a` is Alice's a_r."""
+
+    a: np.ndarray
+    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,6 +140,40 @@ def _quad(ops, states) -> np.ndarray:
     return (states.conj()[None, :, None, :] @ kets)[..., 0, 0].real
 
 
+def _phase_over(d) -> np.ndarray:
+    """PHASE / d for a real row d, part by part as Python divides a complex by
+    a float: numpy's division differs in the last bit, and re + 1j * im loses -0.0."""
+    return np.stack((PHASE.real / d, PHASE.imag / d), -1).view(complex)[..., 0]
+
+
+def _vectors(x, y) -> StateVectors:
+    return StateVectors(a=np.array(x) * PHASE, b=np.array(y) * PHASE)
+
+
+def state_vectors(pair: CanonicalPair) -> StateVectors:
+    """Explicit component vectors a_r, b_r for a canonical pair.
+
+    post: rows are unit vectors and <v_r|v_{r+1}> equals the canonical
+          overlap on each side
+    """
+    return _vectors(pair.x, pair.y)
+
+
+def frame(ka, kb) -> tuple[CanonicalPair | None, StateVectors]:
+    """The orientation every measurement on this overlap pair is built in.
+
+    returns: (pair, state_vectors(pair)), or (None, vectors from the raw
+             amplitudes of ka, kb) when no canonical form exists
+    raises:  DegenerateStates / RankDeficient from state validation
+    """
+    ka, kb, x, y = _validated(ka, kb)
+    try:
+        pair = _orient(ka, kb, x, y)
+    except NoCanonicalForm:
+        return None, _vectors(x, y)
+    return pair, state_vectors(pair)
+
+
 def binary_unambiguous(u, v) -> Povm:
     """Optimal unambiguous discrimination of two pure states.
 
@@ -162,10 +210,7 @@ def ternary_unambiguous(w) -> Povm:
     w = tuple(float(v) for v in w)
     if min(w) <= 0.0:
         raise DomainError(f"amplitudes must be positive, got {w}")
-    wmin = min(w)
-    detect = _outer(np.array(
-        [[(wmin / math.sqrt(3.0)) / w[n] * TAU ** (r * n) for n in range(3)] for r in range(3)]
-    ))
+    detect = _outer((min(w) / math.sqrt(3.0)) / np.array(w) * PHASE)
     inconclusive = np.eye(3) - detect.sum(axis=0)
     return Povm(outcomes=np.stack((*detect, inconclusive)), labels=OUTCOME_LABELS)
 
@@ -252,15 +297,10 @@ def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
 
     _, z = _offsets(pair.kb, y)
     alice = np.zeros((7, 3, 3), dtype=complex)
-    for j in range(3):
-        vec1 = np.array([TAU ** (j * n) / x[n] for n in range(3)])
-        alice[j] = (u[0] / 3.0) * np.outer(vec1, vec1.conj())
-        if u[1] > 0:
-            vec2 = np.array([TAU ** (j * n) / (x[n] * z[perm[n]]) for n in range(3)])
-            alice[3 + j] = (u[1] / 3.0) * np.outer(vec2, vec2.conj())
-    slot = np.zeros(3, dtype=complex)
-    slot[perm[2]] = 1.0
-    alice[6] = u[2] * np.outer(slot, slot.conj())
+    alice[:3] = (u[0] / 3.0) * _outer(_phase_over(x))
+    if u[1] > 0:
+        alice[3:6] = (u[1] / 3.0) * _outer(_phase_over(x * np.array(z)[list(perm)]))
+    alice[6] = u[2] * _outer(np.eye(3)[perm[2]])
     return SequentialMeasurement(
         alice=alice, bob=_bob_stack(y, state_vectors(pair).b), weights=u, branch=branch
     )
@@ -312,7 +352,7 @@ def flatten(seq: SequentialMeasurement) -> Povm:
 
 def joint_states(sv: StateVectors) -> np.ndarray:
     """Rows are the three product states a_r (x) b_r."""
-    return np.array([np.kron(sv.a[r], sv.b[r]) for r in range(3)])
+    return (sv.a[:, :, None] * sv.b[:, None, :]).reshape(3, 9)
 
 
 def verify_povm(p: Povm) -> PovmCheck:
@@ -320,7 +360,7 @@ def verify_povm(p: Povm) -> PovmCheck:
 
     returns: PovmCheck margins
     raises:  InvalidPovm unless the outcomes form an (n, d, d) stack of
-             Hermitian matrices, n >= 1
+             Hermitian matrices, n >= 1, with one label each
     """
     try:
         ops = np.asarray(p.outcomes, dtype=complex)
@@ -328,6 +368,8 @@ def verify_povm(p: Povm) -> PovmCheck:
         raise InvalidPovm(f"outcomes: {exc}") from exc
     if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
         raise InvalidPovm(f"outcomes: expected an (n, d, d) stack, got shape {ops.shape}")
+    if len(p.labels) != len(ops):
+        raise InvalidPovm(f"{len(p.labels)} labels for {len(ops)} outcomes")
     try:
         w, _ = hermitian_eigen(ops)
     except NonHermitian as exc:

@@ -16,9 +16,7 @@ descending and Alice's minimal weight in the last slot.  `canonicalize`
 finds it by searching the 18 relabelings that leave the discrimination
 problem invariant (rotating either overlap by tau and conjugating both
 jointly), keeping the first hit in a fixed search order so equal inputs
-always produce identical output.  `frame` pairs it with the state
-vectors, and falls back to the raw amplitudes when Bob's overlap is
-numerically zero and no such orientation exists.
+always produce identical output.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DegenerateStates, DomainError, NoCanonicalForm, RankDeficient
 from .numerics import TOL
@@ -66,14 +62,6 @@ class CanonicalPair:
     record: Transform
 
 
-@dataclass(frozen=True)
-class StateVectors:
-    """Component vectors of the three states; row r of `a` is Alice's a_r."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-
 def _check_overlap(k) -> complex:
     k = complex(k)
     if not cmath.isfinite(k):
@@ -89,7 +77,15 @@ def coherent_overlap(alpha, beta) -> complex:
     """Overlap <alpha|beta> of two coherent states of one bosonic mode."""
     alpha = complex(alpha)
     beta = complex(beta)
-    return cmath.exp(-abs(alpha) ** 2 / 2 - abs(beta) ** 2 / 2 + alpha.conjugate() * beta)
+    return cmath.exp(-_intensity(alpha) / 2 - _intensity(beta) / 2 + alpha.conjugate() * beta)
+
+
+def _intensity(amplitude: complex) -> float:
+    # |amplitude|^2; beyond about 1.34e154 it overflows the float range
+    try:
+        return abs(amplitude) ** 2
+    except OverflowError:
+        raise DomainError(f"coherent amplitude {amplitude!r} is too large") from None
 
 
 def psk_overlap(s) -> complex:
@@ -226,32 +222,3 @@ def _orient(ka: complex, kb: complex, x0, y0) -> CanonicalPair:
                     )
     raise NoCanonicalForm("Bob's amplitudes cannot be separated; kb is numerically 0")
 
-
-def _vectors(x, y) -> StateVectors:
-    a = np.array([[x[n] * TAU ** (r * n) for n in range(3)] for r in range(3)])
-    b = np.array([[y[n] * TAU ** (r * n) for n in range(3)] for r in range(3)])
-    return StateVectors(a=a, b=b)
-
-
-def state_vectors(pair: CanonicalPair) -> StateVectors:
-    """Explicit component vectors a_r, b_r for a canonical pair.
-
-    post: rows are unit vectors and <v_r|v_{r+1}> equals the canonical
-          overlap on each side
-    """
-    return _vectors(pair.x, pair.y)
-
-
-def frame(ka, kb) -> tuple[CanonicalPair | None, StateVectors]:
-    """The orientation every measurement on this overlap pair is built in.
-
-    returns: (pair, state_vectors(pair)), or (None, vectors from the raw
-             amplitudes of ka, kb) when no canonical form exists
-    raises:  DegenerateStates / RankDeficient from state validation
-    """
-    ka, kb, x, y = _validated(ka, kb)
-    try:
-        pair = _orient(ka, kb, x, y)
-    except NoCanonicalForm:
-        return None, _vectors(x, y)
-    return pair, state_vectors(pair)

@@ -1,0 +1,171 @@
+"""One SHA-256 over the command-line output for a fixed set of seeded inputs.
+
+Runs `check`, `construct`, `verify` and `simulate` on seeded overlap pairs,
+then `scan` in its three modes and `curve`, all in one process through
+`triseq.cli.main`. The digest covers every exit code, stdout, stderr and
+written file. The pairs reach every decision branch and both Orthogonal
+routes (with and without a canonical form). Each built measurement is
+verified against its own pair and a wrong one, and again after three
+kinds of tampering. It is then simulated for every state.
+
+A refactor meant to change no output checks itself by running
+
+    python tests/cli_digest.py
+
+in the parent checkout and in the change, and comparing the digests.
+Output files use relative names inside a temporary working directory, so
+two checkouts digest alike. pytest does not collect this file.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+from collections import Counter
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
+
+import numpy as np  # noqa: E402
+
+from helpers import random_overlap, random_pair  # noqa: E402
+from triseq.cli import main  # noqa: E402
+
+PAIRS = 1500
+SEED = 2024
+
+
+def _arg(x: float) -> str:
+    return repr(float(x))
+
+
+def _pair_args(ka: complex, kb: complex) -> list:
+    return ["--ka", _arg(ka.real), _arg(ka.imag), "--kb", _arg(kb.real), _arg(kb.imag)]
+
+
+def _near_axis(rng) -> complex:
+    """A modulus on one of the six tie axes, turned 1e-14 to 1e-6 rad off it."""
+    turn = rng.integers(6) * np.pi / 3 + rng.choice((-1, 1)) * 10 ** rng.uniform(-14, -6)
+    return complex(rng.uniform(0.02, 0.95) * np.exp(1j * turn))
+
+
+def _draws(rng):
+    tiny = lambda: complex(*rng.uniform(-1e-10, 1e-10, size=2))  # noqa: E731
+    real = lambda: complex(rng.uniform(-0.45, 0.95))  # noqa: E731
+    return (
+        lambda: random_pair(rng),
+        lambda: (real(), random_overlap(rng)),  # PositiveRealA
+        lambda: (random_overlap(rng), real()),  # PositiveRealB
+        lambda: (random_overlap(rng), tiny()),  # Orthogonal, no canonical form
+        lambda: (tiny(), random_overlap(rng)),  # Orthogonal with a canonical form
+        lambda: (_near_axis(rng), random_overlap(rng)),
+        lambda: (random_overlap(rng), _near_axis(rng)),
+    )
+
+
+def _modes(rng, i):
+    """Argument lists in the other overlap modes, and edge and usage errors."""
+    every = (
+        lambda: ["--psk", _arg(rng.uniform(0.0, 4.0)), _arg(rng.uniform(0.0, 4.0))],
+        lambda: ["--trine", _arg(rng.uniform(-0.1, 1.1))],
+        lambda: ["--ppm", *map(_arg, rng.uniform(-2.0, 2.0, size=4))],
+        lambda: _pair_args(complex(rng.uniform(-1.1, 1.1)), random_overlap(rng)),
+        lambda: ["--ka", "0.3", "0"],
+    )
+    return every[i % len(every)]()
+
+
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.runs = 0
+
+    def run(self, argv, written=()):
+        """Run one command, digest what it printed and wrote; returns
+        (exit code, stdout)."""
+        for name in written:
+            Path(name).unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a traceback is output too
+                code = f"raised {type(exc).__name__}: {exc}"
+        self.runs += 1
+        # a warning's text, not the source line it names
+        caught = [(w.category.__name__, str(w.message)) for w in caught]
+        self.sha.update(repr((argv, code, out.getvalue(), err.getvalue(), caught)).encode())
+        for name in written:
+            path = Path(name)
+            self.sha.update(path.read_bytes() if path.exists() else b"<none>")
+        return code, out.getvalue()
+
+
+def _tampered(text, i):
+    """Three edits of a measurement file: a scaled Alice label, one
+    non-Hermitian outcome entry, and a 1e308 Alice entry."""
+    scaled, skew, huge = (json.loads(text) for _ in range(3))
+    alice = scaled["sequential"]["alice"]
+    label = list(alice)[i % 7]
+    alice[label] = [[[1.001 * v for v in entry] for entry in row] for row in alice[label]]
+    skew["outcomes"][i % 4]["matrix"][0][1][0] += 1e-3
+    huge["sequential"]["alice"][label][0][0] = [1e308, 0.0]
+    return [json.dumps(d) for d in (scaled, skew, huge)]
+
+
+def main_digest():
+    rng = np.random.default_rng(SEED)
+    draws = _draws(rng)
+    digest = Digest()
+    routes = Counter()
+    for i in range(PAIRS):
+        ka, kb = draws[i % len(draws)]()
+        pair = _pair_args(ka, kb)
+        code, out = digest.run(["check", *pair])
+        if code in (0, 1):
+            branch = json.loads(out)["branch"]
+            if branch == "Orthogonal":  # Bob alone has no canonical form
+                branch += "/kb~0" if abs(kb) < abs(ka) else "/ka~0"
+            routes[branch] += 1
+        code, _ = digest.run(["construct", *pair, "--out", "m.json"], written=["m.json"])
+        if code != 0:
+            continue
+        routes["built"] += 1
+        text = Path("m.json").read_text()
+        digest.run(["verify", "m.json", *pair])
+        digest.run(["verify", "m.json", *_pair_args(*random_pair(rng))])
+        for state in range(3):
+            digest.run(["simulate", "--povm", "m.json", "--state", str(state),
+                        "--shots", str(10 ** (1 + i % 5)), "--seed", str(i)])
+        for bad in _tampered(text, i):
+            Path("bad.json").write_text(bad)
+            digest.run(["verify", "bad.json", *pair])
+    for i in range(300):
+        args = _modes(rng, i)
+        digest.run(["check", *args])
+        digest.run(["construct", *args, "--out", "m.json"], written=["m.json"])
+    digest.run(["simulate", "--povm", "missing.json", "--state", "0", "--shots", "1",
+                "--seed", "0"])
+    for mode in ("complex-k", "psk-grid", "copies"):
+        digest.run(["scan", "--mode", mode, "--resolution", "40", "--out", "scan.csv"],
+                   written=["scan.csv"])
+    digest.run(["curve", "--s-max", "3", "--step", "0.005", "--out", "curve.csv"],
+               written=["curve.csv"])
+    counts = " ".join(f"{k}={v}" for k, v in sorted(routes.items()))
+    print(f"{digest.sha.hexdigest()}  runs={digest.runs} pairs={PAIRS} {counts}")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        main_digest()

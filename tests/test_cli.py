@@ -107,6 +107,10 @@ def test_domain_errors_map_to_64():
     assert run(["check", "--ka", "-0.5", "0", "--kb", "0.3", "0"]) == 64  # rank drop
     assert run(["check", "--trine", "1.5"]) == 64
     assert run(["check", "--psk", "-1", "1"]) == 64
+    # |alpha|^2 beyond the float range
+    assert run(["check", "--ppm", "1e200", "0", "0", "0"]) == 64
+    assert run(["check", "--ppm", "1e200", "0", "1e200", "0"]) == 64
+    assert run(["construct", "--ppm", "1e200", "0", "0", "0", "--out", os.devnull]) == 64
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):

@@ -23,6 +23,7 @@ from triseq import (
     construct,
     dual_certificate,
     flatten,
+    frame,
     global_optimum,
     hermitian_eigen,
     joint_states,
@@ -45,7 +46,7 @@ from triseq.errors import (
 from triseq.optimality import _offsets, _tie_branch
 from triseq.povm import _MAX_SHOTS, LABELS, OUTCOME_LABELS, CertificateReport, Povm, _quad
 from triseq.serialize import json_dumps
-from triseq.states import TAU, frame
+from triseq.states import TAU
 
 FIG_K = 0.2 * cmath.exp(1j * cmath.pi / 10)
 
@@ -284,6 +285,8 @@ def test_verify_povm_structural_errors():
     skew = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(InvalidPovm):
         verify_povm(Povm(outcomes=(skew,), labels=("a",)))
+    with pytest.raises(InvalidPovm):  # a non-Hermitian outcome past the last label
+        verify_povm(Povm(outcomes=(np.eye(2, dtype=complex), skew), labels=("a",)))
 
 
 def test_verify_povm_margins_reported():
@@ -433,6 +436,90 @@ def _ref_flatten(seq):
             total += np.kron(seq.alice[i], seq.bob[i, r])
         outcomes.append(total)
     return outcomes
+
+
+def _ref_vectors(x, y):
+    """state_vectors as the per-index comprehensions spelled it."""
+    a = np.array([[x[n] * TAU ** (r * n) for n in range(3)] for r in range(3)])
+    b = np.array([[y[n] * TAU ** (r * n) for n in range(3)] for r in range(3)])
+    return a, b
+
+
+def _ref_joint_states(sv):
+    """joint_states as the np.kron loop spelled it."""
+    return np.array([np.kron(sv.a[r], sv.b[r]) for r in range(3)])
+
+
+def _ref_ternary_detect(w):
+    """ternary_unambiguous's three detect operators, per index."""
+    rows = [[(min(w) / math.sqrt(3.0)) / w[n] * TAU ** (r * n) for n in range(3)]
+            for r in range(3)]
+    return [np.outer(row, np.conj(row)) for row in map(np.array, rows)]
+
+
+def _ref_alice(pair, u):
+    """Alice's weight-system instrument as the per-label np.outer loop built it."""
+    x, perm = pair.x, pair.perm
+    _, z = _offsets(pair.kb, pair.y)
+    alice = np.zeros((7, 3, 3), dtype=complex)
+    for j in range(3):
+        vec1 = np.array([TAU ** (j * n) / x[n] for n in range(3)])
+        alice[j] = (u[0] / 3.0) * np.outer(vec1, vec1.conj())
+        if u[1] > 0:
+            vec2 = np.array([TAU ** (j * n) / (x[n] * z[perm[n]]) for n in range(3)])
+            alice[3 + j] = (u[1] / 3.0) * np.outer(vec2, vec2.conj())
+    slot = np.zeros(3, dtype=complex)
+    slot[perm[2]] = 1.0
+    alice[6] = u[2] * np.outer(slot, slot.conj())
+    return alice
+
+
+def _assert_bits(got, want):
+    """Equal bit for bit, the sign of every zero included."""
+    got = np.asarray(got, dtype=complex).view(float)
+    want = np.asarray(want, dtype=complex).view(float)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_phase_table_builds_as_the_per_index_reference():
+    rng = np.random.default_rng(75)
+    tiny = lambda: complex(*rng.uniform(-1e-10, 1e-10, size=2))  # noqa: E731
+    draws = (
+        lambda: random_pair(rng),
+        lambda: (complex(rng.uniform(0.02, 0.95)), random_overlap(rng)),
+        lambda: (random_overlap(rng), complex(rng.uniform(0.02, 0.95))),
+        lambda: (random_overlap(rng), tiny()),  # Orthogonal, no canonical form: Bob alone
+        lambda: (tiny(), random_overlap(rng)),  # Orthogonal through the canonical build
+    )
+    routes = {}
+    i = 0
+    while sum(routes.values()) < 100:
+        ka, kb = draws[i % len(draws)]()
+        i += 1
+        pair, sv = frame(ka, kb)
+        if pair is None:
+            x, y = amplitudes_from_overlap(ka), amplitudes_from_overlap(kb)
+        else:
+            x, y = pair.x, pair.y
+        for got, want in zip((sv.a, sv.b), _ref_vectors(x, y)):
+            _assert_bits(got, want)
+        _assert_bits(joint_states(sv), _ref_joint_states(sv))
+        for w in (x, y):
+            _assert_bits(ternary_unambiguous(w).outcomes[:3], _ref_ternary_detect(w))
+        try:
+            report, seq, _, _ = construct(ka, kb)
+        except NotGloballyOptimal:
+            continue
+        route = report.branch + ("/bob-only" if pair is None else "")
+        routes[route] = routes.get(route, 0) + 1
+        if report.branch in ("Inequality", "PositiveRealA"):
+            _assert_bits(seq.alice, _ref_alice(pair, seq.weights))
+        else:  # the product strategy: Alice runs her own three-state optimum
+            _assert_bits(seq.alice[:3], _ref_ternary_detect(x))
+    assert set(routes) == {
+        "Inequality", "PositiveRealA", "PositiveRealB", "Orthogonal", "Orthogonal/bob-only"
+    }, routes
 
 
 @np.errstate(over="ignore", invalid="ignore")

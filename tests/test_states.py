@@ -1,7 +1,9 @@
 """Overlap models, amplitude extraction, canonical orientation."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from triseq.errors import (
     RankDeficient,
     TriseqError,
 )
+from triseq import states
 from triseq.serialize import json_dumps
 from triseq.states import TAU, Transform
 
@@ -404,3 +407,13 @@ def test_decision_bit_identical_to_reference():
     # every branch and every refusal was exercised
     assert seen >= set(BRANCHES) | {"RankDeficient", "DegenerateStates", "DomainError",
                                      "NoCanonicalForm"}
+
+
+def test_states_imports_no_numpy():
+    # the decision path reads states; its geometry is scalar Python
+    tree = ast.parse(Path(states.__file__).read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}, modules
