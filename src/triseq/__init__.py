@@ -34,12 +34,7 @@ from .geometry import (
 )
 from .multipartite import check_copies_psk, check_multipartite
 from .numerics import TOL, Tolerances, hermitian_eigen, solve3
-from .optimality import (
-    BRANCHES,
-    OptimalityReport,
-    check_global_optimality,
-    global_optimum,
-)
+from .optimality import BRANCHES, OptimalityReport, check_global_optimality
 from .povm import (
     LABELS,
     CertificateReport,

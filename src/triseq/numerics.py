@@ -30,7 +30,6 @@ class Tolerances:
     degenerate: distance of |overlap| from 1 below which two states count
                 as parallel
     solve_resid: relative residual bound of solve3
-    product_gap: miss of the optimum accepted from the product fallback build
     null_space: Gram eigenvalue below which a direction is outside the span
     active:     norm above which an Alice operator counts as used
     kernel_resid: certificate bound on |witness @ A| / |A| per Alice label
@@ -54,7 +53,6 @@ class Tolerances:
     membership: float = 1e-9
     degenerate: float = 1e-12
     solve_resid: float = 1e-10
-    product_gap: float = 1e-9
     null_space: float = 1e-8
     active: float = 1e-14
     kernel_resid: float = 1e-8

@@ -18,8 +18,11 @@ form regime applies, and the diagnostic quantities the decision rests on:
 In the generic regime (all Bob gaps strict, Alice's two smallest weights
 strict) the verdict is c1 >= 0 and c2 >= 0.  If Bob's lower two weights
 tie (K_B positive real) or Alice's lower two tie (K_A positive real) the
-verdict is always yes.  If either overlap is numerically zero one party
-alone discriminates perfectly.
+verdict is always yes: there the product of each party's own three-state
+optimum reaches 3 * min tjoint_n^2.  If either overlap is numerically zero
+one party alone discriminates perfectly.  `povm` builds the product
+strategy on every tie branch and on Orthogonal; its weight system serves
+only the no-tie branch.
 """
 
 from __future__ import annotations
@@ -78,11 +81,6 @@ def _tie_branch(pair: CanonicalPair):
     if pair.x[1] - pair.x[2] <= TOL.tie:
         return "PositiveRealA"
     return None
-
-
-def global_optimum(pair: CanonicalPair) -> float:
-    """Success probability of the best unconstrained unambiguous measurement."""
-    return 3.0 * min(_joint_squares(pair.x, pair.y))
 
 
 def _inv_sq(v: float) -> float:

@@ -15,8 +15,10 @@ operators use components 1/(x_n z), and the defer operator sits on the
 basis slot carrying the minimal joint amplitude.  The three weights
 (u_1, u_2, u_3) are fixed by her completeness relation, a real 3x3
 system; nonnegativity of its solution is exactly the optimality verdict,
-so a negative weight raises NotGloballyOptimal.  `frame` pairs the
-canonical orientation with its state vectors, the amplitude rows times
+so a negative weight raises NotGloballyOptimal.  That system serves only
+the no-tie branch: every tie branch, and Orthogonal, builds the product
+strategy, each party running its own three-state optimum.  `frame` pairs
+the canonical orientation with its state vectors, the amplitude rows times
 PHASE[r, n] = tau^(r n), and falls back to the raw amplitudes when Bob's
 overlap is numerically zero and no such orientation exists.
 
@@ -45,7 +47,7 @@ from .errors import (
     SingularSystem,
 )
 from .numerics import TOL, hermitian_eigen, solve3
-from .optimality import BRANCHES, _offsets, _tie_branch, check_global_optimality, global_optimum
+from .optimality import BRANCHES, _offsets, _tie_branch, check_global_optimality
 from .serialize import array_json, json_dumps
 from .states import TAU, CanonicalPair, _orient, _validated
 
@@ -263,33 +265,23 @@ def _product_sequential(sv: StateVectors, branch: str) -> SequentialMeasurement:
     )
 
 
-def _product_success(pair: CanonicalPair) -> float:
-    px = 3.0 * min(pair.x) ** 2
-    py = 3.0 * min(pair.y) ** 2
-    return px + py - px * py
-
-
 def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
     """Globally optimal sequential measurement for a canonical pair.
 
-    raises: NotGloballyOptimal when none exists (negative weight, or an
-            underdetermined weight system whose product fallback misses
-            the global optimum)
+    Every tie branch builds the product strategy, which reaches the global
+    optimum there; only the no-tie branch solves the weight system.
+
+    raises: NotGloballyOptimal when none exists (negative weight, or a
+            singular weight system)
     """
     x, y, perm = pair.x, pair.y, pair.perm
-    branch = _tie_branch(pair) or "Inequality"
-    if branch == "PositiveRealB":
+    branch = _tie_branch(pair)
+    if branch is not None:
         return _product_sequential(state_vectors(pair), branch)
     try:
         u = solve_weights(pair)
-    except SingularSystem:
-        # Bob's top offsets tie; the weight system degenerates.  The
-        # product strategy is the only candidate left.
-        if abs(_product_success(pair) - global_optimum(pair)) <= TOL.product_gap:
-            return _product_sequential(state_vectors(pair), branch)
-        raise NotGloballyOptimal(
-            "weight system is singular and the product strategy is suboptimal"
-        ) from None
+    except SingularSystem as exc:
+        raise NotGloballyOptimal(f"weight system is singular: {exc}") from None
 
     if min(u) < -TOL.psd:
         raise NotGloballyOptimal(f"negative measurement weight: u = {u}")
@@ -302,7 +294,7 @@ def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
         alice[3:6] = (u[1] / 3.0) * _outer(_phase_over(x * np.array(z)[list(perm)]))
     alice[6] = u[2] * _outer(np.eye(3)[perm[2]])
     return SequentialMeasurement(
-        alice=alice, bob=_bob_stack(y, state_vectors(pair).b), weights=u, branch=branch
+        alice=alice, bob=_bob_stack(y, state_vectors(pair).b), weights=u, branch="Inequality"
     )
 
 

@@ -77,7 +77,11 @@ def coherent_overlap(alpha, beta) -> complex:
     """Overlap <alpha|beta> of two coherent states of one bosonic mode."""
     alpha = complex(alpha)
     beta = complex(beta)
-    return cmath.exp(-_intensity(alpha) / 2 - _intensity(beta) / 2 + alpha.conjugate() * beta)
+    exponent = -_intensity(alpha) / 2 - _intensity(beta) / 2 + alpha.conjugate() * beta
+    try:
+        return cmath.exp(exponent)
+    except OverflowError:  # cancellation near alpha == beta rounds it up
+        raise DomainError(f"coherent amplitudes {alpha!r}, {beta!r} are too large") from None
 
 
 def _intensity(amplitude: complex) -> float:

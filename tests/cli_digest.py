@@ -13,10 +13,15 @@ A refactor meant to change no output checks itself by running
     python tests/cli_digest.py
 
 in the parent checkout and in the change, and comparing the digests.
-Output files use relative names inside a temporary working directory, so
-two checkouts digest alike. pytest does not collect this file.
+With `--runs FILE` it also writes one line per run to FILE: the run's
+index, its exit code (`raised` for an exception) and the SHA-256 of its
+argv, output and written files, tab-separated, so `diff` on two such
+files lists the runs that differ. Output files use relative names inside
+a temporary working directory, so two checkouts digest alike. pytest
+does not collect this file.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -82,9 +87,10 @@ def _modes(rng, i):
 
 
 class Digest:
-    def __init__(self):
+    def __init__(self, log=None):
         self.sha = hashlib.sha256()
         self.runs = 0
+        self.log = log  # text file for the per-run lines, or None
 
     def run(self, argv, written=()):
         """Run one command, digest what it printed and wrote; returns
@@ -101,13 +107,20 @@ class Digest:
                 code = exc.code
             except Exception as exc:  # a traceback is output too
                 code = f"raised {type(exc).__name__}: {exc}"
-        self.runs += 1
         # a warning's text, not the source line it names
         caught = [(w.category.__name__, str(w.message)) for w in caught]
-        self.sha.update(repr((argv, code, out.getvalue(), err.getvalue(), caught)).encode())
+        chunks = [repr((argv, code, out.getvalue(), err.getvalue(), caught)).encode()]
         for name in written:
             path = Path(name)
-            self.sha.update(path.read_bytes() if path.exists() else b"<none>")
+            chunks.append(path.read_bytes() if path.exists() else b"<none>")
+        one = hashlib.sha256()
+        for chunk in chunks:
+            self.sha.update(chunk)
+            one.update(chunk)
+        if self.log is not None:
+            shown = code if isinstance(code, int) else "raised"
+            self.log.write(f"{self.runs}\t{shown}\t{one.hexdigest()}\n")
+        self.runs += 1
         return code, out.getvalue()
 
 
@@ -123,10 +136,10 @@ def _tampered(text, i):
     return [json.dumps(d) for d in (scaled, skew, huge)]
 
 
-def main_digest():
+def main_digest(log=None):
     rng = np.random.default_rng(SEED)
     draws = _draws(rng)
-    digest = Digest()
+    digest = Digest(log)
     routes = Counter()
     for i in range(PAIRS):
         ka, kb = draws[i % len(draws)]()
@@ -166,6 +179,11 @@ def main_digest():
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
+    cli = argparse.ArgumentParser(description="Digest the command-line output.")
+    cli.add_argument("--runs", type=Path, metavar="FILE", help="also write one line per run")
+    runs = cli.parse_args().runs
+    with contextlib.ExitStack() as stack:
+        log = None if runs is None else stack.enter_context(open(runs.resolve(), "w"))
+        work = stack.enter_context(tempfile.TemporaryDirectory())
         os.chdir(work)
-        main_digest()
+        main_digest(log)

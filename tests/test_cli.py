@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import cmath
 import dataclasses
 import json
 import os
@@ -14,6 +15,7 @@ from helpers import random_overlap
 from triseq import check_global_optimality, load_povm, psk_overlap, save_povm
 from triseq.cli import _build_parser, main
 from triseq.serialize import fmt_float
+from triseq.states import TAU
 
 
 def run(argv):
@@ -111,6 +113,9 @@ def test_domain_errors_map_to_64():
     assert run(["check", "--ppm", "1e200", "0", "0", "0"]) == 64
     assert run(["check", "--ppm", "1e200", "0", "1e200", "0"]) == 64
     assert run(["construct", "--ppm", "1e200", "0", "0", "0", "--out", os.devnull]) == 64
+    # nearly equal amplitudes: the exponent cancels and rounds to a huge positive value
+    assert run(["check", "--ppm", "1.5654550644419112e+115", "-9.639535358635898e+114",
+                "1.5654550644419116e+115", "-9.639535358635913e+114"]) == 64
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):
@@ -195,6 +200,37 @@ def test_orthogonal_sweep_round_trips(tmp_path, capsys):
         capsys.readouterr()
         if codes != [0, 0, 0]:
             failed.append((overlaps, codes))
+    assert failed == []
+
+
+def test_positive_real_a_beside_bob_top_tie_round_trips(tmp_path, capsys):
+    # ka on Alice's positive-real orbit (her lower two amplitudes tie) and kb on
+    # the negative-real orbit (Bob's top two tie) or just off it, where the
+    # weight system is near-singular: check exit 0 must bring construct exit 0,
+    # then verify exit 0
+    rng = np.random.default_rng(43)
+    pairs = [(0.5, -0.3)]
+    for _ in range(60):
+        ka = TAU ** int(rng.integers(3)) * rng.uniform(0.02, 0.95)
+        off = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-14.0, -5.0)
+        off *= rng.choice((-1.0, 1.0))
+        kb = -rng.uniform(0.02, 0.49) * TAU ** int(rng.integers(3)) * cmath.exp(1j * off)
+        pairs.append((complex(ka), complex(kb)))
+    out = tmp_path / "m.json"
+    checked, failed = 0, []
+    for ka, kb in pairs:
+        overlaps = ["--ka", *map(fmt_float, (ka.real, ka.imag)),
+                    "--kb", *map(fmt_float, (kb.real, kb.imag))]
+        codes = [run(["check", *overlaps])]
+        if codes == [0]:
+            checked += 1
+            codes.append(run(["construct", *overlaps, "--out", str(out)]))
+            if codes[-1] == 0:
+                codes.append(run(["verify", str(out), *overlaps]))
+            if codes != [0, 0, 0]:
+                failed.append((overlaps, codes))
+        capsys.readouterr()
+    assert checked >= 40
     assert failed == []
 
 
@@ -328,6 +364,16 @@ def test_scan_copies(tmp_path, capsys):
     assert lines[1].startswith("0.10000000000000001,2,")  # 17g spelling of 0.1
 
 
+def test_scan_copies_degenerate_signal_is_na(tmp_path, capsys):
+    out = tmp_path / "copies.csv"
+    argv = ["scan", "--mode", "copies", "--resolution", "2", "--s-min", "0", "--s-max", "1",
+            "--n-max", "3", "--out", str(out)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    assert lines[1:3] == ["0,2,NA", "0,3,NA"]  # zero photons: every signal coincides
+
+
 def test_scan_resolution_too_small(tmp_path):
     out = tmp_path / "x.csv"
     assert run(["scan", "--mode", "complex-k", "--resolution", "1", "--out", str(out)]) == 64
@@ -361,6 +407,14 @@ def test_curve(tmp_path, capsys):
         assert run(["curve", "--s-max", s_max, "--step", step, "--out", str(out)]) == 64
     assert run(["curve", "--mode", "psk-global", "--s-max", "0.2", "--step", "0.05",
                 "--out", str(out)]) == 64  # the one-choice option is gone
+
+
+def test_curve_degenerate_rows_are_na(tmp_path, capsys):
+    # signals this weak overlap within TOL.degenerate of 1
+    out = tmp_path / "curve.csv"
+    assert run(["curve", "--s-max", "2e-13", "--step", "1e-13", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text().splitlines()[1:] == ["1e-13,NA,NA,", "2.0000000000000001e-13,NA,NA,"]
 
 
 def test_curve_leaves_p_seq_empty_when_false(tmp_path, capsys):

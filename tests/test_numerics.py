@@ -21,7 +21,7 @@ def test_tolerances_frozen():
     assert (TOL.det_floor, TOL.membership) == (1e-18, 1e-9)
     assert (TOL.degenerate, TOL.solve_resid) == (1e-12, 1e-10)
     assert 2 * TOL.degenerate == 2e-12  # multipartite's clamp target, bit-equal
-    assert (TOL.product_gap, TOL.null_space, TOL.active) == (1e-9, 1e-8, 1e-14)
+    assert (TOL.null_space, TOL.active) == (1e-8, 1e-14)
     assert (TOL.kernel_resid, TOL.kernel_zero, TOL.leak) == (1e-8, 1e-9, 1e-10)
     assert (TOL.completeness, TOL.prob_sum, TOL.povm_psd) == (1e-10, 1e-8, 1e-12)
     assert (TOL.drift, TOL.success_gap) == (1e-12, 1e-10)

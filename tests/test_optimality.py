@@ -9,7 +9,6 @@ import pytest
 from helpers import random_pair
 from triseq import (
     check_global_optimality,
-    global_optimum,
     psk_overlap,
 )
 from triseq.errors import DegenerateStates
@@ -30,10 +29,10 @@ def test_filter_level_values():
 
 def test_joint_amplitudes_trine():
     report = check_global_optimality(0.25, 0.25)
-    pair, tj, perm = report.pair, report.joint, report.perm
+    tj, perm = report.joint, report.perm
     assert [t**2 for t in tj] == pytest.approx([0.375, 0.3125, 0.3125], abs=1e-14)
     assert perm == (2, 1, 0)
-    assert global_optimum(pair) == pytest.approx(0.9375, abs=1e-14)
+    assert report.p_global == pytest.approx(0.9375, abs=1e-14)
 
 
 def test_joint_minimum_never_in_middle_slot():

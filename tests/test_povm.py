@@ -24,7 +24,6 @@ from triseq import (
     dual_certificate,
     flatten,
     frame,
-    global_optimum,
     hermitian_eigen,
     joint_states,
     load_povm,
@@ -147,7 +146,8 @@ def test_solve_weights_against_direct_solver():
 
 
 def test_generic_construction_frozen():
-    pair = canonicalize(FIG_K, FIG_K)
+    report = check_global_optimality(FIG_K, FIG_K)
+    pair = report.pair
     seq = build_sequential(pair)
     assert seq.branch == "Inequality"
     assert seq.weights == pytest.approx(
@@ -160,7 +160,7 @@ def test_generic_construction_frozen():
     assert chk.completeness <= 1e-10
     success, resid = verify_unambiguous(flat, joint_states(state_vectors(pair)))
     assert resid <= 1e-10
-    assert success == pytest.approx(global_optimum(pair), abs=1e-10)
+    assert success == pytest.approx(report.p_global, abs=1e-10)
     assert seq.alice.shape == (7, 3, 3) and seq.bob.shape == (7, 4, 3, 3)
     rep = dual_certificate(pair, seq)
     assert set(rep.kernel_dim) == set(LABELS)
@@ -201,24 +201,26 @@ def test_trine_construction():
 
 def test_positive_real_b_generic_alice_defer_rank_two():
     # with a generic ka the deferral operator keeps two basis slots
-    pair = canonicalize(FIG_K, 0.25)
+    report = check_global_optimality(FIG_K, 0.25)
+    pair = report.pair
     seq = build_sequential(pair)
     assert seq.branch == "PositiveRealB"
     assert np.linalg.matrix_rank(seq.alice[LABELS.index("defer")], tol=1e-9) == 2
     success, _ = verify_unambiguous(flatten(seq), joint_states(state_vectors(pair)))
-    assert success == pytest.approx(global_optimum(pair), abs=1e-10)
+    assert success == pytest.approx(report.p_global, abs=1e-10)
     dual_certificate(pair, seq)
 
 
 def test_positive_real_a_construction():
-    pair = canonicalize(0.3, 0.2 * cmath.exp(1j * cmath.pi / 5))
+    report = check_global_optimality(0.3, 0.2 * cmath.exp(1j * cmath.pi / 5))
+    pair = report.pair
     seq = build_sequential(pair)
     assert seq.branch == "PositiveRealA"
     assert seq.weights[0] == pytest.approx(7 / 30, abs=1e-12)
     assert seq.weights[1] == pytest.approx(0.0, abs=1e-12)
     assert seq.weights[2] == pytest.approx(9 / 16, abs=1e-12)
     success, _ = verify_unambiguous(flatten(seq), joint_states(state_vectors(pair)))
-    assert success == pytest.approx(global_optimum(pair), abs=1e-10)
+    assert success == pytest.approx(report.p_global, abs=1e-10)
     dual_certificate(pair, seq)
 
 
@@ -513,7 +515,7 @@ def test_phase_table_builds_as_the_per_index_reference():
             continue
         route = report.branch + ("/bob-only" if pair is None else "")
         routes[route] = routes.get(route, 0) + 1
-        if report.branch in ("Inequality", "PositiveRealA"):
+        if report.branch == "Inequality":
             _assert_bits(seq.alice, _ref_alice(pair, seq.weights))
         else:  # the product strategy: Alice runs her own three-state optimum
             _assert_bits(seq.alice[:3], _ref_ternary_detect(x))
