@@ -54,8 +54,6 @@ from .povm import (
 from .serialize import fmt_float, json_dumps
 from .states import lifted_trine_overlap, ppm_overlap, psk_overlap
 
-import numpy as np
-
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
@@ -112,25 +110,20 @@ def _report_json(report, ka, kb):
     doc = {
         "verdict": report.verdict,
         "branch": report.branch,
-        "ka": [ka.real, ka.imag],
-        "kb": [kb.real, kb.imag],
+        "ka": ka,
+        "kb": kb,
         "p_global": report.p_global,
         "threshold": report.threshold,
-        "offsets": list(report.offsets),
-        "joint": list(report.joint),
-        "perm": list(report.perm),
+        "offsets": report.offsets,
+        "joint": report.joint,
+        "perm": report.perm,
         "c1": report.c1,
         "c2": report.c2,
     }
-    if report.pair is not None:
+    pair = report.pair
+    if pair is not None:
         doc["canonical"] = {
-            "ka": [report.pair.ka.real, report.pair.ka.imag],
-            "kb": [report.pair.kb.real, report.pair.kb.imag],
-            "x": list(report.pair.x),
-            "y": list(report.pair.y),
-            "shift_a": report.pair.record.shift_a,
-            "shift_b": report.pair.record.shift_b,
-            "conjugated": report.pair.record.conjugated,
+            "ka": pair.ka, "kb": pair.kb, "x": pair.x, "y": pair.y, **pair.record._asdict()
         }
     return doc
 
@@ -156,7 +149,7 @@ def cmd_construct(args, parser) -> int:
         "branch": report.branch,
         "success": success,
         "p_global": report.p_global,
-        "kappa": list(seq.weights),
+        "kappa": seq.weights,
     }))
     return 0
 
@@ -180,7 +173,7 @@ def cmd_verify(args, parser) -> int:
         checks.append(("psd", False, str(exc)))
 
     rebuilt = flatten(loaded.seq)
-    drift = float(np.max(np.abs(rebuilt.outcomes - loaded.povm.outcomes)))
+    drift = float(abs(rebuilt.outcomes - loaded.povm.outcomes).max())
     checks.append(("internal-consistency", drift <= TOL.drift, drift))
 
     report = check_global_optimality(ka, kb)
@@ -210,8 +203,6 @@ def cmd_verify(args, parser) -> int:
 
 
 def _grid(lo, hi, count):
-    if count == 1:
-        return [lo]
     return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
 
 
@@ -323,7 +314,7 @@ def cmd_simulate(args, parser) -> int:
     state = joint_states(sv)[args.state]
     counts = sample_outcomes(loaded.povm, state, args.shots, args.seed)
     print(json_dumps({
-        "labels": list(loaded.povm.labels),
+        "labels": loaded.povm.labels,
         "counts": [int(c) for c in counts],
         "probs": _outcome_probs(loaded.povm, state).tolist(),
         "shots": args.shots,

@@ -7,15 +7,14 @@ the tolerance policy lives in exactly one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonHermitian, SingularSystem
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Numerical thresholds used across the package.
 
     herm:       max |H - H^dag| entry accepted as Hermitian

@@ -28,7 +28,7 @@ only the no-tie branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoCanonicalForm
 from .numerics import TOL
@@ -37,8 +37,7 @@ from .states import CanonicalPair, _joint_squares, _orient, _rank, _validated
 BRANCHES = ("Orthogonal", "PositiveRealB", "PositiveRealA", "Inequality", "Fails")
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
+class OptimalityReport(NamedTuple):
     """Outcome of the sequential-optimality decision.
 
     verdict:   True iff some sequential measurement reaches the global optimum

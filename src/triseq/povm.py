@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ _MAX_SHOTS = 2**63 - 1
 PHASE = np.array([[TAU ** (r * n) for n in range(3)] for r in range(3)])
 
 
-@dataclass(frozen=True)
-class Povm:
+class Povm(NamedTuple):
     """Labeled positive operator-valued measure: `outcomes` is one (n, d, d)
     complex array, an operator per entry of `labels`."""
 
@@ -82,16 +81,14 @@ class Povm:
         return self.outcomes.shape[-1]
 
 
-@dataclass(frozen=True)
-class StateVectors:
+class StateVectors(NamedTuple):
     """Component vectors of the three states; row r of `a` is Alice's a_r."""
 
     a: np.ndarray
     b: np.ndarray
 
 
-@dataclass(frozen=True)
-class SequentialMeasurement:
+class SequentialMeasurement(NamedTuple):
     """Alice's instrument plus Bob's conditioned measurements.
 
     alice:   (7, 3, 3) PSD operators in LABELS order, summing to the identity
@@ -107,8 +104,7 @@ class SequentialMeasurement:
     branch: str
 
 
-@dataclass(frozen=True)
-class PovmCheck:
+class PovmCheck(NamedTuple):
     """psd_margin: smallest eigenvalue over all outcomes (verify wants
     >= -TOL.povm_psd); completeness: max |sum of outcomes - identity| entry
     (verify wants <= TOL.completeness)."""
@@ -117,8 +113,7 @@ class PovmCheck:
     completeness: float
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Dual-certificate diagnostics, keyed by Alice label where per-label."""
 
     psd_margin: dict
@@ -544,10 +539,10 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
             for label, op in zip(flat.labels, flat.outcomes)
         ],
         "meta": {
-            "ka": [ka.real, ka.imag],
-            "kb": [kb.real, kb.imag],
+            "ka": complex(ka),
+            "kb": complex(kb),
             "branch": seq.branch,
-            "kappa": list(seq.weights),
+            "kappa": seq.weights,
             "success": success,
         },
         "sequential": {
@@ -560,8 +555,9 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class LoadedMeasurement:
+class LoadedMeasurement(NamedTuple):
+    """A measurement file as load_povm reads it; meta holds ka, kb as complex."""
+
     povm: Povm
     seq: SequentialMeasurement
     meta: dict

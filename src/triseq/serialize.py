@@ -1,7 +1,8 @@
 """Deterministic text encoding for CSV and JSON output.
 
 All floats are written with 17 significant digits so values round-trip
-exactly and repeated runs produce byte-identical files.  The stdlib json
+exactly and repeated runs produce byte-identical files.  A complex number
+is written as the pair [re, im] and a tuple as an array.  The stdlib json
 module cannot control float formatting, hence the small writer here.
 """
 
@@ -45,7 +46,9 @@ def array_json(values, shape: tuple) -> Raw:
 
 
 def json_dumps(obj) -> str:
-    """Compact JSON with 17-digit floats; non-finite floats become null."""
+    """Compact JSON with 17-digit floats; non-finite floats become null,
+    a complex number (numpy's included) is written as [re, im] and a tuple
+    as an array."""
     if isinstance(obj, Raw):
         return obj
     if obj is None:
@@ -58,6 +61,8 @@ def json_dumps(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         return fmt_float(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, complex):
+        return f"[{json_dumps(obj.real)},{json_dumps(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):

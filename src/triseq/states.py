@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateStates, DomainError, NoCanonicalForm, RankDeficient
@@ -42,8 +41,7 @@ class Transform(NamedTuple):
     conjugated: bool
 
 
-@dataclass(frozen=True)
-class CanonicalPair:
+class CanonicalPair(NamedTuple):
     """Overlap pair in canonical orientation.
 
     ka, kb: transformed overlaps

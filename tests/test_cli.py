@@ -1,7 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import cmath
-import dataclasses
 import json
 import os
 import subprocess
@@ -242,7 +241,7 @@ def test_verify_rejects_a_forged_orthogonal_label(tmp_path, capsys, psk_file):
     seq = load_povm(good).seq
     alice = np.zeros_like(seq.alice)
     alice[-1] = np.eye(3)  # defer
-    forged = dataclasses.replace(seq, alice=alice, weights=(0.0, 0.0, 3.0), branch="Orthogonal")
+    forged = seq._replace(alice=alice, weights=(0.0, 0.0, 3.0), branch="Orthogonal")
     out = tmp_path / "forged.json"
     k = psk_overlap(0.3)
     save_povm(out, forged, k, k, 0.5)

@@ -1,7 +1,6 @@
 """Measurement construction, flattening, certificates, file round-trip."""
 
 import cmath
-import dataclasses
 import json
 import math
 import random
@@ -255,7 +254,7 @@ def test_certificate_rejects_tampering():
     seq = build_sequential(pair)
     bad = seq.alice.copy()
     bad[LABELS.index("announce0"), 0, 0] += 1e-3
-    tampered = dataclasses.replace(seq, alice=bad)
+    tampered = seq._replace(alice=bad)
     with pytest.raises(CertificateViolation):
         dual_certificate(pair, tampered)
 
@@ -266,7 +265,7 @@ def test_certificate_ignores_the_branch_label(label):
     for pair in (canonicalize(FIG_K, 0.25), canonicalize(FIG_K, FIG_K)):
         seq = build_sequential(pair)
         assert seq.branch in ("PositiveRealB", "Inequality")
-        relabelled = dataclasses.replace(seq, branch=label)
+        relabelled = seq._replace(branch=label)
         assert dual_certificate(pair, relabelled) == dual_certificate(pair, seq)
 
 
@@ -668,9 +667,9 @@ def test_certificate_matches_per_label_reference():
         huge[i % 7, 0, 0] = 1e308
         cases = (
             (pair, seq),
-            (pair, dataclasses.replace(seq, alice=scaled)),
+            (pair, seq._replace(alice=scaled)),
             (canonicalize(*random_pair(rng)), seq),
-            (pair, dataclasses.replace(seq, alice=huge)),
+            (pair, seq._replace(alice=huge)),
         )
         for case in cases:
             assert _certify(dual_certificate, *case) == _certify(_ref_dual_certificate, *case)
@@ -703,8 +702,8 @@ def test_writer_spells_edge_entries_as_the_reference(tmp_path):
     bob[4, 1, 0, 0] = complex(math.nan, math.inf)
     bob[4, 2, 1, 1] = -math.inf
     edges = (
-        (dataclasses.replace(seq, alice=finite), False),
-        (dataclasses.replace(seq, alice=finite, bob=bob), True),
+        (seq._replace(alice=finite), False),
+        (seq._replace(alice=finite, bob=bob), True),
     )
     path = tmp_path / "m.json"
     for edited, has_null in edges:
