@@ -33,7 +33,7 @@ from .geometry import (
     outcome_triangle,
 )
 from .multipartite import check_copies_psk, check_multipartite
-from .numerics import TOL, Tolerances, hermitian_eigen, solve3
+from .numerics import TOL, Tolerances, hermitian_eigen
 from .optimality import BRANCHES, OptimalityReport, check_global_optimality
 from .povm import (
     LABELS,

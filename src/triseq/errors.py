@@ -32,7 +32,7 @@ class NonHermitian(TriseqError):
 
 
 class SingularSystem(TriseqError):
-    """Linear system for the measurement weights is (near-)singular."""
+    """A denominator of the measurement-weight closed form is exactly zero."""
 
 
 class NotGloballyOptimal(TriseqError):

@@ -13,14 +13,15 @@ Alice's announce operators are scaled rank-one projections onto vectors
 with components 1/x_n (orthogonal to the other two states), the exclude
 operators use components 1/(x_n z), and the defer operator sits on the
 basis slot carrying the minimal joint amplitude.  The three weights
-(u_1, u_2, u_3) are fixed by her completeness relation, a real 3x3
-system; nonnegativity of its solution is exactly the optimality verdict,
-so a negative weight raises NotGloballyOptimal.  That system serves only
-the no-tie branch: every tie branch, and Orthogonal, builds the product
-strategy, each party running its own three-state optimum.  `frame` pairs
-the canonical orientation with its state vectors, the amplitude rows times
-PHASE[r, n] = tau^(r n), and falls back to the raw amplitudes when Bob's
-overlap is numerically zero and no such orientation exists.
+(u_1, u_2, u_3) are fixed by her completeness relation, three linear
+equations solved in closed form; nonnegativity of the solution is exactly
+the optimality verdict, so a negative weight raises NotGloballyOptimal.
+That system serves only the no-tie branch: every tie branch, and
+Orthogonal, builds the product strategy, each party running its own
+three-state optimum.  `frame` pairs the canonical orientation with its
+state vectors, the amplitude rows times PHASE[r, n] = tau^(r n), and falls
+back to the raw amplitudes when Bob's overlap is numerically zero and no
+such orientation exists.
 
 `dual_certificate` re-proves optimality independently of how the
 measurement was built: for each label it projects the dual witness
@@ -46,7 +47,7 @@ from .errors import (
     NotGloballyOptimal,
     SingularSystem,
 )
-from .numerics import TOL, hermitian_eigen, solve3
+from .numerics import TOL, hermitian_eigen
 from .optimality import BRANCHES, _offsets, _tie_branch, check_global_optimality
 from .serialize import array_json, json_dumps
 from .states import TAU, CanonicalPair, _orient, _validated
@@ -215,22 +216,24 @@ def ternary_unambiguous(w) -> Povm:
 def solve_weights(pair: CanonicalPair):
     """Announce / exclude / defer weights from Alice's completeness relation.
 
-    Row k of the system constrains the basis slot pair.perm[k]:
+    Row k constrains the basis slot pair.perm[k], with X_k = x_{perm[k]}^2:
 
-        u_1 / x_pk^2 + u_2 / (x_pk^2 z_k^2) + delta_{k,2} u_3 = 1
+        u_1 + u_2 / z_k^2 + delta_{k,2} u_3 X_k = X_k
+
+    Rows 0 and 1 hold only u_1 and u_2, so the system solves in closed form.
 
     returns: (u_1, u_2, u_3); any negative entry means no globally optimal
              sequential measurement exists
-    raises:  SingularSystem when Bob's top offsets tie (z_0 == z_1)
+    raises:  SingularSystem when a denominator vanishes: an offset z_k is
+             zero, or Bob's top offsets give z_0^-2 == z_1^-2
     """
     _, z = _offsets(pair.kb, pair.y)
-    if min(abs(v) for v in z) == 0.0:
-        raise SingularSystem("an offset z_k vanishes; weight system undefined")
-    rows = []
-    for k in range(3):
-        xs = pair.x[pair.perm[k]] ** -2
-        rows.append([xs, xs * z[k] ** -2, 1.0 if k == 2 else 0.0])
-    return solve3(rows, (1.0, 1.0, 1.0))
+    if 0.0 in z or z[0] ** -2 == z[1] ** -2:
+        raise SingularSystem(f"offsets z = {z} leave the weight system singular")
+    x0, x1, x2 = (pair.x[p] ** 2 for p in pair.perm)
+    u2 = (x0 - x1) / (z[0] ** -2 - z[1] ** -2)
+    u1 = x0 - u2 / z[0] ** 2
+    return u1, u2, 1.0 - (u1 + u2 / z[2] ** 2) / x2
 
 
 def _bob_stack(y, b) -> np.ndarray:

@@ -12,7 +12,8 @@ import pytest
 
 from helpers import random_overlap
 from triseq import check_global_optimality, load_povm, psk_overlap, save_povm
-from triseq.cli import _build_parser, main
+from triseq.cli import _COMMANDS, _build_parser, main
+from triseq.errors import TriseqError
 from triseq.serialize import fmt_float
 from triseq.states import TAU
 
@@ -115,6 +116,17 @@ def test_domain_errors_map_to_64():
     # nearly equal amplitudes: the exponent cancels and rounds to a huge positive value
     assert run(["check", "--ppm", "1.5654550644419112e+115", "-9.639535358635898e+114",
                 "1.5654550644419116e+115", "-9.639535358635913e+114"]) == 64
+
+
+def test_untyped_package_error_is_internal(monkeypatch, capsys):
+    def broken(args, parser):
+        raise TriseqError("no handler maps this")
+
+    monkeypatch.setitem(_COMMANDS, "check", broken)
+    assert run(["check", "--ka", "0.25", "0", "--kb", "0.25", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: no handler maps this\n"
+    assert captured.out == ""
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):
@@ -406,6 +418,16 @@ def test_curve(tmp_path, capsys):
         assert run(["curve", "--s-max", s_max, "--step", step, "--out", str(out)]) == 64
     assert run(["curve", "--mode", "psk-global", "--s-max", "0.2", "--step", "0.05",
                 "--out", str(out)]) == 64  # the one-choice option is gone
+
+
+def test_curve_stops_past_s_max(tmp_path, capsys):
+    # count = int(0.18 / 0.04 + 0.5) = 5, but 5 * 0.04 = 0.2 lies past
+    # 0.18 + 0.04 / 2 = 0.19999999999999998, so the fifth row is not written
+    out = tmp_path / "curve.csv"
+    assert run(["curve", "--s-max", "0.18", "--step", "0.04", "--out", str(out)]) == 0
+    capsys.readouterr()
+    s = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert s == ["0.040000000000000001", "0.080000000000000002", "0.12", "0.16"]
 
 
 def test_curve_degenerate_rows_are_na(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Tolerance table, eigensolver and 3x3 solver."""
+"""Tolerance table and eigensolver."""
 
 import ast
 import io
@@ -8,18 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triseq import TOL, hermitian_eigen, solve3
-from triseq.errors import NonHermitian, SingularSystem
+from triseq import TOL, hermitian_eigen
+from triseq.errors import NonHermitian
 
 
 def test_tolerances_frozen():
+    assert len(TOL) == 20
     assert TOL.herm == 1e-12
     assert TOL.psd == 1e-9
     assert TOL.tie == 1e-9
     assert (TOL.zero_trace, TOL.pole) == (1e-14, 1e-14)
     assert (TOL.defer_snap, TOL.collinear) == (1e-10, 1e-10)
     assert (TOL.det_floor, TOL.membership) == (1e-18, 1e-9)
-    assert (TOL.degenerate, TOL.solve_resid) == (1e-12, 1e-10)
+    assert TOL.degenerate == 1e-12
     assert 2 * TOL.degenerate == 2e-12  # multipartite's clamp target, bit-equal
     assert (TOL.null_space, TOL.active) == (1e-8, 1e-14)
     assert (TOL.kernel_resid, TOL.kernel_zero, TOL.leak) == (1e-8, 1e-9, 1e-10)
@@ -100,45 +101,3 @@ def test_eigen_on_a_stack():
         hermitian_eigen(skewed)
     assert many.value.index == 3
 
-
-def test_solve3_identity():
-    assert solve3(np.eye(3), (1.0, 1.0, 1.0)) == (1.0, 1.0, 1.0)
-
-
-def test_solve3_known_solution():
-    m = [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]
-    x = (0.5, -1.5, 2.0)
-    b = [sum(m[i][j] * x[j] for j in range(3)) for i in range(3)]
-    u = solve3(m, b)
-    assert max(abs(u[i] - x[i]) for i in range(3)) < 1e-13
-
-
-def test_solve3_residual_contract():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        m = rng.normal(size=(3, 3))
-        if abs(np.linalg.det(m)) < 1e-3:
-            continue
-        b = rng.normal(size=3)
-        u = solve3(m, b)
-        resid = np.max(np.abs(m @ np.array(u) - b))
-        assert resid <= 1e-10 * max(1.0, np.max(np.abs(b)))
-
-
-def test_solve3_badly_scaled_but_solvable():
-    # one row dominating by 8 orders of magnitude, as happens in the weight
-    # systems when an offset is tiny; must not be flagged singular
-    m = [[3.2, 11.0, 0.0], [4.1, 2.4e9, 0.0], [5.0, 30.0, 1.0]]
-    x = (0.3, 2.0e-9, 0.7)
-    b = [sum(m[i][j] * x[j] for j in range(3)) for i in range(3)]
-    u = solve3(m, b)
-    resid = max(abs(sum(m[i][j] * u[j] for j in range(3)) - b[i]) for i in range(3))
-    assert resid <= 1e-10 * max(1.0, max(abs(v) for v in b))
-
-
-def test_solve3_singular_raises():
-    with pytest.raises(SingularSystem):
-        solve3(np.zeros((3, 3)), (1.0, 0.0, 0.0))
-    m = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]  # rank 2
-    with pytest.raises(SingularSystem):
-        solve3(m, (1.0, 1.0, 1.0))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from helpers import random_overlap, random_pair
 from triseq import (
     BRANCHES,
@@ -40,6 +41,7 @@ from triseq.errors import (
     DomainError,
     InvalidPovm,
     NotGloballyOptimal,
+    SingularSystem,
 )
 from triseq.optimality import _offsets, _tie_branch
 from triseq.povm import _MAX_SHOTS, LABELS, OUTCOME_LABELS, CertificateReport, Povm, _quad
@@ -142,6 +144,36 @@ def test_solve_weights_against_direct_solver():
         ref = np.linalg.solve(m, np.ones(3))
         assert np.asarray(u) == pytest.approx(ref, rel=1e-9, abs=1e-12)
         checked += 1
+
+
+def test_solve_weights_against_oracle():
+    # the closed form misses a 60-digit solve of the same float system by
+    # about the rounding of the float offsets z_k
+    rng = np.random.default_rng(16)
+    errors = []
+    while len(errors) < 300:
+        pair = check_global_optimality(*random_pair(rng)).pair
+        if pair is None or _tie_branch(pair) is not None:
+            continue
+        errors.append(oracle.relative_error(solve_weights(pair), oracle.weights(pair)))
+    errors.sort()
+    assert errors[-1] <= 1e-11
+    assert errors[len(errors) // 2] <= 4e-15
+
+
+def test_singular_weight_system_refused():
+    # |kb| = 0.25 puts the level (1 - |kb|) / 3 at 0.25, so y_1 = 0.5 gives
+    # z_1 == 0.0 exactly; y_0 == y_1 gives z_0 == z_1
+    pair = canonicalize(FIG_K, 0.2 + 0.15j)
+    assert _tie_branch(pair) is None and _offsets(pair.kb, pair.y)[0] == 0.25
+    y0, _, y2 = pair.y
+    for y in ((y0, y0, y2), (y0, 0.5, y2)):
+        crafted = pair._replace(y=y)
+        assert _tie_branch(crafted) is None
+        with pytest.raises(SingularSystem):
+            solve_weights(crafted)
+        with pytest.raises(NotGloballyOptimal, match="weight system is singular"):
+            build_sequential(crafted)
 
 
 def test_generic_construction_frozen():
@@ -288,6 +320,9 @@ def test_verify_povm_structural_errors():
         verify_povm(Povm(outcomes=(skew,), labels=("a",)))
     with pytest.raises(InvalidPovm):  # a non-Hermitian outcome past the last label
         verify_povm(Povm(outcomes=(np.eye(2, dtype=complex), skew), labels=("a",)))
+    nan = np.full((1, 3, 3), np.nan, dtype=complex)  # passes the Hermitian check
+    with pytest.raises(InvalidPovm, match="Eigenvalues did not converge"):
+        verify_povm(Povm(outcomes=nan, labels=("a",)))
 
 
 def test_verify_povm_margins_reported():
