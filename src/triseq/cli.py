@@ -38,7 +38,7 @@ from .optimality import check_global_optimality
 from .povm import (
     _MAX_SHOTS,
     CertificateViolation,
-    _outcome_probs,
+    _draw,
     _realize,
     construct,
     dual_certificate,
@@ -46,7 +46,6 @@ from .povm import (
     frame,
     joint_states,
     load_povm,
-    sample_outcomes,
     save_povm,
     verify_povm,
     verify_unambiguous,
@@ -312,11 +311,11 @@ def cmd_simulate(args, parser) -> int:
     except (DomainError, DegenerateStates, RankDeficient) as exc:
         raise InvalidPovm(f"meta overlaps: {exc}") from exc  # the file's fault, not the command's
     state = joint_states(sv)[args.state]
-    counts = sample_outcomes(loaded.povm, state, args.shots, args.seed)
+    counts, probs = _draw(loaded.povm, state, args.shots, args.seed)
     print(json_dumps({
         "labels": loaded.povm.labels,
         "counts": [int(c) for c in counts],
-        "probs": _outcome_probs(loaded.povm, state).tolist(),
+        "probs": probs.tolist(),
         "shots": args.shots,
         "seed": args.seed,
         "state": args.state,

@@ -203,13 +203,13 @@ def ternary_unambiguous(w) -> Povm:
                   sum_n w_n tau^{rn} |n>, r = 0, 1, 2
     returns: four-outcome Povm; outcome r fires only on state r, with
              probability 3 * min(w)^2, and the inconclusive operator is
-             diagonal
+             diagonal exactly (its off-diagonal entries are 0.0)
     """
     w = tuple(float(v) for v in w)
     if min(w) <= 0.0:
         raise DomainError(f"amplitudes must be positive, got {w}")
     detect = _outer((min(w) / math.sqrt(3.0)) / np.array(w) * PHASE)
-    inconclusive = np.eye(3) - detect.sum(axis=0)
+    inconclusive = np.diag(1.0 - np.diagonal(detect.sum(axis=0)))
     return Povm(outcomes=np.stack((*detect, inconclusive)), labels=OUTCOME_LABELS)
 
 
@@ -498,12 +498,18 @@ def sample_outcomes(p: Povm, state, shots, seed):
         raise DomainError(f"shots must be in [0, {_MAX_SHOTS}], got {shots}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    return _draw(p, state, shots, seed)[0]
+
+
+def _draw(p: Povm, state, shots: int, seed: int):
+    """sample_outcomes past its argument checks; returns (counts, the
+    _outcome_probs they were drawn from)."""
     probs = _outcome_probs(p, state)
     total = float(probs.sum())
     if not abs(total - 1.0) <= TOL.prob_sum:  # NaN fails too
         raise InvalidPovm(f"outcome probabilities sum to {total:.12g}")
     rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs / total)
+    return rng.multinomial(shots, probs / total), probs
 
 
 def _to_json(ops) -> str:
@@ -530,6 +536,20 @@ def _numbers(data, shape, context) -> np.ndarray:
 def _from_json(data, shape, context) -> np.ndarray:
     """Inverse of _to_json: nested [re, im] pairs, exactly `shape` deep."""
     return _numbers(data, (*shape, 2), context).view(complex)[..., 0]
+
+
+def _stacks(keys, *parts):
+    """One stack per part (piece, shape, name) of the pieces piece(k), k in
+    keys, each decoded by one _from_json call.  When any stack fails, every
+    piece is decoded on its own, key by key and part by part, so the error
+    names the first bad piece in file order, as "name k"."""
+    try:
+        return [_from_json([piece(k) for k in keys], (len(keys), *shape), "block")
+                for piece, shape, _ in parts]
+    except (InvalidPovm, LookupError, TypeError, ValueError, OverflowError):
+        pieces = ([_from_json(piece(k), shape, f"{name} {k}") for piece, shape, name in parts]
+                  for k in keys)
+        return [np.stack(stack) for stack in zip(*pieces)]
 
 
 def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, success: float):
@@ -585,10 +605,7 @@ def load_povm(path) -> LoadedMeasurement:
         labels = tuple(entry["label"] for entry in raw_outcomes)
         if labels != OUTCOME_LABELS:
             raise InvalidPovm(f"unexpected outcome labels {list(labels)}")
-        outcomes = np.stack([
-            _from_json(entry["matrix"], (9, 9), f"outcome {i}")
-            for i, entry in enumerate(raw_outcomes)
-        ])
+        (outcomes,) = _stacks(range(4), (lambda i: raw_outcomes[i]["matrix"], (9, 9), "outcome"))
         meta = doc["meta"]
         if not isinstance(meta, dict):
             raise InvalidPovm("meta: expected a JSON object")
@@ -600,12 +617,8 @@ def load_povm(path) -> LoadedMeasurement:
             raise InvalidPovm(f"meta branch: expected one of {', '.join(BRANCHES)}")
         _numbers(meta["success"], (), "meta success")
         block = doc["sequential"]
-        pieces = [
-            (_from_json(block["alice"][label], (3, 3), f"alice {label}"),
-             _from_json(block["bob"][label], (4, 3, 3), f"bob {label}"))
-            for label in LABELS
-        ]
-        alice, bob = (np.stack(stack) for stack in zip(*pieces))
+        alice, bob = _stacks(LABELS, (lambda label: block["alice"][label], (3, 3), "alice"),
+                             (lambda label: block["bob"][label], (4, 3, 3), "bob"))
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidPovm(f"missing or malformed field: {exc}") from exc
 

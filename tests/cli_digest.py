@@ -14,11 +14,12 @@ A refactor meant to change no output checks itself by running
 
 in the parent checkout and in the change, and comparing the digests.
 With `--runs FILE` it also writes one line per run to FILE: the run's
-index, its exit code (`raised` for an exception) and the SHA-256 of its
-argv, output and written files, tab-separated, so `diff` on two such
-files lists the runs that differ. Output files use relative names inside
-a temporary working directory, so two checkouts digest alike. pytest
-does not collect this file.
+index, its exit code (`raised` for an exception), the SHA-256 of its
+argv, output and written files, its subcommand, and the branch `check`
+printed for its pair (`-` where there is none), tab-separated.  So `diff`
+on two such files lists the runs that differ, and what each one was.
+Output files use relative names inside a temporary working directory, so
+two checkouts digest alike. pytest does not collect this file.
 """
 
 import argparse
@@ -91,6 +92,7 @@ class Digest:
         self.sha = hashlib.sha256()
         self.runs = 0
         self.log = log  # text file for the per-run lines, or None
+        self.branch = "-"  # the last `check` run's branch, for the log
 
     def run(self, argv, written=()):
         """Run one command, digest what it printed and wrote; returns
@@ -107,6 +109,8 @@ class Digest:
                 code = exc.code
             except Exception as exc:  # a traceback is output too
                 code = f"raised {type(exc).__name__}: {exc}"
+        if argv[0] == "check":
+            self.branch = json.loads(out.getvalue())["branch"] if code in (0, 1) else "-"
         # a warning's text, not the source line it names
         caught = [(w.category.__name__, str(w.message)) for w in caught]
         chunks = [repr((argv, code, out.getvalue(), err.getvalue(), caught)).encode()]
@@ -119,7 +123,8 @@ class Digest:
             one.update(chunk)
         if self.log is not None:
             shown = code if isinstance(code, int) else "raised"
-            self.log.write(f"{self.runs}\t{shown}\t{one.hexdigest()}\n")
+            fields = (self.runs, shown, one.hexdigest(), argv[0], self.branch)
+            self.log.write("\t".join(map(str, fields)) + "\n")
         self.runs += 1
         return code, out.getvalue()
 
@@ -144,9 +149,9 @@ def main_digest(log=None):
     for i in range(PAIRS):
         ka, kb = draws[i % len(draws)]()
         pair = _pair_args(ka, kb)
-        code, out = digest.run(["check", *pair])
+        code, _ = digest.run(["check", *pair])
         if code in (0, 1):
-            branch = json.loads(out)["branch"]
+            branch = digest.branch
             if branch == "Orthogonal":  # Bob alone has no canonical form
                 branch += "/kb~0" if abs(kb) < abs(ka) else "/ka~0"
             routes[branch] += 1
@@ -167,6 +172,7 @@ def main_digest(log=None):
         args = _modes(rng, i)
         digest.run(["check", *args])
         digest.run(["construct", *args, "--out", "m.json"], written=["m.json"])
+    digest.branch = "-"
     digest.run(["simulate", "--povm", "missing.json", "--state", "0", "--shots", "1",
                 "--seed", "0"])
     for mode in ("complex-k", "psk-grid", "copies"):

@@ -4,7 +4,8 @@ Each function takes the floats that one stage of the package starts from and
 redoes that stage in mpmath at DPS significant digits.  The distance of the
 package's result from the model's is then the rounding of that stage alone,
 not of the amplitudes fed into it.  So far the model covers the weight
-solve.  pytest does not collect this file.
+solve and the success of the product strategy.  pytest does not collect
+this file.
 """
 
 import mpmath
@@ -28,6 +29,17 @@ def weights(pair):
             z = mpmath.mpf(pair.y[k]) ** 2 - level
             rows.append([xs, xs / z**2, 1 if k == 2 else 0])
         return tuple(mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix([1, 1, 1])))
+
+
+def product_success(x, y):
+    """Success of the product strategy, as mpf: Alice runs her three-state
+    optimum, and Bob runs his when she is inconclusive, so it is
+    P_A + (1 - P_A) P_B with P = 3 min(t^2) over each party's amplitude
+    triple t.  Starts from the float triples x and y the build starts from.
+    """
+    with mpmath.workdps(DPS):
+        pa, pb = (3 * min(mpmath.mpf(v) ** 2 for v in t) for t in (x, y))
+        return pa + (1 - pa) * pb
 
 
 def relative_error(got, exact) -> float:

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import cmath
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -597,15 +599,40 @@ def test_malformed_file_is_unreadable(tmp_path, capsys, psk_file, name):
 
 def test_loader_names_the_failing_piece(tmp_path, capsys, psk_file):
     bad = tmp_path / "bad.json"
-    for path, name in ((["outcomes", 2, "matrix", 1, 1, 0], "outcome 2"),
-                       (["sequential", "alice", "exclude0", 1, 1, 0], "alice exclude0"),
-                       (["sequential", "bob", "announce1", 3, 1, 1, 0], "bob announce1"),
-                       (["meta"], "meta"),
+
+    def message(*edits):
+        doc = json.loads(psk_file)
+        for edit in edits:
+            doc = edit(doc)
+        bad.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
+        assert run(["verify", str(bad), "--psk", "0.3", "0.3"]) == 65
+        return capsys.readouterr().err
+
+    for path, name in ((["meta"], "meta"),
                        (["meta", "branch"], "meta branch"),
                        (["meta", "success"], "meta success")):
-        bad.write_text(json.dumps(_set(path, "0.5")(json.loads(psk_file))))
-        assert run(["verify", str(bad), "--psk", "0.3", "0.3"]) == 65
-        assert f"cannot load measurement file: {name}: " in capsys.readouterr().err
+        assert f"cannot load measurement file: {name}: " in message(_set(path, "0.5"))
+
+    # each kind of bad entry, and a short row, in each of the three blocks
+    head = "cannot load measurement file:"
+    overflow = f"{head} missing or malformed field: int too large to convert to float\n"
+    for row, name, shape in ((["outcomes", 2, "matrix", 1], "outcome 2", "(9, 9, 2)"),
+                             (["sequential", "alice", "exclude0", 1], "alice exclude0",
+                              "(3, 3, 2)"),
+                             (["sequential", "bob", "announce1", 3, 1], "bob announce1",
+                              "(4, 3, 3, 2)")):
+        numbers = f"{head} {name}: expected a {shape} array of numbers\n"
+        for value, want in ((True, numbers), (None, numbers), ("0.5", numbers),
+                            ("1e400", f"{head} {name}: non-finite entries\n"),
+                            (10**400, overflow)):
+            assert message(_set([*row, 1, 0], value)) == want, (name, value)
+        full = functools.reduce(operator.getitem, row, json.loads(psk_file))
+        assert message(_set(row, full[:-1])) == numbers, name
+
+    # two bad pieces: the one read first, piece by piece in label order, is named
+    two = message(_set(["sequential", "alice", "announce1", 0, 0, 0], None),
+                  _set(["sequential", "bob", "announce0", 0, 0, 0, 0], None))
+    assert two.startswith(f"{head} bob announce0: "), two
 
 
 def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_file):

@@ -161,6 +161,64 @@ def test_solve_weights_against_oracle():
     assert errors[len(errors) // 2] <= 4e-15
 
 
+def test_ternary_inconclusive_is_exactly_diagonal():
+    # off the diagonal, 0.0 where np.eye(3) - detect.sum(0) left rounding;
+    # on it, the same bits
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        w = rng.uniform(0.02, 1.0, size=3)
+        w /= np.linalg.norm(w)
+        inc = ternary_unambiguous(w).outcomes[3]
+        _assert_bits(inc[~np.eye(3, dtype=bool)], np.zeros(6))
+        _assert_bits(np.diagonal(inc), np.diagonal(_ref_ternary_inconclusive(w)))
+
+
+def test_product_success_against_oracle():
+    # the exact zeros cost the product strategy no accuracy: against a
+    # 60-digit P_A + (1 - P_A) P_B, its success is no farther than the one
+    # an np.eye(3) - detect.sum(0) inconclusive operator gives, at the max
+    # and the median, up to 2**-53, one rounding of a success near 1; per
+    # pair the two differ by at most two floats
+    rng = np.random.default_rng(18)
+    tiny = lambda: complex(*rng.uniform(-1e-10, 1e-10, size=2))  # noqa: E731
+    draws = (
+        lambda: (complex(rng.uniform(0.02, 0.95)), random_overlap(rng)),  # PositiveRealA
+        lambda: (random_overlap(rng), complex(rng.uniform(0.02, 0.95))),  # PositiveRealB
+        lambda: (random_overlap(rng), tiny()),  # Orthogonal, no canonical form: Bob alone
+        lambda: (tiny(), random_overlap(rng)),  # Orthogonal through the canonical build
+    )
+    routes = {}
+    new, old = [], []
+    i = 0
+    while len(new) < 400:
+        ka, kb = draws[i % len(draws)]()
+        i += 1
+        try:
+            report, seq, sv, success = construct(ka, kb)
+        except NotGloballyOptimal:
+            continue
+        if report.branch == "Inequality":
+            continue
+        route = report.branch + ("/bob-only" if frame(ka, kb)[0] is None else "")
+        routes[route] = routes.get(route, 0) + 1
+        x, y = sv.a[0].real, sv.b[0].real
+        alice, bob = seq.alice.copy(), seq.bob.copy()
+        alice[6], bob[6, 3] = _ref_ternary_inconclusive(x), _ref_ternary_inconclusive(y)
+        ref, _ = verify_unambiguous(flatten(seq._replace(alice=alice, bob=bob)),
+                                    joint_states(sv))
+        assert abs(success - ref) <= 2 * np.spacing(success)
+        exact = oracle.product_success(x, y)
+        new.append(oracle.relative_error((success,), (exact,)))
+        old.append(oracle.relative_error((ref,), (exact,)))
+    assert set(routes) == {
+        "PositiveRealA", "PositiveRealB", "Orthogonal", "Orthogonal/bob-only"
+    }, routes
+    new.sort()
+    old.sort()
+    assert new[-1] <= old[-1] + 2**-53
+    assert new[len(new) // 2] <= old[len(old) // 2] + 2**-53
+
+
 def test_singular_weight_system_refused():
     # |kb| = 0.25 puts the level (1 - |kb|) / 3 at 0.25, so y_1 = 0.5 gives
     # z_1 == 0.0 exactly; y_0 == y_1 gives z_0 == z_1
@@ -493,6 +551,12 @@ def _ref_ternary_detect(w):
     return [np.outer(row, np.conj(row)) for row in map(np.array, rows)]
 
 
+def _ref_ternary_inconclusive(w):
+    """ternary_unambiguous's inconclusive operator as the identity less the
+    detect operators, off-diagonal rounding included."""
+    return np.eye(3) - np.sum(_ref_ternary_detect(w), axis=0)
+
+
 def _ref_alice(pair, u):
     """Alice's weight-system instrument as the per-label np.outer loop built it."""
     x, perm = pair.x, pair.perm
@@ -512,8 +576,8 @@ def _ref_alice(pair, u):
 
 def _assert_bits(got, want):
     """Equal bit for bit, the sign of every zero included."""
-    got = np.asarray(got, dtype=complex).view(float)
-    want = np.asarray(want, dtype=complex).view(float)
+    got = np.ascontiguousarray(got, dtype=complex).view(float)
+    want = np.ascontiguousarray(want, dtype=complex).view(float)
     assert got.shape == want.shape
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
