@@ -40,6 +40,7 @@ from .povm import (
     CertificateViolation,
     _draw,
     _realize,
+    _report_vectors,
     construct,
     dual_certificate,
     flatten,
@@ -176,7 +177,7 @@ def cmd_verify(args, parser) -> int:
     checks.append(("internal-consistency", drift <= TOL.drift, drift))
 
     report = check_global_optimality(ka, kb)
-    _, sv = frame(ka, kb)
+    sv = _report_vectors(report, ka, kb)
     success, leak = verify_unambiguous(loaded.povm, joint_states(sv))
     checks.append(("unambiguity", leak <= TOL.leak, leak))
 

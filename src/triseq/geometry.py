@@ -20,6 +20,7 @@ the exclude vertex at q = threshold.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -46,24 +47,36 @@ class Triangle(NamedTuple):
     degenerate: bool
 
 
+def _check_trace(smallest) -> None:
+    if smallest < TOL.zero_trace:
+        raise ZeroOperator("cannot normalize a zero-trace operator")
+
+
+def _plane_point(d, perm) -> PlanePoint:
+    """One row of _plane_points in Python floats, by the same IEEE operations."""
+    tr = d[0] + d[1] + d[2]
+    _check_trace(abs(tr))
+    return PlanePoint(d[perm[1]] / tr, d[perm[0]] / tr)
+
+
 def _plane_points(d, perm) -> list[PlanePoint]:
     """Rows of real diagonals d scaled to unit trace, read at the permuted slots.
 
     raises: ZeroOperator when a trace is numerically zero
     """
     tr = d.sum(axis=1)
-    if np.abs(tr).min() < TOL.zero_trace:
-        raise ZeroOperator("cannot normalize a zero-trace operator")
-    d = d / tr[:, None]
-    return list(map(PlanePoint, d[:, perm[1]].tolist(), d[:, perm[0]].tolist()))
+    _check_trace(np.abs(tr).min())
+    u, v = (d[:, perm[1]] / tr).tolist(), (d[:, perm[0]] / tr).tolist()
+    return list(map(tuple.__new__, repeat(PlanePoint), zip(u, v)))
 
 
 def diagonal_point(t, perm) -> PlanePoint:
-    """Normalized symmetrized diagonal of t, read at the permuted slots.
+    """Normalized symmetrized diagonal of t, read at the permuted slots, as a
+    PlanePoint of Python floats.
 
     raises: ZeroOperator when the trace is numerically zero
     """
-    return _plane_points(np.real(np.diagonal(np.asarray(t)))[None], perm)[0]
+    return _plane_point(np.real(np.diagonal(np.asarray(t))).tolist(), perm)
 
 
 def outcome_triangle(pair: CanonicalPair) -> Triangle:
@@ -77,8 +90,8 @@ def outcome_triangle(pair: CanonicalPair) -> Triangle:
     _, z = _offsets(pair.kb, pair.y)
     if _tie_branch(pair) == "PositiveRealB" or min(abs(v) for v in z) == 0.0:
         raise DomainError("extremal outcomes undefined: a Bob offset vanishes")
-    x = np.array(pair.x)
-    e1, e2 = _plane_points(np.square(1.0 / np.array([x, x * np.take(z, pair.perm)])), pair.perm)
+    xz = [pair.x[n] * z[pair.perm[n]] for n in range(3)]
+    e1, e2 = (_plane_point([(1.0 / w) * (1.0 / w) for w in ws], pair.perm) for ws in (pair.x, xz))
     cross = e1.u * e2.v - e1.v * e2.u
     return Triangle(e1, e2, PlanePoint(0.0, 0.0), abs(cross) < TOL.collinear)
 
@@ -91,7 +104,7 @@ def _level_rows(pair: CanonicalPair, qs) -> np.ndarray:
     raises: DomainError when another level hits a squared amplitude
     """
     x, y, perm = pair.x, pair.y, pair.perm
-    qs = np.array(qs, dtype=float)
+    qs = np.asarray(qs, dtype=float)
     snap = np.abs(qs - y[2] ** 2) <= TOL.defer_snap
     denom = np.array([y[perm[n]] ** 2 for n in range(3)]) - qs[:, None]
     pole = ~snap & np.any(np.abs(denom) < TOL.pole, axis=1)
@@ -121,16 +134,17 @@ def level_curve(pair: CanonicalPair, samples: int):
     exclude vertex at t = 1; the defer level q = y_2^2 is spliced in.
     Every level is evaluated in one pass over the squared moduli.
 
-    returns: list of (q, PlanePoint), length samples + 1
+    returns: list of (q, PlanePoint) in Python floats, length samples + 1
     """
     samples = int(samples)
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
     level, _ = _offsets(pair.kb, pair.y)
-    qs = [level - (samples / i - 1.0) for i in range(1, samples + 1)]
+    qs = level - (samples / np.arange(1, samples + 1) - 1.0)
     q_defer = pair.y[2] ** 2
-    qs.insert(sum(1 for q in qs if q < q_defer), q_defer)
-    return list(zip(qs, _plane_points(np.square(_level_rows(pair, qs)), pair.perm)))
+    k = np.searchsorted(qs, q_defer)  # the grid is non-decreasing
+    qs = np.concatenate((qs[:k], [q_defer], qs[k:]))
+    return list(zip(qs.tolist(), _plane_points(np.square(_level_rows(pair, qs)), pair.perm)))
 
 
 def in_triangle(point: PlanePoint, tri: Triangle, tol: float) -> bool:

@@ -319,14 +319,19 @@ def _realize(report, ka, kb):
     """
     if not report.verdict:
         raise NotGloballyOptimal()
+    sv = _report_vectors(report, ka, kb)
     if report.pair is None:
-        _, sv = frame(ka, kb)
         seq = _product_sequential(sv, "Orthogonal")
     else:
-        sv = state_vectors(report.pair)
         seq = build_sequential(report.pair)
     success, _ = verify_unambiguous(flatten(seq), joint_states(sv))
     return seq, sv, success
+
+
+def _report_vectors(report, ka, kb) -> StateVectors:
+    """The state vectors of a decided pair: its canonical pair's, oriented
+    once by the decision, or frame(ka, kb)'s when it has none."""
+    return state_vectors(report.pair) if report.pair is not None else frame(ka, kb)[1]
 
 
 def flatten(seq: SequentialMeasurement) -> Povm:

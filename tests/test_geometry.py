@@ -20,8 +20,10 @@ from triseq import (
     level_vector,
     outcome_triangle,
 )
-from triseq.errors import DomainError, ZeroOperator
-from triseq.optimality import _offsets
+from triseq.errors import DomainError, TriseqError, ZeroOperator
+from triseq.geometry import _level_rows
+from triseq.numerics import TOL
+from triseq.optimality import _offsets, _tie_branch
 from triseq.states import TAU
 
 FIG_K = 0.2 * cmath.exp(1j * cmath.pi / 10)
@@ -181,6 +183,11 @@ def test_in_triangle_degenerate_segment():
     assert not in_triangle(PlanePoint(0.3, 0.4), tri, 1e-9)
     assert not in_triangle(PlanePoint(1.2, 1.2), tri, 1e-9)
     assert in_triangle(PlanePoint(0.3, 0.4), tri, 0.1)
+    # with e1 == e3 the segment is a point, and tol a radius about it
+    tri = Triangle(PlanePoint(0.2, 0.1), PlanePoint(0.5, 0.5), PlanePoint(0.2, 0.1), True)
+    assert in_triangle(PlanePoint(0.2, 0.1), tri, 0.0)
+    assert in_triangle(PlanePoint(0.23, 0.14), tri, 0.05 + 1e-12)
+    assert not in_triangle(PlanePoint(0.23, 0.14), tri, 0.049)
 
 
 def test_identity_membership_matches_verdict():
@@ -219,3 +226,104 @@ def test_chord_ratio_identity_at_threshold():
 def test_chord_ratio_frozen():
     pair = canonicalize(FIG_K, FIG_K)
     assert chord_ratio_limit(pair) == pytest.approx(0.6840793821473133, rel=1e-12)
+
+
+# Frozen copies of the plane geometry as it was computed in numpy for every
+# input size.  The package computes one or two rows in Python floats and
+# builds the curve's points without a per-point __new__ frame; _level_rows
+# is shared, as it did not change.
+def _ref_plane_points(d, perm):
+    tr = d.sum(axis=1)
+    if np.abs(tr).min() < TOL.zero_trace:
+        raise ZeroOperator("cannot normalize a zero-trace operator")
+    d = d / tr[:, None]
+    return list(map(PlanePoint, d[:, perm[1]].tolist(), d[:, perm[0]].tolist()))
+
+
+def _ref_diagonal_point(t, perm):
+    return _ref_plane_points(np.real(np.diagonal(np.asarray(t)))[None], perm)[0]
+
+
+def _ref_outcome_triangle(pair):
+    _, z = _offsets(pair.kb, pair.y)
+    if _tie_branch(pair) == "PositiveRealB" or min(abs(v) for v in z) == 0.0:
+        raise DomainError("extremal outcomes undefined: a Bob offset vanishes")
+    x = np.array(pair.x)
+    e1, e2 = _ref_plane_points(np.square(1.0 / np.array([x, x * np.take(z, pair.perm)])),
+                               pair.perm)
+    cross = e1.u * e2.v - e1.v * e2.u
+    return Triangle(e1, e2, PlanePoint(0.0, 0.0), abs(cross) < TOL.collinear)
+
+
+def _ref_level_curve(pair, samples):
+    samples = int(samples)
+    if samples < 2:
+        raise DomainError(f"need at least 2 samples, got {samples}")
+    level, _ = _offsets(pair.kb, pair.y)
+    qs = [level - (samples / i - 1.0) for i in range(1, samples + 1)]
+    q_defer = pair.y[2] ** 2
+    qs.insert(sum(1 for q in qs if q < q_defer), q_defer)
+    return list(zip(qs, _ref_plane_points(np.square(_level_rows(pair, qs)), pair.perm)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TriseqError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(got, want):
+    # repr tells -0.0 from 0.0 and a Python float from an np.float64
+    assert repr(got) == repr(want)
+    if isinstance(want, Triangle):
+        assert type(got) is Triangle
+        assert all(type(p) is PlanePoint for p in got[:3])
+        assert all(type(c) is float for p in got[:3] for c in p)
+    elif isinstance(want, PlanePoint):
+        assert type(got) is PlanePoint and all(type(c) is float for c in got)
+    elif isinstance(want, list):
+        for q, point in got:
+            assert type(q) is float and type(point) is PlanePoint
+            assert type(point.u) is float and type(point.v) is float
+
+
+def test_geometry_bit_identical_to_reference():
+    rng = np.random.default_rng(2026)
+    reports = [check_global_optimality(*random_pair(rng)) for _ in range(120)]
+    reports += [check_global_optimality(random_overlap(rng), rng.uniform(0.02, 0.95))
+                for _ in range(30)]
+    assert {r.branch for r in reports} >= {"Inequality", "Fails", "PositiveRealB"}
+    pairs = [r.pair for r in reports if r.pair is not None]
+    # the collinear triangle; Bob's exact tie; and a hand-made pair whose
+    # offset z_1 is exactly 0 (level 0.25 = y_1^2), a pole of both routines
+    pairs += [canonicalize(-0.2, -0.2), canonicalize(0.25, 0.25),
+              canonicalize(FIG_K, FIG_K)._replace(kb=0.25, y=(0.8, 0.5, 0.3))]
+    refusals, degenerate, snapped = set(), 0, 0
+    for pair in pairs:
+        want = _outcome(_ref_outcome_triangle, pair)
+        _assert_same(_outcome(outcome_triangle, pair), want)
+        degenerate += isinstance(want, Triangle) and want.degenerate
+        for samples in (2, 200, int(rng.integers(3, 1000))):
+            want = _outcome(_ref_level_curve, pair, samples)
+            _assert_same(_outcome(level_curve, pair, samples), want)
+            if isinstance(want, list):
+                snapped += sum(q != pair.y[2] ** 2 and p == (0.0, 0.0) for q, p in want)
+        refusals |= {want[1].split()[0] for want in
+                     (_outcome(_ref_outcome_triangle, pair), want) if type(want) is tuple}
+    _assert_same(_outcome(level_curve, pairs[0], 1), _outcome(_ref_level_curve, pairs[0], 1))
+    assert degenerate == 1 and snapped > 0
+    assert refusals == {"extremal", "level"}  # the tie branch and the pole
+
+    mats = [np.zeros((3, 3)), np.diag([1.0, -1.0, 0.0]), np.diag([5, 3, 2]), np.eye(3),
+            np.diag([-0.0, 1e-300, 2.0])]
+    mats += [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(100)]
+    mats += [np.outer(v, v.conj()) for v in
+             (level_vector(p, q) for p in pairs[:40] for q in (-3.0, 0.01, p.y[2] ** 2))]
+    zero = 0
+    for t in mats:
+        for perm in ((2, 1, 0), (0, 2, 1), (1, 0, 2)):
+            want = _outcome(_ref_diagonal_point, t, perm)
+            _assert_same(_outcome(diagonal_point, t, perm), want)
+            zero += type(want) is tuple and want[0] is ZeroOperator
+    assert zero == 6

@@ -67,3 +67,12 @@ def test_json_dumps_writes_complex_as_the_pair_of_parts():
     assert json_dumps({"z": np.complex128(1j)}) == '{"z":[0,1]}'
     floats = (0.1, -0.0, 1e22, math.inf)
     assert json_dumps(floats) == json_dumps(list(floats)) == "[0.10000000000000001,-0,1e+22,null]"
+
+
+def test_json_dumps_spells_none_and_names_what_it_cannot_write():
+    assert json_dumps(None) == "null"
+    assert json_dumps({"pair": None}) == '{"pair":null}'
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        json_dumps({1.0})
+    with pytest.raises(TypeError, match="cannot serialize ndarray"):
+        json_dumps([np.zeros(2)])
