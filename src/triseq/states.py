@@ -12,11 +12,13 @@ so x_n^2 are the Fourier weights of K.  Alice's triple comes from K_A,
 Bob's from K_B.
 
 Everything downstream wants a fixed orientation: Bob's weights sorted
-descending and Alice's minimal weight in the last slot.  `canonicalize`
-finds it by searching the 18 relabelings that leave the discrimination
-problem invariant (rotating either overlap by tau and conjugating both
-jointly), keeping the first hit in a fixed search order so equal inputs
-always produce identical output.
+descending, Alice's minimal weight in the last slot and a weight tied with
+it (within TOL.tie) in the middle one.  The 18 relabelings that leave the
+problem invariant (rotating either overlap by tau, conjugating both
+jointly) only permute a triple, x(tau^s K)_n = x(K)_{n-s} and
+x(tau^s conj(K))_n = x(K)_{s-n}, so `canonicalize` searches the
+permutations of the one triple it computes per overlap, keeping the first
+hit in a fixed order so equal inputs always give identical output.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from .numerics import TOL
 TAU = cmath.exp(2j * cmath.pi / 3)
 _TAU_S = tuple(TAU**s for s in range(3))  # rotation of a candidate overlap
 _TAU_2N = tuple(TAU ** (2 * n) for n in range(3))  # phase of radicand n
+_PERM = (  # _PERM[conj][s][n]: the slot of K's triple that holds amplitude n
+    ((0, 1, 2), (2, 0, 1), (1, 2, 0)),  # of tau^s * K, x(K)_{n-s}
+    ((0, 2, 1), (1, 0, 2), (2, 1, 0)),  # of tau^s * conj(K), x(K)_{s-n}
+)
 
 
 class Transform(NamedTuple):
@@ -121,24 +127,16 @@ def ppm_overlap(alpha, beta) -> complex:
     return _check_overlap(abs(k) ** 2)
 
 
-def _radicands(k: complex) -> tuple[float, float, float]:
-    return (
+def _amplitudes(k: complex) -> tuple[float, float, float]:
+    # amplitudes_from_overlap for an overlap that already passed _check_overlap
+    rad = (
         (1.0 + 2.0 * (_TAU_2N[0] * k).real) / 3.0,
         (1.0 + 2.0 * (_TAU_2N[1] * k).real) / 3.0,
         (1.0 + 2.0 * (_TAU_2N[2] * k).real) / 3.0,
     )
-
-
-def _sqrt3(r) -> tuple[float, float, float]:
-    return (math.sqrt(r[0]), math.sqrt(r[1]), math.sqrt(r[2]))
-
-
-def _amplitudes(k: complex) -> tuple[float, float, float]:
-    # amplitudes_from_overlap for an overlap that already passed _check_overlap
-    rad = _radicands(k)
     if min(rad) <= TOL.tie**2:
         raise RankDeficient(f"squared amplitudes {rad} include a numerical zero")
-    return _sqrt3(rad)
+    return (math.sqrt(rad[0]), math.sqrt(rad[1]), math.sqrt(rad[2]))
 
 
 def amplitudes_from_overlap(k) -> tuple[float, float, float]:
@@ -179,16 +177,15 @@ def canonicalize(ka, kb) -> CanonicalPair:
     """Rotate/conjugate the overlap pair into canonical orientation.
 
     Candidates are ka -> tau^sa * C(ka), kb -> tau^sb * C(kb) with C either
-    identity or (jointly) conjugation.  Accepted orientation:
+    identity or (jointly) conjugation; each candidate triple is a
+    permutation of the validated one.  With d_n = x_n - x_2, accepted:
 
-        x_0 > x_2 - tie,  x_1 >= x_2 - tie      (Alice: minimum in slot 2)
+        d_0 > -tie, d_1 >= -tie, d_0 > tie or d_1 <= tie
+            (Alice: minimum in slot 2, a minimum tied with it in slot 1)
         y_0 >= y_1 >= y_2 within tie, y_0 - y_2 > tie   (Bob: descending)
 
     The first candidate in lexicographic (conjugated, shift_a, shift_b)
-    order wins, so the result is deterministic.  Each overlap is validated
-    once; the first candidate (no rotation, no conjugation) reuses the
-    amplitudes that validation computed, and every other candidate triple
-    is computed at most once, from its own rotated overlap.
+    order wins, so the result is deterministic.
 
     raises: RankDeficient (propagated; the radicand multiset is transform-
             invariant), NoCanonicalForm when Bob's amplitudes cannot be
@@ -201,26 +198,21 @@ def _orient(ka: complex, kb: complex, x0, y0) -> CanonicalPair:
     # canonicalize for validated overlaps whose amplitudes are x0, y0
     tie = TOL.tie
     for conj in (False, True):
-        base_a = ka.conjugate() if conj else ka
-        base_b = kb.conjugate() if conj else kb
-        ys = [None if conj else y0, None, None]  # Bob's triple per sb
-        for sa in (0, 1, 2):
-            rot_a = _TAU_S[sa] * base_a
-            x = x0 if sa == 0 and not conj else _sqrt3(_radicands(rot_a))
-            if not (x[0] - x[2] > -tie and x[1] - x[2] >= -tie):
+        perms = _PERM[conj]
+        for sa, (i, j, k) in enumerate(perms):
+            x = (x0[i], x0[j], x0[k])
+            d0, d1 = x[0] - x[2], x[1] - x[2]
+            if not (d0 > -tie and d1 >= -tie and (d0 > tie or d1 <= tie)):
                 continue
-            for sb in (0, 1, 2):
-                y = ys[sb]
-                if y is None:
-                    y = ys[sb] = _sqrt3(_radicands(_TAU_S[sb] * base_b))
+            for sb, (i, j, k) in enumerate(perms):
+                y = (y0[i], y0[j], y0[k])
                 if y[0] - y[1] >= -tie and y[1] - y[2] >= -tie and y[0] - y[2] > tie:
                     return CanonicalPair(
-                        ka=rot_a,
-                        kb=_TAU_S[sb] * base_b,
+                        ka=_TAU_S[sa] * (ka.conjugate() if conj else ka),
+                        kb=_TAU_S[sb] * (kb.conjugate() if conj else kb),
                         x=x,
                         y=y,
                         perm=_rank(_joint_squares(x, y)),
                         record=Transform(sa, sb, conj),
                     )
     raise NoCanonicalForm("Bob's amplitudes cannot be separated; kb is numerically 0")
-

@@ -3,14 +3,53 @@
 Each function takes the floats that one stage of the package starts from and
 redoes that stage in mpmath at DPS significant digits.  The distance of the
 package's result from the model's is then the rounding of that stage alone,
-not of the amplitudes fed into it.  So far the model covers the weight
-solve and the success of the product strategy.  pytest does not collect
-this file.
+not of the amplitudes fed into it.  The model covers the decision from the
+input overlaps (canonical amplitudes, offsets, c1, c2 and p_global), the
+weight solve and the success of the product strategy.  pytest does not
+collect this file.
 """
+
+from typing import NamedTuple
 
 import mpmath
 
 DPS = 60
+
+
+class Decision(NamedTuple):
+    """The decision's quantities in the canonical orientation, as mpf."""
+
+    x: tuple
+    y: tuple
+    offsets: tuple
+    c1: object
+    c2: object
+    p_global: object
+
+
+def _relabeled(k, shift, conj):
+    # the amplitudes of tau^shift * k (of its conjugate when conj), tau exact
+    tau = mpmath.expjpi(mpmath.mpf(2) / 3)
+    k = tau**shift * (mpmath.conj(k) if conj else k)
+    return tuple(mpmath.sqrt((1 + 2 * mpmath.re(tau ** (2 * n) * k)) / 3) for n in range(3))
+
+
+def decision(ka, kb, record):
+    """The decision for the float overlaps ka, kb in the orientation that the
+    Transform `record` names: canonical amplitudes x, y, offsets z_k = y_k^2 -
+    (1 - |kb|)/3, c1, c2 and p_global = 3 min_n tjoint_n^2, by the formulas
+    of `triseq.optimality` with every operation exact to DPS digits.
+    """
+    sa, sb, conj = record
+    with mpmath.workdps(DPS):
+        x = _relabeled(mpmath.mpc(ka), sa, conj)
+        y = _relabeled(mpmath.mpc(kb), sb, conj)
+        level = (1 - abs(mpmath.mpc(kb))) / 3
+        z = tuple(v**2 - level for v in y)
+        c1 = x[2] * z[0] - x[1] * z[1]
+        c2 = sum(x[k] ** 2 * (z[(1 - k) % 3] ** -2 - z[-k % 3] ** -2) for k in range(3))
+        tj = [sum(x[k] ** 2 * y[(n - k) % 3] ** 2 for k in range(3)) for n in range(3)]
+        return Decision(x, y, z, c1, c2, 3 * min(tj))
 
 
 def weights(pair):

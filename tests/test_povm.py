@@ -359,6 +359,19 @@ def test_certificate_ignores_the_branch_label(label):
         assert dual_certificate(pair, relabelled) == dual_certificate(pair, seq)
 
 
+def test_certificate_witness_and_kernel_gates():
+    # |kb| moved from 0.30 to 0.1 raises Bob's filter level, so on every
+    # exclude label the projected witness turns indefinite and keeps no
+    # kernel: gates (i) and (iii) refuse, not only the residual gate
+    pair = canonicalize(0.19 + 0.062j, 0.27 + 0.13j)
+    seq = build_sequential(pair)
+    with pytest.raises(CertificateViolation) as refused:
+        dual_certificate(pair._replace(kb=0.1), seq)
+    for j in range(3):
+        assert f"exclude{j}: witness eigenvalue -7.576e-02" in str(refused.value)
+        assert f"exclude{j}: kernel dimension 0 != 1" in str(refused.value)
+
+
 def test_certificate_rejects_wrong_pair():
     # a valid measurement for one pair must not certify another
     seq = build_sequential(canonicalize(FIG_K, FIG_K))

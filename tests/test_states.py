@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from helpers import random_overlap, random_pair
 from triseq import (
     BRANCHES,
@@ -25,7 +26,7 @@ from triseq import (
     psk_overlap,
     state_vectors,
 )
-from triseq.cli import _report_json
+from triseq.cli import _report_json, main
 from triseq.errors import (
     DegenerateStates,
     DomainError,
@@ -34,7 +35,7 @@ from triseq.errors import (
     TriseqError,
 )
 from triseq import states
-from triseq.serialize import json_dumps
+from triseq.serialize import fmt_float, json_dumps
 from triseq.states import TAU, Transform
 
 # overlaps with modulus < 0.45 can never be rank-deficient, so they are
@@ -256,9 +257,10 @@ def test_state_vectors_structure():
 
 # ---- bit identity with the straightforward decision ------------------------
 # The reference below is the plain 18-candidate search and decision: every
-# candidate triple recomputed from its own rotated overlap, sums taken by
-# loops.  The package must give the same bits (compared with ==, repr and the
-# `check` JSON bytes), the same exceptions and the same messages.
+# candidate triple is the validated triple permuted by the rule spelled out,
+# x(tau^s K)_n = x(K)_{n-s} and x(tau^s conj(K))_n = x(K)_{s-n}, and sums are
+# taken by loops.  The package must give the same bits (compared with ==,
+# repr and the `check` JSON bytes), the same exceptions and the same messages.
 
 
 def _ref_check_overlap(k):
@@ -293,21 +295,29 @@ def _ref_perm(x, y):
     return (2, 1, 0) if tj[0] >= tj[2] else (0, 2, 1)
 
 
-def _ref_canonicalize(ka, kb):
+def _ref_relabel(t, s, conj):
+    # amplitude n of tau^s * K, or of tau^s * conj(K), from the triple t of K
+    return tuple(t[(s - n) % 3] if conj else t[(n - s) % 3] for n in range(3))
+
+
+def _ref_canonicalize(ka, kb, tie_rule=True):
+    # tie_rule=False is the Alice test before the tie rule, which also
+    # accepted her tied minima in slots 0 and 2
     ka = _ref_check_overlap(ka)
     kb = _ref_check_overlap(kb)
-    _ref_amplitudes(ka)
-    _ref_amplitudes(kb)
+    xk, yk = _ref_amplitudes(ka), _ref_amplitudes(kb)
     tie = TOL.tie
     for conj in (False, True):
         base_a = ka.conjugate() if conj else ka
         base_b = kb.conjugate() if conj else kb
         for sa in (0, 1, 2):
-            x = tuple(math.sqrt(r) for r in _ref_radicands(TAU**sa * base_a))
-            if not (x[0] - x[2] > -tie and x[1] - x[2] >= -tie):
+            x = _ref_relabel(xk, sa, conj)
+            d0, d1 = x[0] - x[2], x[1] - x[2]
+            # Alice's minimum in slot 2, and a minimum tied with it in slot 1
+            if not (d0 > -tie and d1 >= -tie and (d0 > tie or d1 <= tie or not tie_rule)):
                 continue
             for sb in (0, 1, 2):
-                y = tuple(math.sqrt(r) for r in _ref_radicands(TAU**sb * base_b))
+                y = _ref_relabel(yk, sb, conj)
                 if y[0] - y[1] >= -tie and y[1] - y[2] >= -tie and y[0] - y[2] > tie:
                     return CanonicalPair(
                         ka=TAU**sa * base_a, kb=TAU**sb * base_b, x=x, y=y,
@@ -316,13 +326,13 @@ def _ref_canonicalize(ka, kb):
     raise NoCanonicalForm("Bob's amplitudes cannot be separated; kb is numerically 0")
 
 
-def _ref_report(ka, kb):
+def _ref_report(ka, kb, tie_rule=True):
     ka = _ref_check_overlap(ka)
     kb = _ref_check_overlap(kb)
     pair = None
     if abs(ka) >= TOL.tie and abs(kb) >= TOL.tie:
         try:
-            pair = _ref_canonicalize(ka, kb)
+            pair = _ref_canonicalize(ka, kb, tie_rule)
         except NoCanonicalForm:
             pair = None
     if pair is None:
@@ -407,6 +417,92 @@ def test_decision_bit_identical_to_reference():
     # every branch and every refusal was exercised
     assert seen >= set(BRANCHES) | {"RankDeficient", "DegenerateStates", "DomainError",
                                      "NoCanonicalForm"}
+
+
+def test_orient_permutes_validated_amplitudes():
+    # every canonical triple is the record's permutation of the triple
+    # amplitudes_from_overlap gives for the raw overlap, bit for bit
+    rng = np.random.default_rng(191)
+    for _ in range(300):
+        ka, kb = random_pair(rng)
+        pair = canonicalize(ka, kb)
+        sa, sb, conj = pair.record
+        assert pair.x == _ref_relabel(amplitudes_from_overlap(ka), sa, conj)
+        assert pair.y == _ref_relabel(amplitudes_from_overlap(kb), sb, conj)
+
+
+def _ref_recomputed(k, s, conj):
+    # the search before the permutation: a candidate's triple recomputed
+    # from its own rotated overlap
+    return tuple(math.sqrt(r) for r in _ref_radicands(TAU**s * (k.conjugate() if conj else k)))
+
+
+def test_orient_amplitudes_against_oracle():
+    # against a 60-digit model, the permuted triples are no farther from
+    # the exact canonical amplitudes than recomputed ones, at the median,
+    # the p99 and the max
+    rng = np.random.default_rng(192)
+    errors = {"x": ([], []), "y": ([], [])}
+    while len(errors["x"][0]) < 300:
+        ka, kb = random_pair(rng)
+        report = check_global_optimality(ka, kb)
+        if report.branch not in ("Inequality", "Fails"):
+            continue
+        sa, sb, conj = record = report.pair.record
+        exact = oracle.decision(ka, kb, record)
+        for side, got, old, want in (("x", report.pair.x, _ref_recomputed(ka, sa, conj), exact.x),
+                                     ("y", report.pair.y, _ref_recomputed(kb, sb, conj), exact.y)):
+            errors[side][0].append(oracle.relative_error(got, want))
+            errors[side][1].append(oracle.relative_error(old, want))
+    for side, (new, old) in errors.items():
+        new.sort()
+        old.sort()
+        for q in (len(new) // 2, len(new) * 99 // 100, -1):
+            assert new[q] <= old[q], (side, q, new[q], old[q])
+
+
+# ka at phase 2pi/3 and kb at phase pi/3: Alice's minima tie, and before the
+# tie rule 6 of the 18 relabelings put them in slots 0 and 2 and decided Fails
+TIE_PAIR = (complex(-0.22529842138398487, 0.39022831270212444),
+            complex(0.13421750604674834, 0.23247153973815107))
+
+
+def _orbit(ka, kb):
+    # the 18 relabelings: either overlap rotated by tau, both conjugated
+    for a, b in ((ka, kb), (ka.conjugate(), kb.conjugate())):
+        for sa in range(3):
+            for sb in range(3):
+                yield TAU**sa * a, TAU**sb * b
+
+
+def _on_axis_pairs(rng, n):
+    # Alice, Bob or both on a tie axis, phase m pi / 3; |K| < 1/2 on the
+    # odd axes, where a radicand is 1 - 2|K|
+    def on_axis():
+        m = int(rng.integers(6))
+        return rng.uniform(0.02, 0.95 if m % 2 == 0 else 0.49) * cmath.exp(1j * m * math.pi / 3)
+
+    return [(on_axis() if i % 3 != 1 else random_overlap(rng),
+             on_axis() if i % 3 != 0 else random_overlap(rng)) for i in range(n)]
+
+
+def test_tie_rule_one_verdict_per_orbit(tmp_path):
+    flipped = []
+    for ka, kb in [TIE_PAIR, *_on_axis_pairs(np.random.default_rng(1919), 1500)]:
+        verdicts = {check_global_optimality(a, b).verdict for a, b in _orbit(ka, kb)}
+        assert len(verdicts) == 1, (ka, kb)
+        if verdicts == {True} and not _ref_report(ka, kb, tie_rule=False).verdict:
+            flipped.append((ka, kb))
+    assert flipped[0] == TIE_PAIR and len(flipped) > 50
+    # each pair the tie rule turned true is built and certified, in the
+    # orientation the reference search finds
+    out = str(tmp_path / "m.json")
+    for ka, kb in flipped:
+        assert canonicalize(ka, kb).record == _ref_canonicalize(ka, kb).record
+        overlaps = ["--ka", fmt_float(ka.real), fmt_float(ka.imag),
+                    "--kb", fmt_float(kb.real), fmt_float(kb.imag)]
+        assert main(["construct", *overlaps, "--out", out]) == 0, (ka, kb)
+        assert main(["verify", out, *overlaps]) == 0, (ka, kb)
 
 
 def test_states_imports_no_numpy():
