@@ -21,7 +21,6 @@ from triseq import (
     outcome_triangle,
 )
 from triseq.errors import DomainError, TriseqError, ZeroOperator
-from triseq.geometry import _level_rows
 from triseq.numerics import TOL
 from triseq.optimality import _offsets, _tie_branch
 from triseq.states import TAU
@@ -229,9 +228,9 @@ def test_chord_ratio_frozen():
 
 
 # Frozen copies of the plane geometry as it was computed in numpy for every
-# input size.  The package computes one or two rows in Python floats and
-# builds the curve's points without a per-point __new__ frame; _level_rows
-# is shared, as it did not change.
+# input size, one row per level.  The package computes one or two rows in
+# Python floats, builds the curve's points without a per-point __new__
+# frame, and holds the level rows as columns.
 def _ref_plane_points(d, perm):
     tr = d.sum(axis=1)
     if np.abs(tr).min() < TOL.zero_trace:
@@ -255,6 +254,20 @@ def _ref_outcome_triangle(pair):
     return Triangle(e1, e2, PlanePoint(0.0, 0.0), abs(cross) < TOL.collinear)
 
 
+def _ref_level_rows(pair, qs):
+    x, y, perm = pair.x, pair.y, pair.perm
+    qs = np.asarray(qs, dtype=float)
+    snap = np.abs(qs - y[2] ** 2) <= TOL.defer_snap
+    denom = np.array([y[perm[n]] ** 2 for n in range(3)]) - qs[:, None]
+    pole = ~snap & np.any(np.abs(denom) < TOL.pole, axis=1)
+    if pole.any():
+        raise DomainError(f"level {qs[pole][0]} hits a squared amplitude; vector undefined")
+    denom[snap] = 1.0
+    rows = 1.0 / (np.array(x) * denom)
+    rows[snap] = np.eye(3)[perm[2]]
+    return rows
+
+
 def _ref_level_curve(pair, samples):
     samples = int(samples)
     if samples < 2:
@@ -263,7 +276,7 @@ def _ref_level_curve(pair, samples):
     qs = [level - (samples / i - 1.0) for i in range(1, samples + 1)]
     q_defer = pair.y[2] ** 2
     qs.insert(sum(1 for q in qs if q < q_defer), q_defer)
-    return list(zip(qs, _ref_plane_points(np.square(_level_rows(pair, qs)), pair.perm)))
+    return list(zip(qs, _ref_plane_points(np.square(_ref_level_rows(pair, qs)), pair.perm)))
 
 
 def _outcome(fn, *args):
