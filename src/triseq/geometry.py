@@ -60,13 +60,15 @@ def _plane_point(d, perm) -> PlanePoint:
 
 
 def _plane_points(d, perm) -> list[PlanePoint]:
-    """Rows of real diagonals d scaled to unit trace, read at the permuted slots.
+    """Columns of real diagonals d, shape (3, n), scaled in place to unit
+    trace and read at the permuted slots.
 
     raises: ZeroOperator when a trace is numerically zero
     """
-    tr = d.sum(axis=1)
+    tr = d.sum(axis=0)
     _check_trace(np.abs(tr).min())
-    u, v = (d[:, perm[1]] / tr).tolist(), (d[:, perm[0]] / tr).tolist()
+    d /= tr
+    u, v = d[perm[1]].tolist(), d[perm[0]].tolist()
     return list(map(tuple.__new__, repeat(PlanePoint), zip(u, v)))
 
 
@@ -98,22 +100,23 @@ def outcome_triangle(pair: CanonicalPair) -> Triangle:
 
 def _level_rows(pair: CanonicalPair, qs) -> np.ndarray:
     """Components 1/(x_n (y_{perm[n]}^2 - q)) of the extremal family, one
-    row per level; a level within TOL.defer_snap of Bob's smallest squared
+    column per level; a level within TOL.defer_snap of Bob's smallest squared
     amplitude degenerates to the defer basis slot perm[2].
 
     raises: DomainError when another level hits a squared amplitude
     """
     x, y, perm = pair.x, pair.y, pair.perm
     qs = np.asarray(qs, dtype=float)
-    snap = np.abs(qs - y[2] ** 2) <= TOL.defer_snap
-    denom = np.array([y[perm[n]] ** 2 for n in range(3)]) - qs[:, None]
-    pole = ~snap & np.any(np.abs(denom) < TOL.pole, axis=1)
+    denom = np.array([[y[perm[0]] ** 2], [y[perm[1]] ** 2], [y[perm[2]] ** 2]]) - qs
+    dist = np.abs(denom)
+    snap = dist[perm[2]] <= TOL.defer_snap  # perm is an involution: row perm[2] holds y_2
+    pole = (dist < TOL.pole).any(axis=0) & ~snap
     if pole.any():
         raise DomainError(f"level {qs[pole][0]} hits a squared amplitude; vector undefined")
-    denom[snap] = 1.0
-    rows = 1.0 / (np.array(x) * denom)
-    rows[snap] = np.eye(3)[perm[2]]
-    return rows
+    denom[:, snap] = np.inf  # a snapped column is 0 but in the defer slot
+    cols = 1.0 / (np.array([[x[0]], [x[1]], [x[2]]]) * denom)
+    cols[perm[2], snap] = 1.0
+    return cols
 
 
 def level_vector(pair: CanonicalPair, q: float) -> np.ndarray:
@@ -123,7 +126,7 @@ def level_vector(pair: CanonicalPair, q: float) -> np.ndarray:
     smallest squared amplitude (within TOL.defer_snap) the family
     degenerates to the defer basis slot.
     """
-    vec = _level_rows(pair, [q])[0]
+    vec = _level_rows(pair, [q])[:, 0]
     return (vec / np.linalg.norm(vec)).astype(complex)
 
 

@@ -82,13 +82,12 @@ def _tie_branch(pair: CanonicalPair):
     return None
 
 
-def _inv_sq(v: float) -> float:
-    return math.inf if v == 0.0 else v**-2
-
-
 def _conditions(x, y, z):
-    c1 = x[2] * z[0] - x[1] * z[1]
-    iz0, iz1, iz2 = _inv_sq(z[0]), _inv_sq(z[1]), _inv_sq(z[2])
+    z0, z1, z2 = z
+    c1 = x[2] * z0 - x[1] * z1
+    iz0 = math.inf if z0 == 0.0 else z0**-2
+    iz1 = math.inf if z1 == 0.0 else z1**-2
+    iz2 = math.inf if z2 == 0.0 else z2**-2
     # term k is x_k^2 (iz_{(1-k) mod 3} - iz_{-k mod 3}), summed in k order
     # from 0.0 (which turns a leading -0.0 into 0.0); c2 is printed exactly
     c2 = 0.0 + x[0] ** 2 * (iz1 - iz0) + x[1] ** 2 * (iz0 - iz2) + x[2] ** 2 * (iz2 - iz1)
@@ -105,15 +104,15 @@ def check_global_optimality(ka, kb) -> OptimalityReport:
     pair = None
     if abs(ka) >= TOL.tie and abs(kb) >= TOL.tie:
         try:
-            pair = _orient(ka, kb, x, y)
+            pair, tj_sq = _orient(ka, kb, x, y)
         except NoCanonicalForm:
-            pair = None  # kb in the gray zone just above tie; Bob is
-            # near-perfect alone, same as the orthogonal case
+            pass  # kb just above tie: Bob is near-perfect alone, as if orthogonal
 
     if pair is None:
-        branch, level_kb = "Orthogonal", kb
+        branch, level_kb, tj_sq = "Orthogonal", kb, _joint_squares(x, y)
+        perm = _rank(tj_sq)
     else:
-        x, y = pair.x, pair.y
+        x, y, perm = pair.x, pair.y, pair.perm
         branch, level_kb = _tie_branch(pair), pair.kb
     level, z = _offsets(level_kb, y)
     c1, c2 = _conditions(x, y, z)
@@ -121,16 +120,6 @@ def check_global_optimality(ka, kb) -> OptimalityReport:
     if branch is None:
         branch = "Inequality" if verdict else "Fails"
 
-    tj_sq = _joint_squares(x, y)
-    return OptimalityReport(
-        verdict=verdict,
-        branch=branch,
-        threshold=level,
-        offsets=z,
-        joint=(math.sqrt(tj_sq[0]), math.sqrt(tj_sq[1]), math.sqrt(tj_sq[2])),
-        perm=_rank(tj_sq),
-        p_global=3.0 * min(tj_sq),
-        c1=c1,
-        c2=c2,
-        pair=pair,
-    )
+    joint = (math.sqrt(tj_sq[0]), math.sqrt(tj_sq[1]), math.sqrt(tj_sq[2]))
+    report = (verdict, branch, level, z, joint, perm, 3.0 * min(tj_sq), c1, c2, pair)
+    return tuple.__new__(OptimalityReport, report)

@@ -166,7 +166,7 @@ def frame(ka, kb) -> tuple[CanonicalPair | None, StateVectors]:
     """
     ka, kb, x, y = _validated(ka, kb)
     try:
-        pair = _orient(ka, kb, x, y)
+        pair = _orient(ka, kb, x, y)[0]
     except NoCanonicalForm:
         return None, _vectors(x, y)
     return pair, state_vectors(pair)

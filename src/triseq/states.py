@@ -16,9 +16,9 @@ descending, Alice's minimal weight in the last slot and a weight tied with
 it (within TOL.tie) in the middle one.  The 18 relabelings that leave the
 problem invariant (rotating either overlap by tau, conjugating both
 jointly) only permute a triple, x(tau^s K)_n = x(K)_{n-s} and
-x(tau^s conj(K))_n = x(K)_{s-n}, so `canonicalize` searches the
-permutations of the one triple it computes per overlap, keeping the first
-hit in a fixed order so equal inputs always give identical output.
+x(tau^s conj(K))_n = x(K)_{s-n}, so `canonicalize` permutes the one triple
+it computes per overlap: the conjugation and Bob's shift first, then Alice's
+shift, still the first hit in (conjugated, shift_a, shift_b) order.
 """
 
 from __future__ import annotations
@@ -70,10 +70,11 @@ def _check_overlap(k) -> complex:
     k = complex(k)
     if not cmath.isfinite(k):
         raise DomainError(f"overlap must be finite, got {k!r}")
-    if abs(k) > 1.0:
-        raise DegenerateStates(f"|K| = {abs(k):.15g} exceeds 1: no states have this overlap")
-    if abs(k) >= 1.0 - TOL.degenerate:
-        raise DegenerateStates(f"|K| = {abs(k):.15g} is too close to 1")
+    r = abs(k)
+    if r >= 1.0 - TOL.degenerate:
+        if r > 1.0:
+            raise DegenerateStates(f"|K| = {r:.15g} exceeds 1: no states have this overlap")
+        raise DegenerateStates(f"|K| = {r:.15g} is too close to 1")
     return k
 
 
@@ -168,8 +169,7 @@ def _rank(tj) -> tuple[int, int, int]:
 
 def _validated(ka, kb):
     # each overlap checked once: (ka, kb, x, y) with their seed amplitudes
-    ka = _check_overlap(ka)
-    kb = _check_overlap(kb)
+    ka, kb = _check_overlap(ka), _check_overlap(kb)
     return ka, kb, _amplitudes(ka), _amplitudes(kb)
 
 
@@ -185,34 +185,41 @@ def canonicalize(ka, kb) -> CanonicalPair:
         y_0 >= y_1 >= y_2 within tie, y_0 - y_2 > tie   (Bob: descending)
 
     The first candidate in lexicographic (conjugated, shift_a, shift_b)
-    order wins, so the result is deterministic.
+    order wins.  As Bob's test reads only y and Alice's only x, it is Bob's
+    first passing shift under the first conjugation that has one, then
+    Alice's first passing shift under that conjugation.
 
     raises: RankDeficient (propagated; the radicand multiset is transform-
             invariant), NoCanonicalForm when Bob's amplitudes cannot be
             strictly separated (kb numerically zero)
     """
-    return _orient(*_validated(ka, kb))
+    return _orient(*_validated(ka, kb))[0]
 
 
-def _orient(ka: complex, kb: complex, x0, y0) -> CanonicalPair:
-    # canonicalize for validated overlaps whose amplitudes are x0, y0
+def _orient(ka: complex, kb: complex, x0, y0):
+    # canonicalize for validated overlaps whose amplitudes are x0, y0, with
+    # the joint squares it ranked: (CanonicalPair, joint squares)
     tie = TOL.tie
     for conj in (False, True):
         perms = _PERM[conj]
+        for sb, (i, j, k) in enumerate(perms):
+            b0, b1, b2 = y0[i], y0[j], y0[k]
+            if b0 - b1 >= -tie and b1 - b2 >= -tie and b0 - b2 > tie:
+                break
+        else:
+            continue
+        # some shift always passes: the one putting the minimum last, or, if
+        # only slot 0 ties with it there, the rotation after that
         for sa, (i, j, k) in enumerate(perms):
-            x = (x0[i], x0[j], x0[k])
-            d0, d1 = x[0] - x[2], x[1] - x[2]
-            if not (d0 > -tie and d1 >= -tie and (d0 > tie or d1 <= tie)):
-                continue
-            for sb, (i, j, k) in enumerate(perms):
-                y = (y0[i], y0[j], y0[k])
-                if y[0] - y[1] >= -tie and y[1] - y[2] >= -tie and y[0] - y[2] > tie:
-                    return CanonicalPair(
-                        ka=_TAU_S[sa] * (ka.conjugate() if conj else ka),
-                        kb=_TAU_S[sb] * (kb.conjugate() if conj else kb),
-                        x=x,
-                        y=y,
-                        perm=_rank(_joint_squares(x, y)),
-                        record=Transform(sa, sb, conj),
-                    )
+            a0, a1, a2 = x0[i], x0[j], x0[k]
+            d0, d1 = a0 - a2, a1 - a2
+            if d0 > -tie and d1 >= -tie and (d0 > tie or d1 <= tie):
+                break
+        if conj:
+            ka, kb = ka.conjugate(), kb.conjugate()
+        x, y = (a0, a1, a2), (b0, b1, b2)
+        tj_sq = _joint_squares(x, y)
+        record = tuple.__new__(Transform, (sa, sb, conj))
+        pair = (_TAU_S[sa] * ka, _TAU_S[sb] * kb, x, y, _rank(tj_sq), record)
+        return tuple.__new__(CanonicalPair, pair), tj_sq
     raise NoCanonicalForm("Bob's amplitudes cannot be separated; kb is numerically 0")

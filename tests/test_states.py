@@ -2,7 +2,9 @@
 
 import ast
 import cmath
+import functools
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,9 @@ from triseq import (
     OptimalityReport,
     amplitudes_from_overlap,
     canonicalize,
+    check_copies_psk,
     check_global_optimality,
+    check_multipartite,
     coherent_overlap,
     lifted_trine_overlap,
     ppm_overlap,
@@ -399,13 +403,14 @@ def _decision_inputs():
 
 
 def test_decision_bit_identical_to_reference():
-    seen = set()
+    seen, records = set(), set()
     for ka, kb in _decision_inputs():
         got, want = _outcome(canonicalize, ka, kb), _outcome(_ref_canonicalize, ka, kb)
         assert got == want and repr(got) == repr(want), (ka, kb)
         if isinstance(got, CanonicalPair):
             assert (got.ka, got.kb, got.x, got.y) == (want.ka, want.kb, want.x, want.y)
             assert (got.perm, got.record) == (want.perm, want.record)
+            records.add(got.record)
         else:
             seen.add(got[0].__name__)
         got, want = _outcome(check_global_optimality, ka, kb), _outcome(_ref_report, ka, kb)
@@ -417,6 +422,39 @@ def test_decision_bit_identical_to_reference():
     # every branch and every refusal was exercised
     assert seen >= set(BRANCHES) | {"RankDeficient", "DegenerateStates", "DomainError",
                                      "NoCanonicalForm"}
+    # and every relabeling was chosen, so each (conjugated, shift_a, shift_b)
+    # the search can return is checked against it
+    assert len(records) == 18
+
+
+def _ref_first_failure(pairs):
+    # (sufficient, failing_level) of a chain whose level n decides pairs[n],
+    # by the reference decision after the chain's clamp of near-unit overlaps
+    for level, (ka, kb) in enumerate(pairs):
+        if abs(kb) >= 1.0 - 1e-12:
+            kb = kb / abs(kb) * (1.0 - 2e-12)
+        if not _ref_report(ka, kb).verdict:
+            return False, level
+    return True, None
+
+
+def test_chains_match_reference_decision():
+    rng = np.random.default_rng(2025)
+    seen = set()
+    for s_total, n in zip(rng.uniform(0.05, 12.0, 200), rng.integers(2, 13, 200).tolist()):
+        s = float(s_total) / n
+        pairs = [(psk_overlap(s), psk_overlap((n - 1 - lvl) * s)) for lvl in range(n - 1)]
+        got = check_copies_psk(s_total, n)
+        assert got == _ref_first_failure(pairs), (s_total, n)
+        seen.add(("copies", got[0]))
+    for _ in range(200):
+        ks = [random_overlap(rng) for _ in range(int(rng.integers(2, 6)))]
+        pairs = [(ks[m], functools.reduce(operator.mul, ks[m + 1 :], complex(1.0)))
+                 for m in range(len(ks) - 1)]
+        got = _outcome(check_multipartite, ks)
+        assert got == _outcome(_ref_first_failure, pairs), ks
+        seen.add(("chain", got[0]))
+    assert seen == {(kind, ok) for kind in ("copies", "chain") for ok in (True, False)}
 
 
 def test_orient_permutes_validated_amplitudes():
