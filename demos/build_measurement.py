@@ -52,7 +52,8 @@ print(f"target p_global   {report.p_global:.12f}")
 print(f"misidentify leak  {leak:.3e}")
 
 cert = dual_certificate(pair, seq)
-print(f"certificate ok, witness kernel dims {dict(sorted(cert.kernel_dim.items()))}")
+print(f"certificate ok, min witness margin {min(cert.psd_margin.values()):+.3e},"
+      f" max kernel residual {max(cert.kernel_residual.values()):.3e}")
 
 path = os.path.join(tempfile.mkdtemp(), "measurement.json")
 save_povm(path, seq, KA, KB, success)

@@ -17,7 +17,7 @@ class Tolerances(NamedTuple):
     """Numerical thresholds used across the package.
 
     herm:       max |H - H^dag| entry accepted as Hermitian
-    psd:        eigenvalue floor accepted as positive semidefinite
+    psd:        eigenvalue floor of the build's weights and certificate gate (i)
     tie:        amplitude gap treated as a tie
     zero_trace: trace below which a plane point cannot be normalized
     pole:       distance of a level from a squared amplitude (a pole)
@@ -27,10 +27,8 @@ class Tolerances(NamedTuple):
     membership: slack of the uniform-point membership test
     degenerate: distance of |overlap| from 1 below which two states count
                 as parallel
-    null_space: Gram eigenvalue below which a direction is outside the span
     active:     norm above which an Alice operator counts as used
-    kernel_resid: certificate bound on |witness @ A| / |A| per Alice label
-    kernel_zero: |eigenvalue| of the projected witness counted as kernel
+    kernel_resid: certificate gate (ii), |witness @ A| / |A| per Alice label
     leak:       unambiguity leak (certificate per label, verify on the POVM)
     completeness: max |sum - identity| entry (certificate on Alice, verify)
     prob_sum:   distance of sampled outcome probabilities' sum from 1
@@ -49,10 +47,8 @@ class Tolerances(NamedTuple):
     det_floor: float = 1e-18
     membership: float = 1e-9
     degenerate: float = 1e-12
-    null_space: float = 1e-8
     active: float = 1e-14
     kernel_resid: float = 1e-8
-    kernel_zero: float = 1e-9
     leak: float = 1e-10
     completeness: float = 1e-10
     prob_sum: float = 1e-8

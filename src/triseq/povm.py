@@ -25,8 +25,8 @@ such orientation exists.
 
 `dual_certificate` re-proves optimality independently of how the
 measurement was built: for each label it projects the dual witness
-operator onto the subspace Bob can still use and checks positivity plus
-the zero-eigenvalue structure the optimum forces.
+operator onto the subspace Bob can still use, with projectors known in
+closed form, and checks dual feasibility and complementary slackness.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class CertificateReport(NamedTuple):
 
     psd_margin: dict
     kernel_residual: dict
-    kernel_dim: dict
     completeness: float
     unambiguity: dict
 
@@ -393,9 +392,8 @@ def verify_unambiguous(p: Povm, states):
 # rows of slot indices padded with 3 (a zero vector); exclude j lists
 # (j+1, j+2), the order the witness is summed in
 _ALLOWED = np.array([(0, 3, 3), (1, 3, 3), (2, 3, 3), (1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 1, 2)])
-# the states he can no longer report, likewise padded
-_BLOCKED = np.array([(1, 2), (0, 2), (0, 1), (0, 3), (1, 3), (2, 3), (3, 3)])
-_BLOCKED_MASK = (_BLOCKED[:, :, None] == np.arange(3)).any(axis=1)
+# the states he can no longer report
+_BLOCKED_MASK = ~(_ALLOWED[:, :, None] == np.arange(3)).any(axis=1)
 
 
 # A huge finite entry in a loaded file can overflow a margin to inf or NaN.
@@ -404,21 +402,35 @@ _BLOCKED_MASK = (_BLOCKED[:, :, None] == np.arange(3)).any(axis=1)
 def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> CertificateReport:
     """Independent optimality proof for a constructed measurement.
 
-    For each Alice label the witness X - sum_{r in T} (p_r/3) |a_r><a_r|
-    is projected onto the orthocomplement of the states Bob can no longer
-    report (T is the set he still may).  Checks per label:
+    Label l leaves Bob the states T, each of which he then finds with
+    probability p.  Its witness d_l = X - sum_{r in T} (p/3) |a_r><a_r|,
+    X = diag(3 x_n^2 y_{perm[n]}^2), is compressed to g_l = P d_l P by the
+    projector P off the states he may no longer report:
 
-      (i)   projected witness PSD within TOL.psd
-      (ii)  it annihilates Alice's operator range (residual within
-            TOL.kernel_resid)
-      (iii) its kernel inside the projected subspace is one-dimensional
-            (skipped where the construction legitimately has a larger
-            kernel: the defer label when the pair's own tie branch is
-            PositiveRealB, whatever branch seq is labelled with)
+        announce j  P = |w_j><w_j| / <w_j|w_j>, w_j = PHASE[j] / x (w_j is
+                    orthogonal to a_r for r != j); p = 1
+        exclude j   P = I - |a_j><a_j|; p = 1 - |kb| = 3 * level
+        defer       P = I; p = 3 y_2^2
 
-    plus Alice completeness (TOL.completeness) and per-label unambiguity
-    leaks (TOL.leak).  An Alice operator of norm at most TOL.active counts
-    as unused; kernel eigenvalues are those within TOL.kernel_zero of 0.
+    Gates: (i) g_l PSD within TOL.psd; (ii) residual |g_l A_l| / |A_l|
+    within TOL.kernel_resid (an A_l of norm at most TOL.active is unused);
+    per-label unambiguity leaks within TOL.leak; Alice completeness within
+    TOL.completeness.  They prove optimality (Eldar, IEEE Trans. Inf.
+    Theory 49, 446, 2003): tr X = p_global, and for PSD A_l that sum to I
+    without leaking (A_l = P A_l P) the success is
+    sum_l tr(A_l (X - d_l)) = tr X - sum_l tr(A_l g_l), at most tr X by (i)
+    and equal to it by (ii).  The size of a kernel does not enter.
+
+    On a canonical pair (i) holds in exact arithmetic.  Announce: <w_j|X|w_j> =
+    3 sum y^2 = 3 and <w_j|a_j> = 3, so <w_j|d|w_j> = 3 - 9/3 = 0.
+    Exclude j: in the basis w_{j+1}, w_{j+2} of a_j's orthocomplement d
+    reads 3 [[|kb|, s], [s*, |kb|]], s = sum_n tau^n y_{perm[n]}^2, and
+    |s| = |kb| as every permutation of Z_3 is n -> +-n + c: PSD, rank at
+    most one.  Defer: g = diag(3 x_n^2 (y_{perm[n]}^2 - y_2^2)), PSD as
+    y_2 is Bob's minimum; its kernel is two-dimensional on the
+    PositiveRealB tie.  As g reads only the pair, (i) guards the pair's
+    consistency (a kb that disagrees with y fails it); a measurement
+    checked against another canonical pair fails (ii) and the leak gate.
 
     raises: CertificateViolation naming every failed label and margin
     """
@@ -432,12 +444,9 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     # sums start from zero in slot order: bit-equal to the tests' per-label reference
     terms = (p_value / 3.0)[:, None, None, None] * rank_one[_ALLOWED]
     d = witness - terms[:, 0] - terms[:, 1] - terms[:, 2]
-    # the zero Gram matrix of defer has eigenvectors e_0, e_1, e_2: its
-    # projector is the identity exactly
-    w_gram, v_gram = hermitian_eigen(0.0 + rank_one[_BLOCKED[:, 0]] + rank_one[_BLOCKED[:, 1]])
-    free = w_gram < TOL.null_space
-    kept = np.where(free[:, :, None, None], _outer(np.swapaxes(v_gram, -2, -1)), 0.0)
-    proj = 0.0 + kept[:, 0] + kept[:, 1] + kept[:, 2]
+    v = _phase_over(x)  # row j is w_j
+    announce = _outer(v / _frobenius(v)[:, None])
+    proj = np.concatenate((announce, np.eye(3) - rank_one[:3], np.eye(3)[None]))
     g = proj @ d @ proj
     g = (g + np.swapaxes(g, -2, -1).conj()) / 2.0
     w, _ = hermitian_eigen(g)
@@ -445,10 +454,6 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     a_norm = _frobenius(seq.alice)
     active = ~(a_norm <= TOL.active)
     residual = np.divide(_frobenius(g @ seq.alice), a_norm, out=np.zeros(7), where=active)
-    check_dim = active.copy()
-    check_dim[-1] &= _tie_branch(pair) != "PositiveRealB"  # defer keeps a larger kernel there
-    # the projector's rank is its count of free directions
-    dims = (np.abs(w) < TOL.kernel_zero).sum(axis=1) - (3 - free.sum(axis=1))
     leaks = np.max(np.abs(_quad(seq.alice, a[:3])), axis=1, where=_BLOCKED_MASK, initial=0.0)
     completeness = float(np.max(np.abs(seq.alice.sum(axis=0) - np.eye(3))))
 
@@ -458,8 +463,6 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
             failures.append(f"{label}: witness eigenvalue {w[i, 0]:.3e}")
         if not residual[i] <= TOL.kernel_resid:  # 0.0 for an unused operator
             failures.append(f"{label}: kernel residual {residual[i]:.3e}")
-        if check_dim[i] and dims[i] != 1:
-            failures.append(f"{label}: kernel dimension {dims[i]} != 1")
         if not leaks[i] <= TOL.leak:
             failures.append(f"{label}: unambiguity leak {leaks[i]:.3e}")
     if not completeness <= TOL.completeness:
@@ -470,7 +473,6 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     return CertificateReport(
         psd_margin=dict(zip(LABELS, w[:, 0].tolist())),
         kernel_residual=dict(zip(LABELS, residual.tolist())),
-        kernel_dim={label: int(n) for label, n, c in zip(LABELS, dims, check_dim) if c},
         completeness=completeness,
         unambiguity=dict(zip(LABELS, leaks.tolist())),
     )

@@ -6,7 +6,9 @@ then `scan` in its three modes and `curve`, all in one process through
 written file. The pairs reach every decision branch and both Orthogonal
 routes (with and without a canonical form). Each built measurement is
 verified against its own pair and a wrong one, and again after three
-kinds of tampering. It is then simulated for every state.
+kinds of tampering. It is then simulated for every state.  The summary
+line counts the pairs (`verify_refused`, split by branch) whose own
+`verify` fails after `construct` succeeded; that count is not hashed.
 
 A refactor meant to change no output checks itself by running
 
@@ -146,23 +148,26 @@ def main_digest(log=None):
     draws = _draws(rng)
     digest = Digest(log)
     routes = Counter()
+    refused = Counter()  # own-pair verify runs that fail after construct succeeded
     for i in range(PAIRS):
         ka, kb = draws[i % len(draws)]()
         pair = _pair_args(ka, kb)
         # drawn for every pair, so a verdict that changes leaves later draws alone
         wrong = _pair_args(*random_pair(rng))
         code, _ = digest.run(["check", *pair])
+        branch = digest.branch
+        if branch == "Orthogonal":  # Bob alone has no canonical form
+            branch += "/kb~0" if abs(kb) < abs(ka) else "/ka~0"
         if code in (0, 1):
-            branch = digest.branch
-            if branch == "Orthogonal":  # Bob alone has no canonical form
-                branch += "/kb~0" if abs(kb) < abs(ka) else "/ka~0"
             routes[branch] += 1
         code, _ = digest.run(["construct", *pair, "--out", "m.json"], written=["m.json"])
         if code != 0:
             continue
         routes["built"] += 1
         text = Path("m.json").read_text()
-        digest.run(["verify", "m.json", *pair])
+        code, _ = digest.run(["verify", "m.json", *pair])
+        if code != 0:
+            refused[branch] += 1
         digest.run(["verify", "m.json", *wrong])
         for state in range(3):
             digest.run(["simulate", "--povm", "m.json", "--state", str(state),
@@ -183,7 +188,9 @@ def main_digest(log=None):
     digest.run(["curve", "--s-max", "3", "--step", "0.005", "--out", "curve.csv"],
                written=["curve.csv"])
     counts = " ".join(f"{k}={v}" for k, v in sorted(routes.items()))
-    print(f"{digest.sha.hexdigest()}  runs={digest.runs} pairs={PAIRS} {counts}")
+    split = " ".join(f"{k}={v}" for k, v in sorted(refused.items()))
+    print(f"{digest.sha.hexdigest()}  runs={digest.runs} pairs={PAIRS} {counts}"
+          f" verify_refused={refused.total()} [{split}]")
 
 
 if __name__ == "__main__":

@@ -1,0 +1,141 @@
+"""Break the certificate and `verify` gates one at a time; list what tier 1 misses.
+
+    python tests/mutate.py
+
+Copies src/, tests/, demos/, perfbench/ and pyproject.toml (what the suite
+reads) into a temporary directory.  Each mutant rewrites one site of
+src/triseq in that copy:
+
+  - a comparison in `povm.dual_certificate`, `povm.verify_povm` or
+    `cli.cmd_verify`, negated (`a <= b` becomes `not (a <= b)`);
+  - a `failures.append(...)` in `dual_certificate`, dropped;
+  - a TOL field one of those functions reads, scaled by 1e3 and by 1e-3 at
+    that site only.  The scaled table is defined in the copy's numerics.py,
+    so no tolerance literal lands in another module (a tier-1 test refuses
+    one).
+
+The unmutated copy runs the suite first and must pass.  Each mutant then
+runs it in a fresh process, stopping at the first failure, with the
+certificate and command-line tests first.  The script prints each mutant
+as `killed` or `SURVIVED` with `path:line: change`, then the survivors
+again and their count.  Its exit status is 1 when a mutant survives.
+pytest does not collect this file.
+"""
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
+TARGETS = {
+    "povm.py": ("dual_certificate", "verify_povm"),
+    "cli.py": ("cmd_verify",),
+}
+# run first: a broken gate fails a test in these soonest, and -x stops there
+FIRST = ("tests/test_povm.py", "tests/test_cli.py")
+FACTORS = ("1e3", "1e-3")
+
+
+def _offsets(source: bytes):
+    """Byte offset of each line start, for ast's (lineno, byte col) positions."""
+    starts, pos = [0], 0
+    for line in source.splitlines(keepends=True):
+        pos += len(line)
+        starts.append(pos)
+    return starts
+
+
+def sites(source: bytes, functions):
+    """(line, start, end, replacement, description, scaled) for every
+    mutation in the named functions of one module's source; scaled is
+    (field, factor) for a TOL site, else None."""
+    tree = ast.parse(source)
+    starts = _offsets(source)
+    found = []
+
+    def span(node):
+        return (starts[node.lineno - 1] + node.col_offset,
+                starts[node.end_lineno - 1] + node.end_col_offset)
+
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in functions:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Compare):
+                text = source[slice(*span(node))].decode()
+                found.append((node, f"not ({text})", f"negate `{text}`", None))
+            elif (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                  and ast.unparse(node.value.func) == "failures.append"):
+                found.append((node, "pass", "drop failures.append", None))
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "TOL":
+                for factor in FACTORS:
+                    found.append((node, f"_SCALED.{node.attr}", f"TOL.{node.attr} * {factor}",
+                                  (node.attr, factor)))
+    found.sort(key=lambda site: span(site[0]))
+    return [(node.lineno, *span(node), *rest) for node, *rest in found]
+
+
+def run_suite(root: Path) -> int:
+    tests = [str(root / t) for t in FIRST]
+    tests += sorted(str(p) for p in (root / "tests").glob("test_*.py") if str(p) not in tests)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors", *tests]
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=900)
+    return proc.returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, root / name)
+        package = root / "src" / "triseq"
+        numerics = (package / "numerics.py").read_bytes()
+        if run_suite(root) != 0:
+            print("the unmutated copy fails the suite; no mutant was run")
+            return 2
+
+        survivors, total = [], 0
+        for module, functions in TARGETS.items():
+            path = package / module
+            original = path.read_bytes()
+            for line, a, b, replacement, what, scaled in sites(original, functions):
+                total += 1
+                mutated = original[:a] + replacement.encode() + original[b:]
+                if scaled is not None:
+                    field, factor = scaled
+                    mutated += b"\nfrom .numerics import _SCALED  # noqa: E402\n"
+                    table = f"\n_SCALED = TOL._replace({field}=TOL.{field} * {factor})\n"
+                    (package / "numerics.py").write_bytes(numerics + table.encode())
+                path.write_bytes(mutated)
+                try:
+                    killed = run_suite(root) != 0
+                except subprocess.TimeoutExpired:
+                    killed = True  # the suite did not pass
+                finally:
+                    path.write_bytes(original)
+                    (package / "numerics.py").write_bytes(numerics)
+                status = "killed" if killed else "SURVIVED"
+                print(f"{status:8s} src/triseq/{module}:{line}: {what}", flush=True)
+                if not killed:
+                    survivors.append(f"src/triseq/{module}:{line}: {what}")
+
+    print()
+    for entry in survivors:
+        print(f"survives: {entry}")
+    print(f"{len(survivors)} of {total} mutants survive the tier-1 suite")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from helpers import random_overlap
-from triseq import check_global_optimality, load_povm, psk_overlap, save_povm
+from triseq import (
+    check_global_optimality,
+    frame,
+    joint_states,
+    load_povm,
+    psk_overlap,
+    save_povm,
+)
 from triseq.cli import _COMMANDS, _build_parser, main
 from triseq.errors import TriseqError
 from triseq.serialize import fmt_float
@@ -158,8 +165,43 @@ def test_construct_verify_round_trip(tmp_path, capsys):
     assert "success 0.92" in report
 
 
+FIG_K = 0.19021130325903071 + 0.061803398874989479j
 FIG_ARGS = ["--ka", "0.19021130325903071", "0.061803398874989479",
             "--kb", "0.19021130325903071", "0.061803398874989479"]
+
+
+def test_verify_gates_sit_at_their_tolerances(tmp_path, capsys):
+    # each edit adds s |v><v| to one stored outcome, about 30x beyond or
+    # inside the bounds it moves, so a bound a thousand times looser or
+    # tighter changes which checks fail
+    good = tmp_path / "m.json"
+    assert run(["construct", *FIG_ARGS, "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    outcomes = load_povm(good).povm.outcomes
+    psi = joint_states(frame(FIG_K, FIG_K)[1])
+    null = np.linalg.eigh(outcomes[0])[1][:, 0]  # outcome 0's eigenvalue there is ~0
+    e0 = np.eye(9)[0]
+    cases = [
+        (3, e0, 3e-9, {"completeness", "internal-consistency"}),
+        (3, e0, 3e-11, {"internal-consistency"}),
+        (3, e0, 3e-14, set()),
+        (0, null, -3e-11, {"psd", "internal-consistency"}),
+        (0, null, -3e-14, set()),
+        (0, psi[1], 3e-9, {"unambiguity", "completeness", "internal-consistency"}),
+        (0, psi[1], 2e-12, set()),
+        (0, psi[0], 1e-8, {"success-vs-global", "completeness", "internal-consistency"}),
+        (0, psi[0], 2e-12, set()),
+    ]
+    bad = tmp_path / "bad.json"
+    for k, v, s, failed in cases:
+        edited = json.loads(json.dumps(doc))
+        op = outcomes[k] + s * np.outer(v, v.conj())
+        edited["outcomes"][k]["matrix"] = [[[z.real, z.imag] for z in row] for row in op.tolist()]
+        bad.write_text(json.dumps(edited))
+        code = run(["verify", str(bad), *FIG_ARGS])
+        lines = capsys.readouterr().out.splitlines()
+        assert {ln[5:].split(":")[0] for ln in lines if ln.startswith("FAIL")} == failed, (k, s)
+        assert code == (1 if failed else 0)
 
 
 def test_verify_fails_cleanly_on_pair_without_canonical_form(tmp_path, capsys):
@@ -245,6 +287,18 @@ def test_positive_real_a_beside_bob_top_tie_round_trips(tmp_path, capsys):
         capsys.readouterr()
     assert checked >= 40
     assert failed == []
+
+
+def test_inequality_pair_beside_bob_tie_axis_round_trips(tmp_path, capsys):
+    # kb 6.0e-9 rad off the -2pi/3 axis: the defer witness keeps a kernel of
+    # two dimensions to rounding, which optimality does not ask about
+    overlaps = ["--ka", "-0.46690178432531976", "0.3416879238840304",
+                "--kb", "-0.08221065186351635", "-0.14239302792801733"]
+    out = tmp_path / "m.json"
+    assert run(["construct", *overlaps, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["branch"] == "Inequality"
+    assert run(["verify", str(out), *overlaps]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_verify_rejects_a_forged_orthogonal_label(tmp_path, capsys, psk_file):

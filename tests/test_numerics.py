@@ -13,7 +13,7 @@ from triseq.errors import NonHermitian
 
 
 def test_tolerances_frozen():
-    assert len(TOL) == 20
+    assert len(TOL) == 18
     assert TOL.herm == 1e-12
     assert TOL.psd == 1e-9
     assert TOL.tie == 1e-9
@@ -22,8 +22,7 @@ def test_tolerances_frozen():
     assert (TOL.det_floor, TOL.membership) == (1e-18, 1e-9)
     assert TOL.degenerate == 1e-12
     assert 2 * TOL.degenerate == 2e-12  # multipartite's clamp target, bit-equal
-    assert (TOL.null_space, TOL.active) == (1e-8, 1e-14)
-    assert (TOL.kernel_resid, TOL.kernel_zero, TOL.leak) == (1e-8, 1e-9, 1e-10)
+    assert (TOL.active, TOL.kernel_resid, TOL.leak) == (1e-14, 1e-8, 1e-10)
     assert (TOL.completeness, TOL.prob_sum, TOL.povm_psd) == (1e-10, 1e-8, 1e-12)
     assert (TOL.drift, TOL.success_gap) == (1e-12, 1e-10)
 

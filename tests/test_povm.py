@@ -44,7 +44,15 @@ from triseq.errors import (
     SingularSystem,
 )
 from triseq.optimality import _offsets, _tie_branch
-from triseq.povm import _MAX_SHOTS, LABELS, OUTCOME_LABELS, CertificateReport, Povm, _quad
+from triseq.povm import (
+    _MAX_SHOTS,
+    LABELS,
+    OUTCOME_LABELS,
+    CertificateReport,
+    Povm,
+    _quad,
+    _realize,
+)
 from triseq.serialize import json_dumps
 from triseq.states import TAU
 
@@ -252,8 +260,9 @@ def test_generic_construction_frozen():
     assert success == pytest.approx(report.p_global, abs=1e-10)
     assert seq.alice.shape == (7, 3, 3) and seq.bob.shape == (7, 4, 3, 3)
     rep = dual_certificate(pair, seq)
-    assert set(rep.kernel_dim) == set(LABELS)
-    assert all(d == 1 for d in rep.kernel_dim.values())
+    assert set(rep.psd_margin) == set(rep.kernel_residual) == set(LABELS)
+    assert min(rep.psd_margin.values()) >= -1e-15
+    assert max(rep.kernel_residual.values()) <= 1e-15
 
 
 def test_alice_completeness_random():
@@ -351,7 +360,7 @@ def test_certificate_rejects_tampering():
 
 @pytest.mark.parametrize("label", BRANCHES)
 def test_certificate_ignores_the_branch_label(label):
-    # the pair, not the label its measurement carries, sets the defer exemption
+    # the certificate reads the pair, never the label its measurement carries
     for pair in (canonicalize(FIG_K, 0.25), canonicalize(FIG_K, FIG_K)):
         seq = build_sequential(pair)
         assert seq.branch in ("PositiveRealB", "Inequality")
@@ -361,15 +370,15 @@ def test_certificate_ignores_the_branch_label(label):
 
 def test_certificate_witness_and_kernel_gates():
     # |kb| moved from 0.30 to 0.1 raises Bob's filter level, so on every
-    # exclude label the projected witness turns indefinite and keeps no
-    # kernel: gates (i) and (iii) refuse, not only the residual gate
+    # exclude label the projected witness turns indefinite: gate (i)
+    # refuses beside the residual gate
     pair = canonicalize(0.19 + 0.062j, 0.27 + 0.13j)
     seq = build_sequential(pair)
     with pytest.raises(CertificateViolation) as refused:
         dual_certificate(pair._replace(kb=0.1), seq)
     for j in range(3):
         assert f"exclude{j}: witness eigenvalue -7.576e-02" in str(refused.value)
-        assert f"exclude{j}: kernel dimension 0 != 1" in str(refused.value)
+        assert f"exclude{j}: kernel residual 7.577e-02" in str(refused.value)
 
 
 def test_certificate_rejects_wrong_pair():
@@ -378,6 +387,54 @@ def test_certificate_rejects_wrong_pair():
     other = canonicalize(0.25 * cmath.exp(1j * cmath.pi / 7), 0.3 * cmath.exp(0.9j))
     with pytest.raises(CertificateViolation):
         dual_certificate(other, seq)
+
+
+def _refused_gates(pair, seq):
+    """The gates the certificate refuses, as "label: gate" without the value."""
+    try:
+        dual_certificate(pair, seq)
+    except CertificateViolation as exc:
+        return [failure.rsplit(" ", 1)[0] for failure in str(exc).split("; ")]
+    return []
+
+
+def test_certificate_gates_sit_at_their_tolerances():
+    # each margin is set about 30x beyond or inside its TOL bound, so a bound
+    # a thousand times looser or tighter changes the list of refused gates
+    pair = canonicalize(FIG_K, FIG_K)
+    seq = build_sequential(pair)
+    excludes = [f"exclude{j}" for j in range(3)]
+
+    # |kb| shrunk by a factor 1 - d against the pair's own y: each exclude
+    # block's margin and residual read about -0.075 d and 0.075 d
+    def shrunk(d):
+        return pair._replace(kb=pair.kb * (1.0 - d))
+
+    both = [f"{e}: {gate}" for e in excludes for gate in ("witness eigenvalue", "kernel residual")]
+    assert _refused_gates(shrunk(1e-6), seq) == both
+    assert _refused_gates(shrunk(1e-7), seq) == [f"{e}: witness eigenvalue" for e in excludes]
+    assert _refused_gates(shrunk(1e-8), seq) == []
+
+    # announce0 leaking s onto state 1 moves Alice's completeness by s too
+    a1 = state_vectors(pair).a[1]
+    for s, refused in ((3e-9, ["announce0: unambiguity leak", "completeness residual"]),
+                       (3e-12, [])):
+        alice = seq.alice.copy()
+        alice[0] += s * np.outer(a1, a1.conj())
+        assert _refused_gates(pair, seq._replace(alice=alice)) == refused
+
+    # a stray exclude0 on a tie pair, whose exclude operators are exact zeros,
+    # leaks nothing: TOL.active alone decides whether its residual counts
+    tie = canonicalize(FIG_K, 0.25)
+    seq = build_sequential(tie)
+    assert not seq.alice[3:6].any()
+    a0 = state_vectors(tie).a[0]
+    stray = (np.eye(3) - np.outer(a0, a0.conj())) / math.sqrt(2.0)  # unit norm
+    for scale, refused in ((30 * TOL.active, ["exclude0: kernel residual"]),
+                           (TOL.active / 30, [])):
+        alice = seq.alice.copy()
+        alice[3] = scale * stray
+        assert _refused_gates(tie, seq._replace(alice=alice)) == refused
 
 
 def test_verify_povm_structural_errors():
@@ -635,66 +692,89 @@ def test_phase_table_builds_as_the_per_index_reference():
     }, routes
 
 
+# the states Bob may still report after each label, in LABELS order
+_REF_ALLOWED = ((0,), (1,), (2,), (1, 2), (2, 0), (0, 1), (0, 1, 2))
+
+
+def _closed_form_projector(i, x, a):
+    """Label i's projector off the states it blocks, in closed form:
+    |w><w| / <w|w> with w_n = tau^(i n) / x_n for announce i, I - |a_j><a_j|
+    for exclude j, I for defer."""
+    if i < 3:
+        w = np.array([TAU ** (i * n) / x[n] for n in range(3)])
+        w = w / np.linalg.norm(w)
+        return np.outer(w, w.conj())
+    if i < 6:
+        return np.eye(3) - np.outer(a[i - 3], a[i - 3].conj())
+    return np.eye(3, dtype=complex)
+
+
+def _gram_projector(i, x, a):
+    """Label i's projector as the certificate found it before the closed
+    form, frozen: the eigenvectors of the blocked states' Gram matrix whose
+    eigenvalues are below 1e-8."""
+    blocked = [a[r] for r in range(3) if r not in _REF_ALLOWED[i]]
+    if not blocked:
+        return np.eye(3, dtype=complex)
+    w, vv = hermitian_eigen(sum(np.outer(v, v.conj()) for v in blocked))
+    out = np.zeros((3, 3), dtype=complex)
+    for k in range(3):
+        if w[k] < 1e-8:
+            out += np.outer(vv[:, k], vv[:, k].conj())
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _ref_dual_certificate(pair, seq):
-    """dual_certificate as the per-label loop spelled it, with one
-    null-space projector and two eigensolves per label."""
-
-    def null_projector(vectors):
-        if not vectors:
-            return np.eye(3, dtype=complex)
-        gram = sum(np.outer(v, v.conj()) for v in vectors)
-        w, vv = hermitian_eigen(gram)
-        out = np.zeros((3, 3), dtype=complex)
-        for i in range(3):
-            if w[i] < TOL.null_space:
-                out += np.outer(vv[:, i], vv[:, i].conj())
-        return out
-
+def _ref_margins(pair, seq, projector=_closed_form_projector):
+    """dual_certificate's report as the per-label loop computed it, gates
+    left out, with one projector(label index, x, state rows) and one
+    eigensolve per label."""
     x, y, perm = pair.x, pair.y, pair.perm
     sv = state_vectors(pair)
     witness = np.diag([3.0 * x[n] ** 2 * y[perm[n]] ** 2 for n in range(3)]).astype(complex)
     level, _ = _offsets(pair.kb, y)
     p_value = (1.0,) * 3 + (3.0 * level,) * 3 + (3.0 * y[2] ** 2,)
-    allowed_sets = ((0,), (1,), (2,), (1, 2), (2, 0), (0, 1), (0, 1, 2))
-    psd_margin, kernel_residual, kernel_dim, unambiguity = {}, {}, {}, {}
-    failures = []
-    for label, allowed, pv, a_op in zip(LABELS, allowed_sets, p_value, seq.alice):
-        blocked = tuple(r for r in range(3) if r not in allowed)
+    psd_margin, kernel_residual, unambiguity = {}, {}, {}
+    for i, (label, allowed, pv, a_op) in enumerate(zip(LABELS, _REF_ALLOWED, p_value, seq.alice)):
         d = witness.copy()
         for r in allowed:
             d -= (pv / 3.0) * np.outer(sv.a[r], sv.a[r].conj())
-        proj = null_projector([sv.a[r] for r in blocked])
+        proj = projector(i, x, sv.a)
         g = proj @ d @ proj
         g = (g + g.conj().T) / 2.0
-        w, _ = hermitian_eigen(g)
-        psd_margin[label] = float(w[0])
-        if not w[0] >= -TOL.psd:
-            failures.append(f"{label}: witness eigenvalue {w[0]:.3e}")
+        psd_margin[label] = float(hermitian_eigen(g)[0][0])
         a_norm = float(np.linalg.norm(a_op))
         active = not a_norm <= TOL.active
-        if active:
-            kernel_residual[label] = float(np.linalg.norm(g @ a_op) / a_norm)
-            if not kernel_residual[label] <= TOL.kernel_resid:
-                failures.append(f"{label}: kernel residual {kernel_residual[label]:.3e}")
-        else:
-            kernel_residual[label] = 0.0
-        if active and (label != "defer" or _tie_branch(pair) != "PositiveRealB"):
-            rank_proj = int(round(float(np.trace(proj).real)))
-            dim_in = int(np.sum(np.abs(w) < TOL.kernel_zero)) - (3 - rank_proj)
-            kernel_dim[label] = dim_in
-            if dim_in != 1:
-                failures.append(f"{label}: kernel dimension {dim_in} != 1")
-        leaks = [abs(float(np.real(np.vdot(sv.a[r], a_op @ sv.a[r])))) for r in blocked]
+        kernel_residual[label] = float(np.linalg.norm(g @ a_op) / a_norm) if active else 0.0
+        leaks = [abs(float(np.real(np.vdot(sv.a[r], a_op @ sv.a[r]))))
+                 for r in range(3) if r not in allowed]
         unambiguity[label] = float(np.max(leaks, initial=0.0))
-        if not unambiguity[label] <= TOL.leak:
-            failures.append(f"{label}: unambiguity leak {unambiguity[label]:.3e}")
     completeness = float(np.max(np.abs(sum(seq.alice) - np.eye(3))))
-    if not completeness <= TOL.completeness:
-        failures.append(f"completeness residual {completeness:.3e}")
+    return CertificateReport(psd_margin, kernel_residual, completeness, unambiguity)
+
+
+def _ref_failures(rep):
+    """The certificate's gates on a report, in the order it names them."""
+    failures = []
+    for label in LABELS:
+        if not rep.psd_margin[label] >= -TOL.psd:
+            failures.append(f"{label}: witness eigenvalue {rep.psd_margin[label]:.3e}")
+        if not rep.kernel_residual[label] <= TOL.kernel_resid:
+            failures.append(f"{label}: kernel residual {rep.kernel_residual[label]:.3e}")
+        if not rep.unambiguity[label] <= TOL.leak:
+            failures.append(f"{label}: unambiguity leak {rep.unambiguity[label]:.3e}")
+    if not rep.completeness <= TOL.completeness:
+        failures.append(f"completeness residual {rep.completeness:.3e}")
+    return failures
+
+
+def _ref_dual_certificate(pair, seq):
+    """dual_certificate as the per-label loop spelled it."""
+    rep = _ref_margins(pair, seq)
+    failures = _ref_failures(rep)
     if failures:
         raise CertificateViolation("; ".join(failures))
-    return CertificateReport(psd_margin, kernel_residual, kernel_dim, completeness, unambiguity)
+    return rep
 
 
 def _ref_matrix_from_json(data):
@@ -786,6 +866,45 @@ def test_certificate_matches_per_label_reference():
         for case in cases:
             assert _certify(dual_certificate, *case) == _certify(_ref_dual_certificate, *case)
     assert set(branches) == {"Inequality", "PositiveRealA", "PositiveRealB", "Orthogonal"}
+
+
+def test_closed_form_projectors_certify_as_the_gram_projector():
+    # the closed-form projectors replace a Gram-matrix eigensolve.  On 600
+    # built pairs of each branch the two give the same margins and the same
+    # gate outcomes: every no-tie and tie build certifies; the Orthogonal
+    # builds, which verify never certifies, are refused alike on both sides
+    rng = np.random.default_rng(76)
+    tiny = lambda: complex(*rng.uniform(-1e-10, 1e-10, size=2))  # noqa: E731
+    draws = (
+        lambda: random_pair(rng),
+        lambda: (complex(rng.uniform(0.02, 0.95)), random_overlap(rng)),
+        lambda: (random_overlap(rng), complex(rng.uniform(0.02, 0.95))),
+        lambda: (tiny(), random_overlap(rng)),  # Orthogonal with a canonical form
+    )
+    branches = dict.fromkeys(("Inequality", "PositiveRealA", "PositiveRealB", "Orthogonal"), 0)
+    worst = 0.0
+    i = 0
+    while min(branches.values()) < 600:
+        ka, kb = draws[i % len(draws)]()
+        i += 1
+        report = check_global_optimality(ka, kb)
+        if not report.verdict or branches[report.branch] >= 600:
+            continue
+        branches[report.branch] += 1
+        seq, _, _ = _realize(report, ka, kb)
+        pair = frame(ka, kb)[0]
+        if report.branch == "Orthogonal":
+            closed = _ref_margins(pair, seq)
+        else:
+            closed = dual_certificate(pair, seq)
+        gram = _ref_margins(pair, seq, _gram_projector)
+        for field in ("psd_margin", "kernel_residual"):
+            got, want = getattr(closed, field), getattr(gram, field)
+            worst = max(worst, *(abs(got[label] - want[label]) for label in LABELS))
+        refused = [[f.rsplit(" ", 1)[0] for f in _ref_failures(r)] for r in (closed, gram)]
+        assert refused[0] == refused[1]
+        assert (refused[0] != []) == (report.branch == "Orthogonal"), (ka, kb, refused[0])
+    assert worst <= 1e-15
 
 
 def test_quadratic_form_matches_vdot():
