@@ -8,6 +8,9 @@ Subcommands:
   curve      success probabilities along the phase-keyed power axis (CSV)
   simulate   seeded outcome counts for a stored measurement
 
+Only construct, verify, curve and simulate import povm (and with it
+numpy), each when it runs; check and scan decide in plain floats.
+
 Exit codes: 0 success / verdict true; 1 verdict false or verification
 failure; 2 internal error; 64 usage or parameter domain; 65 unreadable
 or invalid measurement file; 73 an output file cannot be written; 141
@@ -25,6 +28,7 @@ import re
 import sys
 
 from .errors import (
+    CertificateViolation,
     DegenerateStates,
     DomainError,
     InvalidPovm,
@@ -35,22 +39,6 @@ from .errors import (
 from .multipartite import check_copies_psk
 from .numerics import TOL
 from .optimality import check_global_optimality
-from .povm import (
-    _MAX_SHOTS,
-    CertificateViolation,
-    _draw,
-    _realize,
-    _report_vectors,
-    construct,
-    dual_certificate,
-    flatten,
-    frame,
-    joint_states,
-    load_povm,
-    save_povm,
-    verify_povm,
-    verify_unambiguous,
-)
 from .serialize import fmt_float, json_dumps
 from .states import lifted_trine_overlap, ppm_overlap, psk_overlap
 
@@ -136,6 +124,8 @@ def cmd_check(args, parser) -> int:
 
 
 def cmd_construct(args, parser) -> int:
+    from .povm import construct, save_povm
+
     ka, kb = _resolve_overlaps(args, parser)
     try:
         report, seq, _, success = construct(ka, kb)
@@ -155,6 +145,16 @@ def cmd_construct(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    from .povm import (
+        _report_vectors,
+        dual_certificate,
+        flatten,
+        joint_states,
+        load_povm,
+        verify_povm,
+        verify_unambiguous,
+    )
+
     ka, kb = _resolve_overlaps(args, parser)
     try:
         loaded = load_povm(args.povm)
@@ -267,6 +267,8 @@ def cmd_scan(args, parser) -> int:
 
 
 def cmd_curve(args, parser) -> int:
+    from .povm import _realize
+
     if not args.step > 0:
         parser.error("--step must be positive")
     if not math.isfinite(args.s_max / args.step):
@@ -294,6 +296,8 @@ def cmd_curve(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
+    from .povm import _MAX_SHOTS, _draw, frame, joint_states, load_povm
+
     if args.state not in (0, 1, 2):
         parser.error("--state must be 0, 1, or 2")
     if args.shots < 0:

@@ -2,13 +2,13 @@
 
 Every threshold of the package is a field of TOL, so the tolerance policy
 lives in exactly one place; `hermitian_eigen` is the one eigensolve.
+numpy loads on the first `hermitian_eigen` call, not with this module, so
+the decision modules that read TOL run without it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import NonHermitian
 
@@ -69,6 +69,8 @@ def hermitian_eigen(h):
     raises:  NonHermitian if a symmetry residual is above tolerance, its
              `index` the first failing matrix (0 for a single one)
     """
+    import numpy as np
+
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise NonHermitian(f"expected a square matrix, got shape {h.shape}")
