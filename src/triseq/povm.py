@@ -335,13 +335,11 @@ def _report_vectors(report, ka, kb) -> StateVectors:
 
 def flatten(seq: SequentialMeasurement) -> Povm:
     """Combine Alice and Bob into one four-outcome POVM on the 9-dim space."""
-    # terms[l, r] is kron(alice[l], bob[l, r]); adding the labels into zeros
-    # in LABELS order repeats the per-label kron loop bit for bit
+    # terms[l, r] is kron(alice[l], bob[l, r]); the sum over labels runs in
+    # LABELS order, and adding 0.0 turns a -0.0 total into 0.0 as a sum
+    # started from zeros does: the per-label kron loop, bit for bit
     terms = seq.alice[:, None, :, None, :, None] * seq.bob[:, :, None, :, None, :]
-    total = np.zeros((4, 9, 9), dtype=complex)
-    for term in terms.reshape(7, 4, 9, 9):
-        total += term
-    return Povm(outcomes=total, labels=OUTCOME_LABELS)
+    return Povm(outcomes=terms.reshape(7, 4, 9, 9).sum(axis=0) + 0.0, labels=OUTCOME_LABELS)
 
 
 def joint_states(sv: StateVectors) -> np.ndarray:
@@ -388,12 +386,10 @@ def verify_unambiguous(p: Povm, states):
     return success, residual
 
 
-# states Bob may still report after each Alice label, in LABELS order, as
-# rows of slot indices padded with 3 (a zero vector); exclude j lists
-# (j+1, j+2), the order the witness is summed in
-_ALLOWED = np.array([(0, 3, 3), (1, 3, 3), (2, 3, 3), (1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 1, 2)])
-# the states he can no longer report
-_BLOCKED_MASK = ~(_ALLOWED[:, :, None] == np.arange(3)).any(axis=1)
+# the states Bob can no longer report after each Alice label, in LABELS order
+_BLOCKED_MASK = np.array(
+    [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)], dtype=bool
+)
 
 
 # A huge finite entry in a loaded file can overflow a margin to inf or NaN.
@@ -403,14 +399,17 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     """Independent optimality proof for a constructed measurement.
 
     Label l leaves Bob the states T, each of which he then finds with
-    probability p.  Its witness d_l = X - sum_{r in T} (p/3) |a_r><a_r|,
+    probability 3 q.  Its witness d_l = X - sum_{r in T} q |a_r><a_r|,
     X = diag(3 x_n^2 y_{perm[n]}^2), is compressed to g_l = P d_l P by the
     projector P off the states he may no longer report:
 
         announce j  P = |w_j><w_j| / <w_j|w_j>, w_j = PHASE[j] / x (w_j is
-                    orthogonal to a_r for r != j); p = 1
-        exclude j   P = I - |a_j><a_j|; p = 1 - |kb| = 3 * level
-        defer       P = I; p = 3 y_2^2
+                    orthogonal to a_r for r != j); q = 1/3
+        exclude j   P = I - |a_j><a_j|; q = level = (1 - |kb|) / 3
+        defer       P = I; q = y_2^2
+
+    P kills the blocked states and sum_r |a_r><a_r| = 3 diag(x^2), so
+    g_l = P D_l P with the diagonal D_l = diag(3 x_n^2 (y_{perm[n]}^2 - q)).
 
     Gates: (i) g_l PSD within TOL.psd; (ii) residual |g_l A_l| / |A_l|
     within TOL.kernel_resid (an A_l of norm at most TOL.active is unused);
@@ -421,40 +420,38 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     sum_l tr(A_l (X - d_l)) = tr X - sum_l tr(A_l g_l), at most tr X by (i)
     and equal to it by (ii).  The size of a kernel does not enter.
 
-    On a canonical pair (i) holds in exact arithmetic.  Announce: <w_j|X|w_j> =
-    3 sum y^2 = 3 and <w_j|a_j> = 3, so <w_j|d|w_j> = 3 - 9/3 = 0.
-    Exclude j: in the basis w_{j+1}, w_{j+2} of a_j's orthocomplement d
-    reads 3 [[|kb|, s], [s*, |kb|]], s = sum_n tau^n y_{perm[n]}^2, and
-    |s| = |kb| as every permutation of Z_3 is n -> +-n + c: PSD, rank at
-    most one.  Defer: g = diag(3 x_n^2 (y_{perm[n]}^2 - y_2^2)), PSD as
-    y_2 is Bob's minimum; its kernel is two-dimensional on the
-    PositiveRealB tie.  As g reads only the pair, (i) guards the pair's
-    consistency (a kb that disagrees with y fails it); a measurement
+    On a canonical pair (i) holds in exact arithmetic, read off D.
+    Announce: <w_j|D|w_j> = 3 (sum y^2 - 1) = 0.  Exclude j: D is
+    3 diag(x_n^2 z_{perm[n]}), z Bob's offsets, and in the basis w_{j+1},
+    w_{j+2} of a_j's orthocomplement reads 3 [[|kb|, s], [s*, |kb|]],
+    s = sum_n tau^n y_{perm[n]}^2, with |s| = |kb| as every permutation of
+    Z_3 is n -> +-n + c: PSD, rank at most one.  Defer: D >= 0 as y_2 is
+    Bob's minimum, with an exact zero at slot perm[2] (perm is an
+    involution), where the build puts u_3; the kernel is two-dimensional
+    on the PositiveRealB tie.  As g reads only the pair, (i) guards the
+    pair's consistency (a kb that disagrees with y fails it); a measurement
     checked against another canonical pair fails (ii) and the leak gate.
 
     raises: CertificateViolation naming every failed label and margin
     """
     x, y, perm = pair.x, pair.y, pair.perm
-    a = np.vstack([state_vectors(pair).a, np.zeros(3)])  # row 3 pads the slot tables
-    rank_one = _outer(a)
-    witness = np.diag([3.0 * x[n] ** 2 * y[perm[n]] ** 2 for n in range(3)]).astype(complex)
+    a = state_vectors(pair).a
     level, _ = _offsets(pair.kb, y)
-    p_value = np.array((1.0,) * 3 + (3.0 * level,) * 3 + (3.0 * y[2] ** 2,))
-
-    # sums start from zero in slot order: bit-equal to the tests' per-label reference
-    terms = (p_value / 3.0)[:, None, None, None] * rank_one[_ALLOWED]
-    d = witness - terms[:, 0] - terms[:, 1] - terms[:, 2]
+    # squared by float ** as _offsets squares: the exclude rows hold its z
+    y2 = np.array([y[p] ** 2 for p in perm])
+    q = np.array((1.0 / 3.0,) * 3 + (level,) * 3 + (y[2] ** 2,))
+    d = 3.0 * np.square(x) * (y2 - q[:, None])
     v = _phase_over(x)  # row j is w_j
     announce = _outer(v / _frobenius(v)[:, None])
-    proj = np.concatenate((announce, np.eye(3) - rank_one[:3], np.eye(3)[None]))
-    g = proj @ d @ proj
+    proj = np.concatenate((announce, np.eye(3) - _outer(a), np.eye(3)[None]))
+    g = (proj * d[:, None, :]) @ proj
     g = (g + np.swapaxes(g, -2, -1).conj()) / 2.0
     w, _ = hermitian_eigen(g)
 
     a_norm = _frobenius(seq.alice)
     active = ~(a_norm <= TOL.active)
     residual = np.divide(_frobenius(g @ seq.alice), a_norm, out=np.zeros(7), where=active)
-    leaks = np.max(np.abs(_quad(seq.alice, a[:3])), axis=1, where=_BLOCKED_MASK, initial=0.0)
+    leaks = np.max(np.abs(_quad(seq.alice, a)), axis=1, where=_BLOCKED_MASK, initial=0.0)
     completeness = float(np.max(np.abs(seq.alice.sum(axis=0) - np.eye(3))))
 
     failures = []

@@ -42,7 +42,7 @@ os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
 
 import numpy as np  # noqa: E402
 
-from helpers import random_overlap, random_pair  # noqa: E402
+from helpers import near_axis, random_overlap, random_pair  # noqa: E402
 from triseq.cli import main  # noqa: E402
 
 PAIRS = 1500
@@ -57,12 +57,6 @@ def _pair_args(ka: complex, kb: complex) -> list:
     return ["--ka", _arg(ka.real), _arg(ka.imag), "--kb", _arg(kb.real), _arg(kb.imag)]
 
 
-def _near_axis(rng) -> complex:
-    """A modulus on one of the six tie axes, turned 1e-14 to 1e-6 rad off it."""
-    turn = rng.integers(6) * np.pi / 3 + rng.choice((-1, 1)) * 10 ** rng.uniform(-14, -6)
-    return complex(rng.uniform(0.02, 0.95) * np.exp(1j * turn))
-
-
 def _draws(rng):
     tiny = lambda: complex(*rng.uniform(-1e-10, 1e-10, size=2))  # noqa: E731
     real = lambda: complex(rng.uniform(-0.45, 0.95))  # noqa: E731
@@ -72,8 +66,8 @@ def _draws(rng):
         lambda: (random_overlap(rng), real()),  # PositiveRealB
         lambda: (random_overlap(rng), tiny()),  # Orthogonal, no canonical form
         lambda: (tiny(), random_overlap(rng)),  # Orthogonal with a canonical form
-        lambda: (_near_axis(rng), random_overlap(rng)),
-        lambda: (random_overlap(rng), _near_axis(rng)),
+        lambda: (near_axis(rng), random_overlap(rng)),
+        lambda: (random_overlap(rng), near_axis(rng)),
     )
 
 

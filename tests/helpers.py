@@ -20,3 +20,9 @@ def random_overlap(rng, lo=0.02, hi=0.95):
 
 def random_pair(rng, lo=0.02, hi=0.95):
     return random_overlap(rng, lo, hi), random_overlap(rng, lo, hi)
+
+
+def near_axis(rng):
+    """A modulus on one of the six tie axes, turned 1e-14 to 1e-6 rad off it."""
+    turn = rng.integers(6) * np.pi / 3 + rng.choice((-1, 1)) * 10 ** rng.uniform(-14, -6)
+    return complex(rng.uniform(0.02, 0.95) * np.exp(1j * turn))

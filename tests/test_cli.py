@@ -750,3 +750,27 @@ def test_certificate_fails_a_nan_margin(tmp_path, capsys, psk_file):
     assert line.startswith("FAIL certificate: ")
     assert "announce0: kernel residual nan" in line
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("k", (0, 1, 2))
+def test_certificate_reads_a_huge_defer_entry_against_its_kernel(tmp_path, capsys, k):
+    # the pair's perm is (2, 1, 0), and the defer witness is diagonal with an
+    # exact zero at slot perm[2] = 0: a 1e308 entry there stays in its kernel,
+    # so only completeness fails; off the kernel the residual overflows to NaN
+    pair = ["--ka", "0.19", "0.062", "--kb", "0.27", "0.13"]
+    good = tmp_path / "m.json"
+    assert run(["construct", *pair, "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    doc["sequential"]["alice"]["defer"][k][k] = [1e308, 0.0]
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["verify", str(bad), *pair])
+    captured = capsys.readouterr()
+    assert code == 1
+    (line,) = [ln for ln in captured.out.splitlines() if " certificate: " in ln]
+    if k == 0:
+        assert line == "FAIL certificate: completeness residual 1.000e+308"
+    else:
+        assert line == "FAIL certificate: defer: kernel residual nan; completeness residual 1.000e+308"
+    assert captured.err == ""

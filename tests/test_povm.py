@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import random_overlap, random_pair
+from helpers import near_axis, random_overlap, random_pair
 from triseq import (
     BRANCHES,
     TOL,
@@ -41,6 +41,7 @@ from triseq.errors import (
     DomainError,
     InvalidPovm,
     NotGloballyOptimal,
+    RankDeficient,
     SingularSystem,
 )
 from triseq.optimality import _offsets, _tie_branch
@@ -724,23 +725,41 @@ def _gram_projector(i, x, a):
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _ref_margins(pair, seq, projector=_closed_form_projector):
-    """dual_certificate's report as the per-label loop computed it, gates
-    left out, with one projector(label index, x, state rows) and one
-    eigensolve per label."""
+def _diagonal_witness(i, pair, proj):
+    """Label i's compressed witness P D P, D = diag(3 x_n^2 (y_{perm[n]}^2 - q))
+    with q = 1/3 (announce), Bob's level (exclude) or y_2^2 (defer); x is
+    squared as np.square does, y by float ** as _offsets does."""
     x, y, perm = pair.x, pair.y, pair.perm
-    sv = state_vectors(pair)
-    witness = np.diag([3.0 * x[n] ** 2 * y[perm[n]] ** 2 for n in range(3)]).astype(complex)
     level, _ = _offsets(pair.kb, y)
-    p_value = (1.0,) * 3 + (3.0 * level,) * 3 + (3.0 * y[2] ** 2,)
+    q = (1.0 / 3.0, level, y[2] ** 2)[i // 3]
+    d = np.array([3.0 * (x[n] * x[n]) * (y[perm[n]] ** 2 - q) for n in range(3)])
+    return (proj * d) @ proj
+
+
+def _rank_one_witness(i, pair, proj):
+    """Label i's compressed witness as the certificate summed it before the
+    diagonal form, frozen: X = diag(3 x_n^2 y_{perm[n]}^2) less
+    (p/3) |a_r><a_r| for each state r Bob may still report, in slot order,
+    then P d P."""
+    x, y, perm = pair.x, pair.y, pair.perm
+    a = state_vectors(pair).a
+    level, _ = _offsets(pair.kb, y)
+    pv = (1.0, 3.0 * level, 3.0 * y[2] ** 2)[i // 3]
+    d = np.diag([3.0 * x[n] ** 2 * y[perm[n]] ** 2 for n in range(3)]).astype(complex)
+    for r in _REF_ALLOWED[i]:
+        d -= (pv / 3.0) * np.outer(a[r], a[r].conj())
+    return proj @ d @ proj
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _ref_margins(pair, seq, projector=_closed_form_projector, witness=_diagonal_witness):
+    """dual_certificate's report as the per-label loop computed it, gates
+    left out, with one projector(label index, x, state rows), one
+    witness(label index, pair, projector) and one eigensolve per label."""
+    sv = state_vectors(pair)
     psd_margin, kernel_residual, unambiguity = {}, {}, {}
-    for i, (label, allowed, pv, a_op) in enumerate(zip(LABELS, _REF_ALLOWED, p_value, seq.alice)):
-        d = witness.copy()
-        for r in allowed:
-            d -= (pv / 3.0) * np.outer(sv.a[r], sv.a[r].conj())
-        proj = projector(i, x, sv.a)
-        g = proj @ d @ proj
+    for i, (label, allowed, a_op) in enumerate(zip(LABELS, _REF_ALLOWED, seq.alice)):
+        g = witness(i, pair, projector(i, pair.x, sv.a))
         g = (g + g.conj().T) / 2.0
         psd_margin[label] = float(hermitian_eigen(g)[0][0])
         a_norm = float(np.linalg.norm(a_op))
@@ -905,6 +924,67 @@ def test_closed_form_projectors_certify_as_the_gram_projector():
         assert refused[0] == refused[1]
         assert (refused[0] != []) == (report.branch == "Orthogonal"), (ka, kb, refused[0])
     assert worst <= 1e-15
+
+
+def test_diagonal_witness_certifies_as_the_rank_one_sum():
+    # the certificate compresses the diagonal D_l where it once summed X less
+    # (p/3) |a_r><a_r| over the states Bob may still report.  On 2,000 built
+    # pairs each of Inequality, PositiveRealA and PositiveRealB, real overlaps
+    # and draws just off a tie axis among them, and on pairs whose kb
+    # disagrees with y, the two refuse with the same text (or both certify)
+    # and their margins and residuals agree within 1e-15
+    rng = np.random.default_rng(77)
+    real = lambda: complex(rng.uniform(-0.45, 0.95))  # noqa: E731
+    draws = (
+        lambda: random_pair(rng),
+        lambda: (real(), random_overlap(rng)),
+        lambda: (random_overlap(rng), real()),
+        lambda: (near_axis(rng), random_overlap(rng)),
+        lambda: (random_overlap(rng), near_axis(rng)),
+    )
+    crafted, fig = canonicalize(0.19 + 0.062j, 0.27 + 0.13j), canonicalize(FIG_K, FIG_K)
+    cases = [(crafted._replace(kb=0.1), build_sequential(crafted))]
+    cases += [(fig._replace(kb=fig.kb * (1.0 - d)), build_sequential(fig))
+              for d in (1e-6, 1e-7, 1e-8)]
+    branches = dict.fromkeys(("Inequality", "PositiveRealA", "PositiveRealB"), 0)
+    i = 0
+    while min(branches.values()) < 2000:
+        ka, kb = draws[i % len(draws)]()
+        i += 1
+        try:
+            report = check_global_optimality(ka, kb)
+        except RankDeficient:  # a near-axis draw outside the state domain
+            continue
+        if branches.get(report.branch, 2000) >= 2000:
+            continue
+        branches[report.branch] += 1
+        cases.append((report.pair, build_sequential(report.pair)))
+    worst = 0.0
+    for pair, seq in cases:
+        try:
+            new, refused = dual_certificate(pair, seq), ""
+        except CertificateViolation as exc:
+            new, refused = _ref_margins(pair, seq), str(exc)
+        old = _ref_margins(pair, seq, witness=_rank_one_witness)
+        assert refused == "; ".join(_ref_failures(old)), (pair, refused)
+        for field in ("psd_margin", "kernel_residual"):
+            got, want = getattr(new, field), getattr(old, field)
+            worst = max(worst, *(abs(got[label] - want[label]) for label in LABELS))
+    assert worst <= 1e-15
+
+
+def test_built_defer_operator_sits_in_the_witness_kernel():
+    # the defer witness is diagonal with an exact zero at slot perm[2], where
+    # the no-tie build puts u_3, so the defer residual is 0.0, not rounding
+    rng = np.random.default_rng(78)
+    built = 0
+    while built < 700:
+        report = check_global_optimality(*random_pair(rng))
+        if report.branch != "Inequality":
+            continue
+        built += 1
+        rep = dual_certificate(report.pair, build_sequential(report.pair))
+        assert rep.kernel_residual["defer"] == 0.0, report.pair
 
 
 def test_quadratic_form_matches_vdot():
