@@ -146,9 +146,9 @@ def cmd_construct(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     from .povm import (
-        _report_vectors,
         dual_certificate,
         flatten,
+        frame,
         joint_states,
         load_povm,
         verify_povm,
@@ -177,7 +177,7 @@ def cmd_verify(args, parser) -> int:
     checks.append(("internal-consistency", drift <= TOL.drift, drift))
 
     report = check_global_optimality(ka, kb)
-    sv = _report_vectors(report, ka, kb)
+    sv = frame(ka, kb)[1]
     success, leak = verify_unambiguous(loaded.povm, joint_states(sv))
     checks.append(("unambiguity", leak <= TOL.leak, leak))
 
@@ -267,7 +267,7 @@ def cmd_scan(args, parser) -> int:
 
 
 def cmd_curve(args, parser) -> int:
-    from .povm import _realize
+    from .povm import construct
 
     if not args.step > 0:
         parser.error("--step must be positive")
@@ -286,7 +286,7 @@ def cmd_curve(args, parser) -> int:
             lines.append(f"{fmt_float(s)},NA,NA,")
             continue
         if rep.verdict:
-            _, _, success = _realize(rep, k, k)
+            success = construct(k, k)[3]
             p_seq = fmt_float(success)
         else:
             p_seq = ""

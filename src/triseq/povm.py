@@ -157,9 +157,11 @@ def state_vectors(pair: CanonicalPair) -> StateVectors:
 
 
 def frame(ka, kb) -> tuple[CanonicalPair | None, StateVectors]:
-    """The orientation every measurement on this overlap pair is built in.
+    """The orientation every measurement on this overlap pair is built in,
+    and the one source of its state vectors (construct, verify, simulate).
 
-    returns: (pair, state_vectors(pair)), or (None, vectors from the raw
+    returns: (pair, state_vectors(pair)), pair the decision's report.pair
+             whenever that is not None, or (None, vectors from the raw
              amplitudes of ka, kb) when no canonical form exists
     raises:  DegenerateStates / RankDeficient from state validation
     """
@@ -296,10 +298,11 @@ def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
 
 
 def construct(ka, kb):
-    """Decide, build and score the sequential measurement for an overlap pair.
+    """Decide, build and score the sequential measurement for an overlap
+    pair: the one build path, in the states of `frame(ka, kb)`.
 
     On the Orthogonal branch one party alone identifies the state, so each
-    party runs its own three-state optimum in the frame of `frame(ka, kb)`.
+    party runs its own three-state optimum in that frame.
 
     returns: (report, seq, states, success) with seq.branch == report.branch,
              states the StateVectors seq acts on, and success its verified
@@ -308,29 +311,15 @@ def construct(ka, kb):
              false, with the build's reason when the build refuses
     """
     report = check_global_optimality(ka, kb)
-    return (report, *_realize(report, ka, kb))
-
-
-def _realize(report, ka, kb):
-    """construct's build-and-score tail, for a pair already decided.
-
-    returns: (seq, states, success) as in construct
-    """
     if not report.verdict:
         raise NotGloballyOptimal()
-    sv = _report_vectors(report, ka, kb)
+    sv = frame(ka, kb)[1]
     if report.pair is None:
         seq = _product_sequential(sv, "Orthogonal")
     else:
         seq = build_sequential(report.pair)
     success, _ = verify_unambiguous(flatten(seq), joint_states(sv))
-    return seq, sv, success
-
-
-def _report_vectors(report, ka, kb) -> StateVectors:
-    """The state vectors of a decided pair: its canonical pair's, oriented
-    once by the decision, or frame(ka, kb)'s when it has none."""
-    return state_vectors(report.pair) if report.pair is not None else frame(ka, kb)[1]
+    return report, seq, sv, success
 
 
 def flatten(seq: SequentialMeasurement) -> Povm:

@@ -70,7 +70,10 @@ def _check_overlap(k) -> complex:
     k = complex(k)
     if not cmath.isfinite(k):
         raise DomainError(f"overlap must be finite, got {k!r}")
-    r = abs(k)
+    try:
+        r = abs(k)
+    except OverflowError:  # finite parts, modulus beyond the float range
+        r = math.inf
     if r >= 1.0 - TOL.degenerate:
         if r > 1.0:
             raise DegenerateStates(f"|K| = {r:.15g} exceeds 1: no states have this overlap")

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import cmath
+import contextlib
 import functools
+import io
 import json
 import operator
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_overlap
 from triseq import (
@@ -735,6 +739,65 @@ def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_fi
     assert captured.out == ""
     assert captured.err.startswith("invalid measurement file: meta overlaps: |K| = 1.5 exceeds 1")
     assert len(captured.err.splitlines()) == 1
+
+
+# finite parts whose modulus overflows the float range count as |K| > 1
+_OVERFLOW_REFUSED = "error: |K| = inf exceeds 1: no states have this overlap\n"
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_FINITE, _FINITE, _FINITE, _FINITE)
+@example(1.7e308, 1.7e308, 0.1, 0.1)
+@example(0.1, 0.1, -1.7e308, 1e308)
+def test_check_decides_or_refuses_every_finite_pair(are, aim, bre, bim):
+    argv = ["check", "--ka", repr(are), repr(aim), "--kb", repr(bre), repr(bim)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 64), (argv, err.getvalue())
+    assert (code == 64) == (err.getvalue() != "")
+
+
+@pytest.mark.parametrize("command", ["check", "construct", "verify"])
+def test_overlap_whose_modulus_overflows_is_refused(tmp_path, capsys, psk_file, command):
+    path = tmp_path / "m.json"
+    path.write_text(psk_file)
+    argv = {
+        "check": ["check"],
+        "construct": ["construct", "--out", str(tmp_path / "new.json")],
+        "verify": ["verify", str(path)],
+    }[command] + ["--ka", "1.7e308", "1.7e308", "--kb", "0.1", "0.1"]
+    assert run(argv) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", _OVERFLOW_REFUSED)
+    assert not (tmp_path / "new.json").exists()
+
+
+def test_scan_writes_na_where_the_modulus_overflows(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--mode", "complex-k", "--resolution", "2", "--re-min", "0",
+            "--re-max", "1.7e308", "--im-min", "0", "--im-max", "1.7e308", "--out", str(out)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == f"wrote 4 rows to {out}\n"
+    lines = out.read_text().splitlines()
+    assert lines[1].startswith("0,0,true,Orthogonal,")
+    big = fmt_float(1.7e308)
+    assert lines[2:] == [f"0,{big},NA,NA,NA,NA,NA", f"{big},0,NA,NA,NA,NA,NA",
+                         f"{big},{big},NA,NA,NA,NA,NA"]
+
+
+def test_simulate_refuses_meta_overlaps_whose_modulus_overflows(tmp_path, capsys, psk_file):
+    doc = json.loads(psk_file)
+    doc["meta"]["ka"] = [1.7e308, 1.7e308]
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["simulate", "--povm", str(bad), "--state", "0", "--shots", "10", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == ("invalid measurement file: meta overlaps: "
+                            + _OVERFLOW_REFUSED.removeprefix("error: "))
 
 
 def test_certificate_fails_a_nan_margin(tmp_path, capsys, psk_file):

@@ -25,6 +25,8 @@ def test_multipartite_input_validation():
         check_multipartite([0.3])
     with pytest.raises(DegenerateStates):
         check_multipartite([0.3, 1.0])
+    with pytest.raises(DegenerateStates, match=r"\|K\| = inf exceeds 1"):
+        check_multipartite([1.7e308 + 1.7e308j, 0.1])  # the modulus overflows
 
 
 def test_multipartite_failing_level_is_first():

@@ -52,7 +52,6 @@ from triseq.povm import (
     CertificateReport,
     Povm,
     _quad,
-    _realize,
 )
 from triseq.serialize import json_dumps
 from triseq.states import TAU
@@ -208,8 +207,12 @@ def test_product_success_against_oracle():
             continue
         if report.branch == "Inequality":
             continue
-        route = report.branch + ("/bob-only" if frame(ka, kb)[0] is None else "")
+        pair, framed = frame(ka, kb)
+        route = report.branch + ("/bob-only" if pair is None else "")
         routes[route] = routes.get(route, 0) + 1
+        # construct takes its states from frame, whichever route it builds on
+        _assert_bits(sv.a, framed.a)
+        _assert_bits(sv.b, framed.b)
         x, y = sv.a[0].real, sv.b[0].real
         alice, bob = seq.alice.copy(), seq.bob.copy()
         alice[6], bob[6, 3] = _ref_ternary_inconclusive(x), _ref_ternary_inconclusive(y)
@@ -679,11 +682,13 @@ def test_phase_table_builds_as_the_per_index_reference():
         for w in (x, y):
             _assert_bits(ternary_unambiguous(w).outcomes[:3], _ref_ternary_detect(w))
         try:
-            report, seq, _, _ = construct(ka, kb)
+            report, seq, built, _ = construct(ka, kb)
         except NotGloballyOptimal:
             continue
         route = report.branch + ("/bob-only" if pair is None else "")
         routes[route] = routes.get(route, 0) + 1
+        _assert_bits(built.a, sv.a)
+        _assert_bits(built.b, sv.b)
         if report.branch == "Inequality":
             _assert_bits(seq.alice, _ref_alice(pair, seq.weights))
         else:  # the product strategy: Alice runs her own three-state optimum
@@ -910,7 +915,7 @@ def test_closed_form_projectors_certify_as_the_gram_projector():
         if not report.verdict or branches[report.branch] >= 600:
             continue
         branches[report.branch] += 1
-        seq, _, _ = _realize(report, ka, kb)
+        _, seq, _, _ = construct(ka, kb)
         pair = frame(ka, kb)[0]
         if report.branch == "Orthogonal":
             closed = _ref_margins(pair, seq)
