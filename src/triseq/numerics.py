@@ -33,7 +33,7 @@ class Tolerances(NamedTuple):
     completeness: max |sum - identity| entry (certificate on Alice, verify)
     prob_sum:   distance of sampled outcome probabilities' sum from 1
     povm_psd:   eigenvalue floor of verify's positivity gate
-    drift:      verify's bound on the stored POVM against its re-flattening
+    drift:      load_povm's bound on a version-1 file's stored POVM against flatten
     success_gap: verify's bound on the success probability's miss of optimum
     """
 

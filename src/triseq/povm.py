@@ -546,14 +546,10 @@ def _stacks(keys, *parts):
 
 
 def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, success: float):
-    """Write a measurement file: flattened POVM, per-label pieces, meta."""
-    flat = flatten(seq)
+    """Write a measurement file, format 2: meta and the pieces Alice and Bob run."""
     doc = {
         "dim": 9,
-        "outcomes": [
-            {"label": label, "matrix": _to_json(op)}
-            for label, op in zip(flat.labels, flat.outcomes)
-        ],
+        "format": 2,
         "meta": {
             "ka": complex(ka),
             "kb": complex(kb),
@@ -572,7 +568,7 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
 
 
 class LoadedMeasurement(NamedTuple):
-    """A measurement file as load_povm reads it; meta holds ka, kb as complex."""
+    """A measurement file as load_povm reads it; povm is flatten(seq), meta has ka, kb complex."""
 
     povm: Povm
     seq: SequentialMeasurement
@@ -580,11 +576,12 @@ class LoadedMeasurement(NamedTuple):
 
 
 def load_povm(path) -> LoadedMeasurement:
-    """Read a measurement file back; inverse of save_povm.
+    """Read a save_povm file back, with povm = flatten(seq).  A file without a
+    "format" key is version 1, whose "outcomes" block must match that within TOL.drift.
 
-    raises: InvalidPovm on any structural problem (missing keys, wrong
-            shapes, entries that are not finite numbers, a meta branch
-            outside BRANCHES)
+    raises: InvalidPovm on any structural problem (missing keys, wrong shapes,
+            entries that are not finite numbers, a meta branch outside
+            BRANCHES, a format other than 2)
     """
     try:
         with open(path) as fh:
@@ -594,11 +591,8 @@ def load_povm(path) -> LoadedMeasurement:
     try:
         if doc["dim"] != 9:
             raise InvalidPovm(f"expected dim 9, got {doc['dim']!r}")
-        raw_outcomes = doc["outcomes"]
-        labels = tuple(entry["label"] for entry in raw_outcomes)
-        if labels != OUTCOME_LABELS:
-            raise InvalidPovm(f"unexpected outcome labels {list(labels)}")
-        (outcomes,) = _stacks(range(4), (lambda i: raw_outcomes[i]["matrix"], (9, 9), "outcome"))
+        if doc.get("format", 2) != 2:
+            raise InvalidPovm(f"format: expected 2 (or no key: version 1), got {doc['format']!r}")
         meta = doc["meta"]
         if not isinstance(meta, dict):
             raise InvalidPovm("meta: expected a JSON object")
@@ -612,9 +606,15 @@ def load_povm(path) -> LoadedMeasurement:
         block = doc["sequential"]
         alice, bob = _stacks(LABELS, (lambda label: block["alice"][label], (3, 3), "alice"),
                              (lambda label: block["bob"][label], (4, 3, 3), "bob"))
+        seq = SequentialMeasurement(alice=alice, bob=bob, weights=weights, branch=branch)
+        povm = flatten(seq)
+        if "format" not in doc:
+            raw = {entry["label"]: entry["matrix"] for entry in doc["outcomes"]}
+            (stored,) = _stacks(OUTCOME_LABELS, (raw.__getitem__, (9, 9), "outcome"))
+            drift = float(np.max(np.abs(stored - povm.outcomes)))
+            if not drift <= TOL.drift:  # NaN fails too
+                raise InvalidPovm(f"outcomes: the stored operators differ from the flattened"
+                                  f" sequential pieces by {drift:.3e}")
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidPovm(f"missing or malformed field: {exc}") from exc
-
-    povm = Povm(outcomes=outcomes, labels=OUTCOME_LABELS)
-    seq = SequentialMeasurement(alice=alice, bob=bob, weights=weights, branch=branch)
     return LoadedMeasurement(povm=povm, seq=seq, meta=meta)

@@ -127,12 +127,13 @@ class Digest:
 
 def _tampered(text, i):
     """Three edits of a measurement file: a scaled Alice label, one
-    non-Hermitian outcome entry, and a 1e308 Alice entry."""
+    non-Hermitian entry in a Bob piece after an announce label (Alice uses
+    those on every branch), and a 1e308 Alice entry."""
     scaled, skew, huge = (json.loads(text) for _ in range(3))
     alice = scaled["sequential"]["alice"]
     label = list(alice)[i % 7]
     alice[label] = [[[1.001 * v for v in entry] for entry in row] for row in alice[label]]
-    skew["outcomes"][i % 4]["matrix"][0][1][0] += 1e-3
+    skew["sequential"]["bob"][list(alice)[i % 3]][i % 4][0][1][0] += 1e-3
     huge["sequential"]["alice"][label][0][0] = [1e308, 0.0]
     return [json.dumps(d) for d in (scaled, skew, huge)]
 

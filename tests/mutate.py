@@ -1,4 +1,4 @@
-"""Break the certificate and `verify` gates one at a time; list what tier 1 misses.
+"""Break the certificate, `verify` and loader gates one at a time; list what tier 1 misses.
 
     python tests/mutate.py
 
@@ -6,7 +6,8 @@ Copies src/, tests/, demos/, perfbench/ and pyproject.toml (what the suite
 reads) into a temporary directory.  Each mutant rewrites one site of
 src/triseq in that copy:
 
-  - a comparison in `povm.dual_certificate`, `povm.verify_povm` or
+  - a comparison in `povm.dual_certificate`, `povm.verify_povm`,
+    `povm.load_povm` (the version-1 drift gate among them) or
     `cli.cmd_verify`, negated (`a <= b` becomes `not (a <= b)`);
   - a `failures.append(...)` in `dual_certificate`, dropped;
   - a TOL field one of those functions reads, scaled by 1e3 and by 1e-3 at
@@ -33,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
 TARGETS = {
-    "povm.py": ("dual_certificate", "verify_povm"),
+    "povm.py": ("dual_certificate", "verify_povm", "load_povm"),
     "cli.py": ("cmd_verify",),
 }
 # run first: a broken gate fails a test in these soonest, and -x stops there

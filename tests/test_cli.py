@@ -5,6 +5,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import operator
 import os
 import subprocess
@@ -18,7 +19,10 @@ from hypothesis import strategies as st
 
 from helpers import random_overlap
 from triseq import (
+    LABELS,
+    SequentialMeasurement,
     check_global_optimality,
+    flatten,
     frame,
     joint_states,
     load_povm,
@@ -27,6 +31,7 @@ from triseq import (
 )
 from triseq.cli import _COMMANDS, _build_parser, main
 from triseq.errors import TriseqError
+from triseq.povm import _to_json
 from triseq.serialize import fmt_float
 from triseq.states import TAU
 
@@ -163,9 +168,9 @@ def test_construct_verify_round_trip(tmp_path, capsys):
     report = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in report
-    for name in ("psd", "completeness", "internal-consistency", "unambiguity",
-                 "success-vs-global", "certificate"):
+    for name in ("psd", "completeness", "unambiguity", "success-vs-global", "certificate"):
         assert f"ok   {name}" in report
+    assert "internal-consistency" not in report  # the file states the measurement once
     assert "success 0.92" in report
 
 
@@ -175,32 +180,34 @@ FIG_ARGS = ["--ka", "0.19021130325903071", "0.061803398874989479",
 
 
 def test_verify_gates_sit_at_their_tolerances(tmp_path, capsys):
-    # each edit adds s |v><v| to one stored outcome, about 30x beyond or
-    # inside the bounds it moves, so a bound a thousand times looser or
+    # each edit adds c |b><b| to Bob's outcome k after one Alice label,
+    # whose operator is the rank-one t |w><w| (t its trace), so the derived
+    # outcome k gains (c t) |w (x) b><w (x) b|; c t = s sits about 30x beyond
+    # or inside the bounds it moves, so a bound a thousand times looser or
     # tighter changes which checks fail
     good = tmp_path / "m.json"
     assert run(["construct", *FIG_ARGS, "--out", str(good)]) == 0
     doc = json.loads(good.read_text())
-    outcomes = load_povm(good).povm.outcomes
-    psi = joint_states(frame(FIG_K, FIG_K)[1])
-    null = np.linalg.eigh(outcomes[0])[1][:, 0]  # outcome 0's eigenvalue there is ~0
-    e0 = np.eye(9)[0]
+    seq = load_povm(good).seq
+    b = frame(FIG_K, FIG_K)[1].b  # Bob's states, unit rows
+    e0 = np.eye(3)[0]
     cases = [
-        (3, e0, 3e-9, {"completeness", "internal-consistency"}),
-        (3, e0, 3e-11, {"internal-consistency"}),
-        (3, e0, 3e-14, set()),
-        (0, null, -3e-11, {"psd", "internal-consistency"}),
-        (0, null, -3e-14, set()),
-        (0, psi[1], 3e-9, {"unambiguity", "completeness", "internal-consistency"}),
-        (0, psi[1], 2e-12, set()),
-        (0, psi[0], 1e-8, {"success-vs-global", "completeness", "internal-consistency"}),
-        (0, psi[0], 2e-12, set()),
+        ("defer", 3, e0, 3e-9, {"completeness"}),  # w (x) e0 is a basis vector
+        ("defer", 3, e0, 3e-11, set()),
+        ("announce1", 0, b[2], -3e-11, {"psd"}),  # margin -1.5e-11, leak 1.1e-12
+        ("announce1", 0, b[2], -3e-14, set()),
+        ("announce1", 0, b[1], 3e-9, {"unambiguity", "completeness"}),
+        ("announce1", 0, b[1], 2e-12, set()),
+        ("announce0", 0, b[0], 1e-8, {"success-vs-global", "completeness"}),
+        ("announce0", 0, b[0], 2e-12, set()),
     ]
     bad = tmp_path / "bad.json"
-    for k, v, s, failed in cases:
+    for label, k, v, s, failed in cases:
         edited = json.loads(json.dumps(doc))
-        op = outcomes[k] + s * np.outer(v, v.conj())
-        edited["outcomes"][k]["matrix"] = [[[z.real, z.imag] for z in row] for row in op.tolist()]
+        i = LABELS.index(label)
+        op = seq.bob[i, k] + s / np.trace(seq.alice[i]).real * np.outer(v, v.conj())
+        edited["sequential"]["bob"][label][k] = [[[z.real, z.imag] for z in row]
+                                                 for row in op.tolist()]
         bad.write_text(json.dumps(edited))
         code = run(["verify", str(bad), *FIG_ARGS])
         lines = capsys.readouterr().out.splitlines()
@@ -374,7 +381,7 @@ def test_verify_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
 
     doc = json.loads(out.read_text())
-    doc["outcomes"][0]["matrix"][0][0][0] += 1e-3
+    doc["sequential"]["bob"]["announce0"][0][0][0][0] += 1e-3
     out.write_text(json.dumps(doc))
     code = run(["verify", str(out), *args])
     report = capsys.readouterr().out
@@ -384,7 +391,7 @@ def test_verify_detects_tampering(tmp_path, capsys):
 
 def test_verify_unreadable_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"dim": 9, "outcomes": [')
+    bad.write_text('{"dim": 9, "format": 2, "meta": {')
     assert run(["verify", str(bad), "--trine", "0.5"]) == 65
     assert run(["verify", str(tmp_path / "missing.json"), "--trine", "0.5"]) == 65
     capsys.readouterr()
@@ -584,6 +591,18 @@ def _set(path, value):
     return mutate
 
 
+def _as_version1(doc):
+    """A format-2 document as version 1 wrote it: no format key, and the
+    flattened POVM stored as an outcomes block."""
+    block = doc["sequential"]
+    alice, bob = (np.array([block[part][label] for label in LABELS]).view(complex)[..., 0]
+                  for part in ("alice", "bob"))
+    flat = flatten(SequentialMeasurement(alice, bob, (), ""))
+    outcomes = [{"label": label, "matrix": json.loads(_to_json(op))}
+                for label, op in zip(flat.labels, flat.outcomes)]
+    return {"dim": doc["dim"], "outcomes": outcomes, "meta": doc["meta"], "sequential": block}
+
+
 def _edit(mutate):
     return lambda text: json.dumps(mutate(json.loads(text))).encode()
 
@@ -594,7 +613,7 @@ def _dim_overflow(text):
 
 
 def _ragged(doc):
-    doc["outcomes"][1]["matrix"][4].pop()
+    doc["sequential"]["bob"]["exclude0"][1][2].pop()
     return doc
 
 
@@ -611,14 +630,14 @@ def _two_by_two(doc):
 
 # each maps the text of a good file to the bytes of a bad one
 MALFORMED = {
-    "entry_object": _edit(_set(["outcomes", 0, "matrix", 0, 0], {"re": 1.0, "im": 0.0})),
-    "outcomes_not_list": _edit(_set(["outcomes"], 5)),
+    "entry_object": _edit(_set(["sequential", "bob", "defer", 0, 0, 0], {"re": 1.0, "im": 0.0})),
+    "outcomes_not_list": _edit(lambda doc: _set(["outcomes"], 5)(_as_version1(doc))),
     "dim_overflow": _dim_overflow,
-    "huge_int_entry": _edit(_set(["outcomes", 0, "matrix", 0, 0, 0], 10**400)),
+    "huge_int_entry": _edit(_set(["sequential", "alice", "announce2", 0, 0, 0], 10**400)),
     "three_numbers": _edit(_set(["sequential", "alice", "announce0", 0, 0], [1.0, 0.0, 7.0])),
     "string_numbers": _edit(_set(["sequential", "bob", "exclude1", 2, 0, 0], ["1.0", "0"])),
-    "bool_entry": _edit(_set(["outcomes", 2, "matrix", 1, 1, 0], True)),
-    "null_entry": _edit(_set(["outcomes", 3, "matrix", 0, 0], None)),
+    "bool_entry": _edit(_set(["sequential", "bob", "announce2", 2, 1, 1, 0], True)),
+    "null_entry": _edit(_set(["sequential", "alice", "exclude1", 0, 0], None)),
     "nan_entry": _edit(_set(["sequential", "alice", "defer", 2, 2, 0], float("nan"))),
     "ragged_row": _edit(_ragged),
     "wrong_shape": _edit(_two_by_two),
@@ -628,7 +647,7 @@ MALFORMED = {
     "kappa_huge_int": _edit(_set(["meta", "kappa"], [10**400, 0.0, 0.0])),
     "kappa_string_bool": _edit(_set(["meta", "kappa"], ["1.5", True])),
     "kappa_two_numbers": _edit(_set(["meta", "kappa"], [0.25, 0.5])),
-    "label_not_string": _edit(_set(["outcomes", 0, "label"], 0)),
+    "label_not_string": _edit(lambda doc: _set(["outcomes", 0, "label"], 0)(_as_version1(doc))),
     "meta_pairs": _edit(lambda doc: {**doc, "meta": list(doc["meta"].items())}),
     "branch_number": _edit(_set(["meta", "branch"], 7)),
     "branch_null": _edit(_set(["meta", "branch"], None)),
@@ -674,18 +693,21 @@ def test_loader_names_the_failing_piece(tmp_path, capsys, psk_file):
     # each kind of bad entry, and a short row, in each of the three blocks
     head = "cannot load measurement file:"
     overflow = f"{head} missing or malformed field: int too large to convert to float\n"
-    for row, name, shape in ((["outcomes", 2, "matrix", 1], "outcome 2", "(9, 9, 2)"),
-                             (["sequential", "alice", "exclude0", 1], "alice exclude0",
-                              "(3, 3, 2)"),
-                             (["sequential", "bob", "announce1", 3, 1], "bob announce1",
-                              "(4, 3, 3, 2)")):
+    # (a version-1 file's outcomes block is decoded as the pieces are)
+    same = lambda doc: doc  # noqa: E731
+    for prep, row, name, shape in ((_as_version1, ["outcomes", 2, "matrix", 1], "outcome 2",
+                                    "(9, 9, 2)"),
+                                   (same, ["sequential", "alice", "exclude0", 1],
+                                    "alice exclude0", "(3, 3, 2)"),
+                                   (same, ["sequential", "bob", "announce1", 3, 1],
+                                    "bob announce1", "(4, 3, 3, 2)")):
         numbers = f"{head} {name}: expected a {shape} array of numbers\n"
         for value, want in ((True, numbers), (None, numbers), ("0.5", numbers),
                             ("1e400", f"{head} {name}: non-finite entries\n"),
                             (10**400, overflow)):
-            assert message(_set([*row, 1, 0], value)) == want, (name, value)
-        full = functools.reduce(operator.getitem, row, json.loads(psk_file))
-        assert message(_set(row, full[:-1])) == numbers, name
+            assert message(prep, _set([*row, 1, 0], value)) == want, (name, value)
+        full = functools.reduce(operator.getitem, row, prep(json.loads(psk_file)))
+        assert message(prep, _set(row, full[:-1])) == numbers, name
 
     # two bad pieces: the one read first, piece by piece in label order, is named
     two = message(_set(["sequential", "alice", "announce1", 0, 0, 0], None),
@@ -693,10 +715,81 @@ def test_loader_names_the_failing_piece(tmp_path, capsys, psk_file):
     assert two.startswith(f"{head} bob announce0: "), two
 
 
+@pytest.mark.parametrize("args", [
+    FIG_ARGS,  # Inequality
+    ["--psk", "0.3", "0.3"],
+    ["--ka", "0.19", "0.062", "--kb", "0.3", "0"],  # PositiveRealB
+    ["--ka", "0.3", "0", "--kb", "0.19", "0.062"],  # PositiveRealA
+    ["--ka", "0", "0", "--kb", "0.38", "0.11"],  # Orthogonal, canonical build
+    ["--ka", "0.3", "0", "--kb", "0", "0"],  # Orthogonal, Bob alone
+])
+def test_version1_file_reads_as_its_version2_twin(tmp_path, capsys, args):
+    # a version-1 file also stored flatten(seq) as an outcomes block; one
+    # whose block is within TOL.drift of its pieces verifies and simulates
+    # byte for byte as the format-2 file that holds only the pieces
+    new, old, near = tmp_path / "v2.json", tmp_path / "v1.json", tmp_path / "near.json"
+    assert run(["construct", *args, "--out", str(new)]) == 0
+    branch = json.loads(capsys.readouterr().out)["branch"]
+    doc = json.loads(new.read_text())
+    assert list(doc) == ["dim", "format", "meta", "sequential"] and doc["format"] == 2
+    v1 = _as_version1(doc)
+    old.write_text(json.dumps(v1))
+    v1["outcomes"][1]["matrix"][0][2][0] += 3e-14
+    near.write_text(json.dumps(v1))
+    seen = []
+    for path in (new, old, near):
+        runs = [["verify", str(path), *args]] + [
+            ["simulate", "--povm", str(path), "--state", str(r), "--shots", "1000", "--seed", "5"]
+            for r in range(3)
+        ]
+        outputs = []
+        for argv in runs:
+            code = run(argv)
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        seen.append(outputs)
+    assert seen[0] == seen[1] == seen[2], branch
+    assert [code for code, _, _ in seen[0]] == [0, 0, 0, 0], branch
+
+
+def _skewed_version1(s):
+    def edit(doc):
+        doc = _as_version1(doc)
+        doc["outcomes"][1]["matrix"][0][2][0] += s
+        return doc
+    return edit
+
+
+REFUSED = {
+    "version1_skew_1e-3": (_skewed_version1(1e-3), "outcomes: the stored operators differ"
+                           " from the flattened sequential pieces by 1.000e-03"),
+    "version1_skew_3e-11": (_skewed_version1(3e-11), "outcomes: the stored operators differ"
+                            " from the flattened sequential pieces by 3.000e-11"),
+    "format_3": (_set(["format"], 3), "format: expected 2 (or no key: version 1), got 3"),
+    "format_1": (_set(["format"], 1), "format: expected 2 (or no key: version 1), got 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_disagreeing_version1_block_and_unknown_format_are_refused(tmp_path, capsys, psk_file,
+                                                                   name):
+    edit, cause = REFUSED[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(psk_file))))
+    for argv in (["verify", str(bad), "--psk", "0.3", "0.3"],
+                 ["simulate", "--povm", str(bad), "--state", "0", "--shots", "10", "--seed", "0"]):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 65, argv[0]
+        assert captured.out == ""
+        assert captured.err == f"cannot load measurement file: {cause}\n"
+
+
 def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_file):
-    # a non-Hermitian outcome fails verify's psd check
+    # a non-Hermitian Bob piece makes a non-Hermitian outcome, which fails
+    # verify's psd check
     doc = json.loads(psk_file)
-    doc["outcomes"][0]["matrix"][0][1] = [0.3, 0.0]
+    doc["sequential"]["bob"]["announce0"][0][0][1] = [0.3, 0.0]
     bad = tmp_path / "skew.json"
     bad.write_text(json.dumps(doc))
     code = run(["verify", str(bad), "--psk", "0.3", "0.3"])
@@ -707,7 +800,7 @@ def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_fi
 
     # the stacked check names the failing outcome by its label
     doc = json.loads(psk_file)
-    doc["outcomes"][3]["matrix"][0][1] = [0.3, 0.0]
+    doc["sequential"]["bob"]["announce0"][3][0][1] = [0.3, 0.0]
     bad.write_text(json.dumps(doc))
     code = run(["verify", str(bad), "--psk", "0.3", "0.3"])
     captured = capsys.readouterr()
@@ -716,9 +809,11 @@ def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_fi
     assert captured.err == ""
 
     # outcome probabilities that do not sum to one make simulate refuse the file
+    # (Bob's outcome 0 gains 0.2 I after every label, so outcome 0 gains 0.2 I)
     doc = json.loads(psk_file)
-    for i in range(9):
-        doc["outcomes"][0]["matrix"][i][i][0] += 0.2
+    for pieces in doc["sequential"]["bob"].values():
+        for i in range(3):
+            pieces[0][i][i][0] += 0.2
     bad = tmp_path / "heavy.json"
     bad.write_text(json.dumps(doc))
     code = run(["simulate", "--povm", str(bad), "--state", "0", "--shots", "10", "--seed", "0"])
@@ -785,6 +880,24 @@ def test_scan_writes_na_where_the_modulus_overflows(tmp_path, capsys):
     big = fmt_float(1.7e308)
     assert lines[2:] == [f"0,{big},NA,NA,NA,NA,NA", f"{big},0,NA,NA,NA,NA,NA",
                          f"{big},{big},NA,NA,NA,NA,NA"]
+
+
+def test_scan_grid_between_far_finite_bounds_stays_finite(tmp_path, capsys):
+    # hi - lo, or i (hi - lo), overflows here although both bounds are finite
+    out = tmp_path / "scan.csv"
+    big = fmt_float(1.7e308)
+    assert run(["scan", "--mode", "complex-k", "--resolution", "2", "--re-min", "-1.7e308",
+                "--re-max", "1.7e308", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1:] == [
+        f"{re},{im},NA,NA,NA,NA,NA" for re in ("-" + big, big) for im in ("-0.87", "0.87")
+    ]
+
+    assert run(["scan", "--mode", "psk-grid", "--s-min", "0", "--s-max", "1.7e308",
+                "--resolution", "3", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert sorted({float(row[0]) for row in rows}) == [0.0, 8.5e307, 1.7e308]
+    assert all(math.isfinite(float(row[1])) for row in rows)
 
 
 def test_simulate_refuses_meta_overlaps_whose_modulus_overflows(tmp_path, capsys, psk_file):

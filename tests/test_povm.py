@@ -546,13 +546,13 @@ def test_load_rejects_structural_damage(tmp_path):
         load_povm(path)
 
     bad = json.loads(json.dumps(doc))
-    bad["outcomes"][1]["label"] = "weird"
+    bad["sequential"]["alice"]["weird"] = bad["sequential"]["alice"].pop("announce1")
     path.write_text(json.dumps(bad))
     with pytest.raises(InvalidPovm):
         load_povm(path)
 
     bad = json.loads(json.dumps(doc))
-    bad["outcomes"][0]["matrix"][2][5] = ["oops", 0.0]
+    bad["sequential"]["bob"]["exclude2"][3][2][1] = ["oops", 0.0]
     path.write_text(json.dumps(bad))
     with pytest.raises(InvalidPovm):
         load_povm(path)
@@ -569,14 +569,10 @@ def _ref_matrix_to_json(op):
 
 
 def _ref_file_text(seq, ka, kb, success):
-    """The measurement file as the element-by-element writer spelled it."""
-    flat = flatten(seq)
+    """The measurement file, format 2, spelled element by element."""
     doc = {
         "dim": 9,
-        "outcomes": [
-            {"label": label, "matrix": _ref_matrix_to_json(op)}
-            for label, op in zip(flat.labels, flat.outcomes)
-        ],
+        "format": 2,
         "meta": {
             "ka": [ka.real, ka.imag],
             "kb": [kb.real, kb.imag],
@@ -836,7 +832,9 @@ def test_codec_matches_elementwise_reference(tmp_path):
         assert path.read_bytes() == text.encode()
 
         loaded, doc = load_povm(path), json.loads(text)
-        pieces = [(got, e["matrix"]) for got, e in zip(loaded.povm.outcomes, doc["outcomes"])]
+        for got, want in zip(loaded.povm.outcomes, _ref_flatten(seq)):
+            assert got.tobytes() == want.tobytes()  # the pieces round-trip exactly
+        pieces = []
         for label, alice_op, bob_ops in zip(LABELS, loaded.seq.alice, loaded.seq.bob):
             pieces.append((alice_op, doc["sequential"]["alice"][label]))
             pieces += zip(bob_ops, doc["sequential"]["bob"][label])
@@ -1023,9 +1021,8 @@ def test_writer_spells_edge_entries_as_the_reference(tmp_path):
     )
     path = tmp_path / "m.json"
     for edited, has_null in edges:
-        with np.errstate(invalid="ignore"):  # flatten multiplies inf by zero
-            save_povm(path, edited, pair.ka, pair.kb, 0.5)
-            text = _ref_file_text(edited, pair.ka, pair.kb, 0.5)
+        save_povm(path, edited, pair.ka, pair.kb, 0.5)
+        text = _ref_file_text(edited, pair.ka, pair.kb, 0.5)
         assert path.read_bytes() == text.encode()
         assert "[-0,4.9406564584124654e-324]" in text and "[1e+308,-1e-300]" in text
         assert ("null" in text) == has_null
