@@ -74,7 +74,8 @@ def hermitian_eigen(h):
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise NonHermitian(f"expected a square matrix, got shape {h.shape}")
-    skew = np.abs(h - np.swapaxes(h, -2, -1).conj()).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge entry's residual is inf or NaN
+        skew = np.abs(h - np.swapaxes(h, -2, -1).conj()).max(axis=(-2, -1))
     bad = skew > TOL.herm  # a NaN residual passes, as it always has
     if bad.any():
         i = int(np.argmax(bad))

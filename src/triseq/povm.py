@@ -31,6 +31,7 @@ closed form, and checks dual feasibility and complementary slackness.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import NamedTuple
@@ -123,11 +124,26 @@ class CertificateReport(NamedTuple):
     unambiguity: dict
 
 
+@functools.cache
+def _triangles(n):
+    return np.tri(n, k=-1, dtype=bool), np.eye(n, dtype=bool)
+
+
 def _outer(vecs) -> np.ndarray:
-    """|v><v| for each row v of a stack of vectors."""
-    return vecs[..., :, None] * vecs.conj()[..., None, :]
+    """|v><v| for each row v of a stack of vectors, made exactly Hermitian: fused
+    multiply-adds round the product's mirrored entries apart and its diagonal off the reals."""
+    m = vecs[..., :, None] * vecs.conj()[..., None, :]
+    lower, diagonal = _triangles(m.shape[-1])
+    np.copyto(m, np.swapaxes(m, -2, -1).conj(), where=lower)
+    np.copyto(m, m.real, where=diagonal)
+    return m
 
 
+# a huge finite entry in a loaded file overflows to inf or NaN, which every gate fails on
+_OVERFLOW_GATED = np.errstate(over="ignore", invalid="ignore")
+
+
+@_OVERFLOW_GATED
 def _quad(ops, states) -> np.ndarray:
     """Table q[e, s] = Re <s|E_e|s> over a stack of operators and the
     state rows; the stacked products repeat np.vdot(s, E @ s) bit for bit."""
@@ -322,6 +338,7 @@ def construct(ka, kb):
     return report, seq, sv, success
 
 
+@_OVERFLOW_GATED
 def flatten(seq: SequentialMeasurement) -> Povm:
     """Combine Alice and Bob into one four-outcome POVM on the 9-dim space."""
     # terms[l, r] is kron(alice[l], bob[l, r]); the sum over labels runs in
@@ -381,9 +398,7 @@ _BLOCKED_MASK = np.array(
 )
 
 
-# A huge finite entry in a loaded file can overflow a margin to inf or NaN.
-# Every gate below fails on NaN, so numpy's warnings would only repeat it.
-@np.errstate(over="ignore", invalid="ignore")
+@_OVERFLOW_GATED
 def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> CertificateReport:
     """Independent optimality proof for a constructed measurement.
 
@@ -505,10 +520,9 @@ def _draw(p: Povm, state, shots: int, seed: int):
     return rng.multinomial(shots, probs / total), probs
 
 
-def _to_json(ops) -> str:
-    """Complex array of any shape as the JSON text of nested [re, im] pairs."""
-    ops = np.ascontiguousarray(ops, dtype=complex)
-    return array_json(ops.view(float).ravel().tolist(), (*ops.shape, 2))
+# format 3 spells a Hermitian 3x3 piece as nine numbers, H00, H11, H22 and then
+# Re and Im of H01, H02, H12: these places among its 18 row-major floats
+_PACKED = np.array([0, 8, 16, 2, 3, 4, 5, 10, 11])
 
 
 def _numbers(data, shape, context) -> np.ndarray:
@@ -527,29 +541,40 @@ def _numbers(data, shape, context) -> np.ndarray:
 
 
 def _from_json(data, shape, context) -> np.ndarray:
-    """Inverse of _to_json: nested [re, im] pairs, exactly `shape` deep."""
+    """Complex array from nested [re, im] pairs, exactly `shape` deep."""
     return _numbers(data, (*shape, 2), context).view(complex)[..., 0]
 
 
-def _stacks(keys, *parts):
+def _from_packed(data, shape, context) -> np.ndarray:
+    """Hermitian pieces of `shape` (..., 3, 3) from format 3's nine numbers each."""
+    packed = _numbers(data, (*shape[:-2], 9), context)
+    floats = np.zeros((*shape[:-2], 18))
+    floats[..., _PACKED] = packed
+    floats[..., [6, 7, 12, 13, 14, 15]] = packed[..., 3:] * [1, -1, 1, -1, 1, -1]  # H10, H20, H21
+    return floats.view(complex).reshape(shape)
+
+
+def _stacks(keys, *parts, decode=_from_json):
     """One stack per part (piece, shape, name) of the pieces piece(k), k in
-    keys, each decoded by one _from_json call.  When any stack fails, every
-    piece is decoded on its own, key by key and part by part, so the error
-    names the first bad piece in file order, as "name k"."""
+    keys, each decoded by one decode(data, shape, context) call.  When any
+    stack fails, every piece is decoded on its own, key by key and part by
+    part, so the error names the first bad piece in file order, as "name k"."""
     try:
-        return [_from_json([piece(k) for k in keys], (len(keys), *shape), "block")
+        return [decode([piece(k) for k in keys], (len(keys), *shape), "block")
                 for piece, shape, _ in parts]
     except (InvalidPovm, LookupError, TypeError, ValueError, OverflowError):
-        pieces = ([_from_json(piece(k), shape, f"{name} {k}") for piece, shape, name in parts]
+        pieces = ([decode(piece(k), shape, f"{name} {k}") for piece, shape, name in parts]
                   for k in keys)
         return [np.stack(stack) for stack in zip(*pieces)]
 
 
 def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, success: float):
-    """Write a measurement file, format 2: meta and the pieces Alice and Bob run."""
+    """Write a measurement file, format 3: meta and the pieces Alice and Bob run."""
+    alice, bob = (np.ascontiguousarray(ops, dtype=complex).view(float).reshape(7, -1, 18)
+                  [..., _PACKED].reshape(7, -1).tolist() for ops in (seq.alice, seq.bob))
     doc = {
         "dim": 9,
-        "format": 2,
+        "format": 3,
         "meta": {
             "ka": complex(ka),
             "kb": complex(kb),
@@ -558,8 +583,8 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
             "success": success,
         },
         "sequential": {
-            "alice": dict(zip(LABELS, map(_to_json, seq.alice))),
-            "bob": dict(zip(LABELS, map(_to_json, seq.bob))),
+            "alice": {label: array_json(p, (9,)) for label, p in zip(LABELS, alice)},
+            "bob": {label: array_json(p, (4, 9)) for label, p in zip(LABELS, bob)},
         },
     }
     with open(path, "w", newline="\n") as fh:
@@ -576,12 +601,12 @@ class LoadedMeasurement(NamedTuple):
 
 
 def load_povm(path) -> LoadedMeasurement:
-    """Read a save_povm file back, with povm = flatten(seq).  A file without a
-    "format" key is version 1, whose "outcomes" block must match that within TOL.drift.
+    """Read a save_povm file back, with povm = flatten(seq).  Format 2 and version 1 (no "format"
+    key) nest [re, im] pairs; version 1's "outcomes" block must match that within TOL.drift.
 
     raises: InvalidPovm on any structural problem (missing keys, wrong shapes,
             entries that are not finite numbers, a meta branch outside
-            BRANCHES, a format other than 2)
+            BRANCHES, a format other than 2 or 3)
     """
     try:
         with open(path) as fh:
@@ -591,8 +616,9 @@ def load_povm(path) -> LoadedMeasurement:
     try:
         if doc["dim"] != 9:
             raise InvalidPovm(f"expected dim 9, got {doc['dim']!r}")
-        if doc.get("format", 2) != 2:
-            raise InvalidPovm(f"format: expected 2 (or no key: version 1), got {doc['format']!r}")
+        fmt = doc.get("format", 2)
+        if fmt not in (2, 3):
+            raise InvalidPovm(f"format: expected 3 or 2 (or no key: version 1), got {fmt!r}")
         meta = doc["meta"]
         if not isinstance(meta, dict):
             raise InvalidPovm("meta: expected a JSON object")
@@ -605,7 +631,8 @@ def load_povm(path) -> LoadedMeasurement:
         _numbers(meta["success"], (), "meta success")
         block = doc["sequential"]
         alice, bob = _stacks(LABELS, (lambda label: block["alice"][label], (3, 3), "alice"),
-                             (lambda label: block["bob"][label], (4, 3, 3), "bob"))
+                             (lambda label: block["bob"][label], (4, 3, 3), "bob"),
+                             decode=_from_packed if fmt == 3 else _from_json)
         seq = SequentialMeasurement(alice=alice, bob=bob, weights=weights, branch=branch)
         povm = flatten(seq)
         if "format" not in doc:

@@ -8,7 +8,8 @@ routes (with and without a canonical form). Each built measurement is
 verified against its own pair and a wrong one, and again after three
 kinds of tampering. It is then simulated for every state.  The summary
 line counts the pairs (`verify_refused`, split by branch) whose own
-`verify` fails after `construct` succeeded; that count is not hashed.
+`verify` fails after `construct` succeeded, and gives the mean size in
+bytes of the files `construct` wrote (`mean_bytes`); neither is hashed.
 
 A refactor meant to change no output checks itself by running
 
@@ -42,7 +43,7 @@ os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
 
 import numpy as np  # noqa: E402
 
-from helpers import near_axis, random_overlap, random_pair  # noqa: E402
+from helpers import as_format2, near_axis, random_overlap, random_pair  # noqa: E402
 from triseq.cli import main  # noqa: E402
 
 PAIRS = 1500
@@ -128,13 +129,15 @@ class Digest:
 def _tampered(text, i):
     """Three edits of a measurement file: a scaled Alice label, one
     non-Hermitian entry in a Bob piece after an announce label (Alice uses
-    those on every branch), and a 1e308 Alice entry."""
-    scaled, skew, huge = (json.loads(text) for _ in range(3))
+    those on every branch), written in format 2 as format 3 cannot spell
+    it, and a 1e308 on an Alice diagonal."""
+    scaled, huge = json.loads(text), json.loads(text)
+    skew = as_format2(json.loads(text))
     alice = scaled["sequential"]["alice"]
     label = list(alice)[i % 7]
-    alice[label] = [[[1.001 * v for v in entry] for entry in row] for row in alice[label]]
+    alice[label] = [1.001 * v for v in alice[label]]
     skew["sequential"]["bob"][list(alice)[i % 3]][i % 4][0][1][0] += 1e-3
-    huge["sequential"]["alice"][label][0][0] = [1e308, 0.0]
+    huge["sequential"]["alice"][label][0] = 1e308  # H00
     return [json.dumps(d) for d in (scaled, skew, huge)]
 
 
@@ -144,6 +147,7 @@ def main_digest(log=None):
     digest = Digest(log)
     routes = Counter()
     refused = Counter()  # own-pair verify runs that fail after construct succeeded
+    sizes = []  # of every file construct wrote
     for i in range(PAIRS):
         ka, kb = draws[i % len(draws)]()
         pair = _pair_args(ka, kb)
@@ -160,6 +164,7 @@ def main_digest(log=None):
             continue
         routes["built"] += 1
         text = Path("m.json").read_text()
+        sizes.append(Path("m.json").stat().st_size)
         code, _ = digest.run(["verify", "m.json", *pair])
         if code != 0:
             refused[branch] += 1
@@ -173,7 +178,9 @@ def main_digest(log=None):
     for i in range(300):
         args = _modes(rng, i)
         digest.run(["check", *args])
-        digest.run(["construct", *args, "--out", "m.json"], written=["m.json"])
+        code, _ = digest.run(["construct", *args, "--out", "m.json"], written=["m.json"])
+        if code == 0:
+            sizes.append(Path("m.json").stat().st_size)
     digest.branch = "-"
     digest.run(["simulate", "--povm", "missing.json", "--state", "0", "--shots", "1",
                 "--seed", "0"])
@@ -185,7 +192,8 @@ def main_digest(log=None):
     counts = " ".join(f"{k}={v}" for k, v in sorted(routes.items()))
     split = " ".join(f"{k}={v}" for k, v in sorted(refused.items()))
     print(f"{digest.sha.hexdigest()}  runs={digest.runs} pairs={PAIRS} {counts}"
-          f" verify_refused={refused.total()} [{split}]")
+          f" verify_refused={refused.total()} [{split}]"
+          f" mean_bytes={sum(sizes) / len(sizes):.1f} over {len(sizes)} files")
 
 
 if __name__ == "__main__":

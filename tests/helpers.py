@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random overlap draws."""
+"""Shared test utilities: seeded random overlap draws, and the measurement
+file's spellings of a piece, entry by entry."""
 
 import numpy as np
 
@@ -26,3 +27,29 @@ def near_axis(rng):
     """A modulus on one of the six tie axes, turned 1e-14 to 1e-6 rad off it."""
     turn = rng.integers(6) * np.pi / 3 + rng.choice((-1, 1)) * 10 ** rng.uniform(-14, -6)
     return complex(rng.uniform(0.02, 0.95) * np.exp(1j * turn))
+
+
+def packed(op):
+    """A 3x3 piece as format 3 spells it: H00, H11, H22, then Re and Im of
+    H01, H02, H12 (a Hermitian piece's lower triangle repeats the upper)."""
+    op = np.asarray(op, dtype=complex)
+    upper = (op[0, 1], op[0, 2], op[1, 2])
+    return [float(op[n, n].real) for n in range(3)] + [
+        float(part) for z in upper for part in (z.real, z.imag)]
+
+
+def nested(piece):
+    """Format 3's nine numbers (H00, H11, H22, then Re and Im of H01, H02,
+    H12) as the nested [re, im] rows format 2 spells the Hermitian piece in."""
+    d0, d1, d2, r01, i01, r02, i02, r12, i12 = map(float, piece)  # -0.0 from an int 0
+    return [[[d0, 0.0], [r01, i01], [r02, i02]],
+            [[r01, -i01], [d1, 0.0], [r12, i12]],
+            [[r02, -i02], [r12, -i12], [d2, 0.0]]]
+
+
+def as_format2(doc):
+    """A format-3 measurement document as format 2 spells the same pieces."""
+    block = doc["sequential"]
+    spelled = {"alice": {label: nested(p) for label, p in block["alice"].items()},
+               "bob": {label: [nested(p) for p in ps] for label, ps in block["bob"].items()}}
+    return {**doc, "format": 2, "sequential": spelled}

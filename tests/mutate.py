@@ -1,4 +1,5 @@
-"""Break the certificate, `verify` and loader gates one at a time; list what tier 1 misses.
+"""Break the certificate, `verify` and loader gates and the packed-piece decoder one at a
+time; list what tier 1 misses.
 
     python tests/mutate.py
 
@@ -7,9 +8,15 @@ reads) into a temporary directory.  Each mutant rewrites one site of
 src/triseq in that copy:
 
   - a comparison in `povm.dual_certificate`, `povm.verify_povm`,
-    `povm.load_povm` (the version-1 drift gate among them) or
+    `povm.load_povm` (the version-1 drift gate among them), `povm._numbers`
+    (the shape and type checks of every stored number) or
     `cli.cmd_verify`, negated (`a <= b` becomes `not (a <= b)`);
   - a `failures.append(...)` in `dual_certificate`, dropped;
+  - in those functions and in `povm._from_packed` (the format-3 decoder,
+    which rebuilds each piece's lower triangle from its upper one), a unary
+    minus on a name or expression dropped (`-x` becomes `x`; a negative
+    literal stays) and an integer slice start moved one on (`a[3::2]`
+    becomes `a[4::2]`);
   - a TOL field one of those functions reads, scaled by 1e3 and by 1e-3 at
     that site only.  The scaled table is defined in the copy's numerics.py,
     so no tolerance literal lands in another module (a tier-1 test refuses
@@ -34,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
 TARGETS = {
-    "povm.py": ("dual_certificate", "verify_povm", "load_povm"),
+    "povm.py": ("dual_certificate", "verify_povm", "load_povm", "_numbers", "_from_packed"),
     "cli.py": ("cmd_verify",),
 }
 # run first: a broken gate fails a test in these soonest, and -x stops there
@@ -73,6 +80,15 @@ def sites(source: bytes, functions):
             elif (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
                   and ast.unparse(node.value.func) == "failures.append"):
                 found.append((node, "pass", "drop failures.append", None))
+            elif (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                  and not isinstance(node.operand, ast.Constant)):
+                text = source[slice(*span(node.operand))].decode()
+                found.append((node, text, f"drop the minus of `{text}`", None))
+            elif (isinstance(node, ast.Slice) and isinstance(node.lower, ast.Constant)
+                  and type(node.lower.value) is int):
+                start = node.lower.value
+                found.append((node.lower, str(start + 1), f"slice start {start} -> {start + 1}",
+                              None))
             elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "TOL":
                 for factor in FACTORS:
                     found.append((node, f"_SCALED.{node.attr}", f"TOL.{node.attr} * {factor}",

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_overlap
+from helpers import as_format2, packed, random_overlap
 from triseq import (
     LABELS,
     SequentialMeasurement,
@@ -31,7 +31,6 @@ from triseq import (
 )
 from triseq.cli import _COMMANDS, _build_parser, main
 from triseq.errors import TriseqError
-from triseq.povm import _to_json
 from triseq.serialize import fmt_float
 from triseq.states import TAU
 
@@ -206,8 +205,7 @@ def test_verify_gates_sit_at_their_tolerances(tmp_path, capsys):
         edited = json.loads(json.dumps(doc))
         i = LABELS.index(label)
         op = seq.bob[i, k] + s / np.trace(seq.alice[i]).real * np.outer(v, v.conj())
-        edited["sequential"]["bob"][label][k] = [[[z.real, z.imag] for z in row]
-                                                 for row in op.tolist()]
+        edited["sequential"]["bob"][label][k] = packed(op)
         bad.write_text(json.dumps(edited))
         code = run(["verify", str(bad), *FIG_ARGS])
         lines = capsys.readouterr().out.splitlines()
@@ -381,7 +379,7 @@ def test_verify_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
 
     doc = json.loads(out.read_text())
-    doc["sequential"]["bob"]["announce0"][0][0][0][0] += 1e-3
+    doc["sequential"]["bob"]["announce0"][0][0] += 1e-3  # H00 of Bob's outcome 0
     out.write_text(json.dumps(doc))
     code = run(["verify", str(out), *args])
     report = capsys.readouterr().out
@@ -391,7 +389,7 @@ def test_verify_detects_tampering(tmp_path, capsys):
 
 def test_verify_unreadable_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"dim": 9, "format": 2, "meta": {')
+    bad.write_text('{"dim": 9, "format": 3, "meta": {')
     assert run(["verify", str(bad), "--trine", "0.5"]) == 65
     assert run(["verify", str(tmp_path / "missing.json"), "--trine", "0.5"]) == 65
     capsys.readouterr()
@@ -592,13 +590,14 @@ def _set(path, value):
 
 
 def _as_version1(doc):
-    """A format-2 document as version 1 wrote it: no format key, and the
-    flattened POVM stored as an outcomes block."""
-    block = doc["sequential"]
+    """A format-3 document as version 1 wrote it: no format key, the pieces
+    in nested [re, im] pairs, and the flattened POVM stored as an outcomes
+    block."""
+    block = as_format2(doc)["sequential"]
     alice, bob = (np.array([block[part][label] for label in LABELS]).view(complex)[..., 0]
                   for part in ("alice", "bob"))
     flat = flatten(SequentialMeasurement(alice, bob, (), ""))
-    outcomes = [{"label": label, "matrix": json.loads(_to_json(op))}
+    outcomes = [{"label": label, "matrix": np.stack((op.real, op.imag), -1).tolist()}
                 for label, op in zip(flat.labels, flat.outcomes)]
     return {"dim": doc["dim"], "outcomes": outcomes, "meta": doc["meta"], "sequential": block}
 
@@ -613,7 +612,13 @@ def _dim_overflow(text):
 
 
 def _ragged(doc):
+    doc = as_format2(doc)
     doc["sequential"]["bob"]["exclude0"][1][2].pop()
+    return doc
+
+
+def _short_piece(doc):
+    doc["sequential"]["bob"]["exclude0"][1].pop()
     return doc
 
 
@@ -623,24 +628,33 @@ def _no_bob_defer(doc):
 
 
 def _two_by_two(doc):
+    doc = as_format2(doc)
     alice = doc["sequential"]["alice"]
     alice["exclude2"] = [row[:2] for row in alice["exclude2"][:2]]
     return doc
 
 
-# each maps the text of a good file to the bytes of a bad one
+# each maps the text of a good file to the bytes of a bad one; three_numbers,
+# ragged_row and wrong_shape damage the nesting of the pieces in format 2
 MALFORMED = {
-    "entry_object": _edit(_set(["sequential", "bob", "defer", 0, 0, 0], {"re": 1.0, "im": 0.0})),
+    "entry_object": _edit(_set(["sequential", "bob", "defer", 0, 0], {"re": 1.0, "im": 0.0})),
     "outcomes_not_list": _edit(lambda doc: _set(["outcomes"], 5)(_as_version1(doc))),
     "dim_overflow": _dim_overflow,
-    "huge_int_entry": _edit(_set(["sequential", "alice", "announce2", 0, 0, 0], 10**400)),
-    "three_numbers": _edit(_set(["sequential", "alice", "announce0", 0, 0], [1.0, 0.0, 7.0])),
-    "string_numbers": _edit(_set(["sequential", "bob", "exclude1", 2, 0, 0], ["1.0", "0"])),
-    "bool_entry": _edit(_set(["sequential", "bob", "announce2", 2, 1, 1, 0], True)),
-    "null_entry": _edit(_set(["sequential", "alice", "exclude1", 0, 0], None)),
-    "nan_entry": _edit(_set(["sequential", "alice", "defer", 2, 2, 0], float("nan"))),
+    "huge_int_entry": _edit(_set(["sequential", "alice", "announce2", 0], 10**400)),
+    "three_numbers": _edit(lambda doc: _set(["sequential", "alice", "announce0", 0, 0],
+                                            [1.0, 0.0, 7.0])(as_format2(doc))),
+    "ten_numbers": _edit(lambda doc: _set(["sequential", "alice", "announce0"],
+                                          doc["sequential"]["alice"]["announce0"] + [7.0])(doc)),
+    "string_numbers": _edit(_set(["sequential", "bob", "exclude1", 2, 0], "1.0")),
+    "bool_entry": _edit(_set(["sequential", "bob", "announce2", 2, 4], True)),
+    "null_entry": _edit(_set(["sequential", "alice", "exclude1", 0], None)),
+    "nan_entry": _edit(_set(["sequential", "alice", "defer", 2], float("nan"))),
     "ragged_row": _edit(_ragged),
+    "short_piece": _edit(_short_piece),
     "wrong_shape": _edit(_two_by_two),
+    # each spelling is read only under its own format key
+    "nested_in_format3": _edit(lambda doc: {**as_format2(doc), "format": 3}),
+    "packed_in_format2": _edit(_set(["format"], 2)),
     "missing_label": _edit(_no_bob_defer),
     "non_object": _edit(lambda doc: [1, 2, 3]),
     "meta_ka_three_numbers": _edit(_set(["meta", "ka"], [0.3, 0.0, 1.0])),
@@ -690,28 +704,31 @@ def test_loader_names_the_failing_piece(tmp_path, capsys, psk_file):
                        (["meta", "success"], "meta success")):
         assert f"cannot load measurement file: {name}: " in message(_set(path, "0.5"))
 
-    # each kind of bad entry, and a short row, in each of the three blocks
+    # each kind of bad entry, and a short row, in each block of each spelling
     head = "cannot load measurement file:"
     overflow = f"{head} missing or malformed field: int too large to convert to float\n"
-    # (a version-1 file's outcomes block is decoded as the pieces are)
+    # (a version-1 file's outcomes block is decoded as format 2's pieces are)
     same = lambda doc: doc  # noqa: E731
-    for prep, row, name, shape in ((_as_version1, ["outcomes", 2, "matrix", 1], "outcome 2",
-                                    "(9, 9, 2)"),
-                                   (same, ["sequential", "alice", "exclude0", 1],
-                                    "alice exclude0", "(3, 3, 2)"),
-                                   (same, ["sequential", "bob", "announce1", 3, 1],
-                                    "bob announce1", "(4, 3, 3, 2)")):
+    for prep, row, entry, name, shape in (
+        (_as_version1, ["outcomes", 2, "matrix", 1], [1, 0], "outcome 2", "(9, 9, 2)"),
+        (as_format2, ["sequential", "alice", "exclude0", 1], [1, 0], "alice exclude0",
+         "(3, 3, 2)"),
+        (as_format2, ["sequential", "bob", "announce1", 3, 1], [1, 0], "bob announce1",
+         "(4, 3, 3, 2)"),
+        (same, ["sequential", "alice", "exclude0"], [4], "alice exclude0", "(9,)"),
+        (same, ["sequential", "bob", "announce1", 3], [4], "bob announce1", "(4, 9)"),
+    ):
         numbers = f"{head} {name}: expected a {shape} array of numbers\n"
         for value, want in ((True, numbers), (None, numbers), ("0.5", numbers),
                             ("1e400", f"{head} {name}: non-finite entries\n"),
                             (10**400, overflow)):
-            assert message(prep, _set([*row, 1, 0], value)) == want, (name, value)
+            assert message(prep, _set([*row, *entry], value)) == want, (name, value)
         full = functools.reduce(operator.getitem, row, prep(json.loads(psk_file)))
         assert message(prep, _set(row, full[:-1])) == numbers, name
 
     # two bad pieces: the one read first, piece by piece in label order, is named
-    two = message(_set(["sequential", "alice", "announce1", 0, 0, 0], None),
-                  _set(["sequential", "bob", "announce0", 0, 0, 0, 0], None))
+    two = message(_set(["sequential", "alice", "announce1", 0], None),
+                  _set(["sequential", "bob", "announce0", 0, 0], None))
     assert two.startswith(f"{head} bob announce0: "), two
 
 
@@ -724,20 +741,24 @@ def test_loader_names_the_failing_piece(tmp_path, capsys, psk_file):
     ["--ka", "0.3", "0", "--kb", "0", "0"],  # Orthogonal, Bob alone
 ])
 def test_version1_file_reads_as_its_version2_twin(tmp_path, capsys, args):
-    # a version-1 file also stored flatten(seq) as an outcomes block; one
-    # whose block is within TOL.drift of its pieces verifies and simulates
-    # byte for byte as the format-2 file that holds only the pieces
-    new, old, near = tmp_path / "v2.json", tmp_path / "v1.json", tmp_path / "near.json"
+    # the same pieces as format 3 writes them (nine numbers each), as format
+    # 2 spelled them (nested [re, im] pairs) and as version 1, which also
+    # stored flatten(seq) as an outcomes block: a version-1 file whose block
+    # is within TOL.drift of its pieces verifies and simulates byte for byte
+    # as the files that hold only the pieces
+    new, v2 = tmp_path / "v3.json", tmp_path / "v2.json"
+    old, near = tmp_path / "v1.json", tmp_path / "near.json"
     assert run(["construct", *args, "--out", str(new)]) == 0
     branch = json.loads(capsys.readouterr().out)["branch"]
     doc = json.loads(new.read_text())
-    assert list(doc) == ["dim", "format", "meta", "sequential"] and doc["format"] == 2
+    assert list(doc) == ["dim", "format", "meta", "sequential"] and doc["format"] == 3
+    v2.write_text(json.dumps(as_format2(doc)))
     v1 = _as_version1(doc)
     old.write_text(json.dumps(v1))
     v1["outcomes"][1]["matrix"][0][2][0] += 3e-14
     near.write_text(json.dumps(v1))
     seen = []
-    for path in (new, old, near):
+    for path in (new, v2, old, near):
         runs = [["verify", str(path), *args]] + [
             ["simulate", "--povm", str(path), "--state", str(r), "--shots", "1000", "--seed", "5"]
             for r in range(3)
@@ -748,7 +769,7 @@ def test_version1_file_reads_as_its_version2_twin(tmp_path, capsys, args):
             captured = capsys.readouterr()
             outputs.append((code, captured.out, captured.err))
         seen.append(outputs)
-    assert seen[0] == seen[1] == seen[2], branch
+    assert seen[0] == seen[1] == seen[2] == seen[3], branch
     assert [code for code, _, _ in seen[0]] == [0, 0, 0, 0], branch
 
 
@@ -765,8 +786,8 @@ REFUSED = {
                            " from the flattened sequential pieces by 1.000e-03"),
     "version1_skew_3e-11": (_skewed_version1(3e-11), "outcomes: the stored operators differ"
                             " from the flattened sequential pieces by 3.000e-11"),
-    "format_3": (_set(["format"], 3), "format: expected 2 (or no key: version 1), got 3"),
-    "format_1": (_set(["format"], 1), "format: expected 2 (or no key: version 1), got 1"),
+    "format_4": (_set(["format"], 4), "format: expected 3 or 2 (or no key: version 1), got 4"),
+    "format_1": (_set(["format"], 1), "format: expected 3 or 2 (or no key: version 1), got 1"),
 }
 
 
@@ -787,8 +808,8 @@ def test_disagreeing_version1_block_and_unknown_format_are_refused(tmp_path, cap
 
 def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_file):
     # a non-Hermitian Bob piece makes a non-Hermitian outcome, which fails
-    # verify's psd check
-    doc = json.loads(psk_file)
+    # verify's psd check; only format 2 can spell one
+    doc = as_format2(json.loads(psk_file))
     doc["sequential"]["bob"]["announce0"][0][0][1] = [0.3, 0.0]
     bad = tmp_path / "skew.json"
     bad.write_text(json.dumps(doc))
@@ -799,7 +820,7 @@ def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_fi
     assert captured.err == ""
 
     # the stacked check names the failing outcome by its label
-    doc = json.loads(psk_file)
+    doc = as_format2(json.loads(psk_file))
     doc["sequential"]["bob"]["announce0"][3][0][1] = [0.3, 0.0]
     bad.write_text(json.dumps(doc))
     code = run(["verify", str(bad), "--psk", "0.3", "0.3"])
@@ -813,7 +834,7 @@ def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_fi
     doc = json.loads(psk_file)
     for pieces in doc["sequential"]["bob"].values():
         for i in range(3):
-            pieces[0][i][i][0] += 0.2
+            pieces[0][i] += 0.2
     bad = tmp_path / "heavy.json"
     bad.write_text(json.dumps(doc))
     code = run(["simulate", "--povm", str(bad), "--state", "0", "--shots", "10", "--seed", "0"])
@@ -916,7 +937,7 @@ def test_simulate_refuses_meta_overlaps_whose_modulus_overflows(tmp_path, capsys
 def test_certificate_fails_a_nan_margin(tmp_path, capsys, psk_file):
     # a huge finite entry overflows announce0's kernel residual to NaN
     doc = json.loads(psk_file)
-    doc["sequential"]["alice"]["announce0"][0][0] = [1e308, 0.0]
+    doc["sequential"]["alice"]["announce0"][0] = 1e308
     bad = tmp_path / "huge.json"
     bad.write_text(json.dumps(doc))
     code = run(["verify", str(bad), "--psk", "0.3", "0.3"])
@@ -937,7 +958,7 @@ def test_certificate_reads_a_huge_defer_entry_against_its_kernel(tmp_path, capsy
     good = tmp_path / "m.json"
     assert run(["construct", *pair, "--out", str(good)]) == 0
     doc = json.loads(good.read_text())
-    doc["sequential"]["alice"]["defer"][k][k] = [1e308, 0.0]
+    doc["sequential"]["alice"]["defer"][k] = 1e308  # H_kk
     bad = tmp_path / "huge.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -950,3 +971,42 @@ def test_certificate_reads_a_huge_defer_entry_against_its_kernel(tmp_path, capsy
     else:
         assert line == "FAIL certificate: defer: kernel residual nan; completeness residual 1.000e+308"
     assert captured.err == ""
+
+
+_HUGE_CERTIFICATE = (
+    "FAIL certificate: announce0: kernel residual nan; announce0: unambiguity leak {};"
+    " announce1: kernel residual nan; announce1: unambiguity leak nan; announce2: kernel"
+    " residual nan; announce2: unambiguity leak nan; defer: kernel residual nan;"
+    " completeness residual inf"
+)
+
+
+@pytest.mark.parametrize("fmt", (3, 2))
+def test_huge_pieces_fail_without_numpy_warnings(tmp_path, capsys, psk_file, fmt):
+    # 1.7e308 in every entry of the announce and defer pieces overflows
+    # flatten's sum, the outcomes' symmetry residual and the outcome
+    # probabilities to inf or NaN; the gates fail on those, and no numpy
+    # RuntimeWarning (an error under this suite) reaches stderr
+    doc = json.loads(psk_file)
+    if fmt == 2:
+        doc = as_format2(doc)
+    for label in ("announce0", "announce1", "announce2", "defer"):
+        doc["sequential"]["alice"][label] = (
+            [1.7e308] * 9 if fmt == 3 else [[[1.7e308, 1.7e308]] * 3] * 3)
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", str(bad), "--psk", "0.3", "0.3"]) == 1
+    captured = capsys.readouterr()
+    psd, leak = {
+        3: ("FAIL psd: outcomes: Eigenvalues did not converge", "nan"),
+        2: ("FAIL psd: outcome 0: symmetry residual inf exceeds 1.0e-12", "5.940e+307"),
+    }[fmt]
+    assert captured.out.splitlines() == [
+        psd, "FAIL unambiguity: nan", "FAIL success-vs-global: nan",
+        _HUGE_CERTIFICATE.format(leak), "success nan"]
+    assert captured.err == ""
+    argv = ["simulate", "--povm", str(bad), "--state", "0", "--shots", "10", "--seed", "0"]
+    assert run(argv) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid measurement file: outcome probabilities sum to nan\n"

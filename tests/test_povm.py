@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import near_axis, random_overlap, random_pair
+from helpers import as_format2, near_axis, packed, random_overlap, random_pair
 from triseq import (
     BRANCHES,
     TOL,
@@ -552,7 +552,7 @@ def test_load_rejects_structural_damage(tmp_path):
         load_povm(path)
 
     bad = json.loads(json.dumps(doc))
-    bad["sequential"]["bob"]["exclude2"][3][2][1] = ["oops", 0.0]
+    bad["sequential"]["bob"]["exclude2"][3][2] = "oops"
     path.write_text(json.dumps(bad))
     with pytest.raises(InvalidPovm):
         load_povm(path)
@@ -564,15 +564,11 @@ def test_load_rejects_structural_damage(tmp_path):
         load_povm(path)
 
 
-def _ref_matrix_to_json(op):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(op, dtype=complex)]
-
-
 def _ref_file_text(seq, ka, kb, success):
-    """The measurement file, format 2, spelled element by element."""
+    """The measurement file, format 3, spelled element by element."""
     doc = {
         "dim": 9,
-        "format": 2,
+        "format": 3,
         "meta": {
             "ka": [ka.real, ka.imag],
             "kb": [kb.real, kb.imag],
@@ -581,9 +577,9 @@ def _ref_file_text(seq, ka, kb, success):
             "success": success,
         },
         "sequential": {
-            "alice": {label: _ref_matrix_to_json(op) for label, op in zip(LABELS, seq.alice)},
+            "alice": {label: packed(op) for label, op in zip(LABELS, seq.alice)},
             "bob": {
-                label: [_ref_matrix_to_json(op) for op in ops]
+                label: [packed(op) for op in ops]
                 for label, ops in zip(LABELS, seq.bob)
             },
         },
@@ -614,11 +610,24 @@ def _ref_joint_states(sv):
     return np.array([np.kron(sv.a[r], sv.b[r]) for r in range(3)])
 
 
+def _ref_outer(u):
+    """|u><u| from np.outer, made Hermitian per index as povm._outer makes
+    it: the diagonal's real part, and each entry above the diagonal
+    conjugated below it."""
+    prod = np.outer(u, np.conj(u))
+    out = prod.copy()
+    for i in range(len(u)):
+        out[i, i] = prod[i, i].real
+        for j in range(i + 1, len(u)):
+            out[j, i] = np.conj(prod[i, j])
+    return out
+
+
 def _ref_ternary_detect(w):
     """ternary_unambiguous's three detect operators, per index."""
     rows = [[(min(w) / math.sqrt(3.0)) / w[n] * TAU ** (r * n) for n in range(3)]
             for r in range(3)]
-    return [np.outer(row, np.conj(row)) for row in map(np.array, rows)]
+    return [_ref_outer(row) for row in map(np.array, rows)]
 
 
 def _ref_ternary_inconclusive(w):
@@ -628,19 +637,19 @@ def _ref_ternary_inconclusive(w):
 
 
 def _ref_alice(pair, u):
-    """Alice's weight-system instrument as the per-label np.outer loop built it."""
+    """Alice's weight-system instrument as the per-label loop built it."""
     x, perm = pair.x, pair.perm
     _, z = _offsets(pair.kb, pair.y)
     alice = np.zeros((7, 3, 3), dtype=complex)
     for j in range(3):
         vec1 = np.array([TAU ** (j * n) / x[n] for n in range(3)])
-        alice[j] = (u[0] / 3.0) * np.outer(vec1, vec1.conj())
+        alice[j] = (u[0] / 3.0) * _ref_outer(vec1)
         if u[1] > 0:
             vec2 = np.array([TAU ** (j * n) / (x[n] * z[perm[n]]) for n in range(3)])
-            alice[3 + j] = (u[1] / 3.0) * np.outer(vec2, vec2.conj())
+            alice[3 + j] = (u[1] / 3.0) * _ref_outer(vec2)
     slot = np.zeros(3, dtype=complex)
     slot[perm[2]] = 1.0
-    alice[6] = u[2] * np.outer(slot, slot.conj())
+    alice[6] = u[2] * _ref_outer(slot)
     return alice
 
 
@@ -705,9 +714,9 @@ def _closed_form_projector(i, x, a):
     if i < 3:
         w = np.array([TAU ** (i * n) / x[n] for n in range(3)])
         w = w / np.linalg.norm(w)
-        return np.outer(w, w.conj())
+        return _ref_outer(w)
     if i < 6:
-        return np.eye(3) - np.outer(a[i - 3], a[i - 3].conj())
+        return np.eye(3) - _ref_outer(a[i - 3])
     return np.eye(3, dtype=complex)
 
 
@@ -797,8 +806,48 @@ def _ref_dual_certificate(pair, seq):
     return rep
 
 
-def _ref_matrix_from_json(data):
-    return np.array([[complex(float(e[0]), float(e[1])) for e in row] for row in data])
+def _ref_unpacked(data):
+    """Format 3's nine numbers as the Hermitian piece, entry by entry."""
+    d0, d1, d2, r01, i01, r02, i02, r12, i12 = map(float, data)
+    return np.array([[complex(d0, 0.0), complex(r01, i01), complex(r02, i02)],
+                     [complex(r01, -i01), complex(d1, 0.0), complex(r12, i12)],
+                     [complex(r02, -i02), complex(r12, -i12), complex(d2, 0.0)]])
+
+
+def test_built_pieces_are_exactly_hermitian_and_round_trip(tmp_path):
+    # every piece a build makes has a real diagonal and its conjugate
+    # mirrored below it, so format 3's nine numbers hold all of it: the
+    # pieces read back equal the built ones by value (a zero's sign aside)
+    rng = np.random.default_rng(77)
+    tiny = lambda: complex(*rng.uniform(-1e-10, 1e-10, size=2))  # noqa: E731
+    draws = (
+        lambda: random_pair(rng),
+        lambda: (complex(rng.uniform(0.02, 0.95)), random_overlap(rng)),
+        lambda: (random_overlap(rng), complex(rng.uniform(0.02, 0.95))),
+        lambda: (random_overlap(rng), tiny()),  # Orthogonal, no canonical form: Bob alone
+        lambda: (tiny(), random_overlap(rng)),  # Orthogonal through the canonical build
+    )
+    path = tmp_path / "m.json"
+    routes = {}
+    i = 0
+    while sum(routes.values()) < 200:
+        ka, kb = draws[i % len(draws)]()
+        i += 1
+        try:
+            report, seq, _, success = construct(ka, kb)
+        except NotGloballyOptimal:
+            continue
+        route = report.branch + ("/bob-only" if frame(ka, kb)[0] is None else "")
+        routes[route] = routes.get(route, 0) + 1
+        for ops in (seq.alice, seq.bob):
+            assert np.array_equal(ops, ops.conj().swapaxes(-1, -2)), route
+        save_povm(path, seq, ka, kb, success)
+        loaded = load_povm(path).seq
+        assert np.array_equal(loaded.alice, seq.alice) and np.array_equal(loaded.bob, seq.bob)
+        assert (loaded.weights, loaded.branch) == (seq.weights, seq.branch)
+    assert set(routes) == {
+        "Inequality", "PositiveRealA", "PositiveRealB", "Orthogonal", "Orthogonal/bob-only"
+    }, routes
 
 
 def test_codec_matches_elementwise_reference(tmp_path):
@@ -839,7 +888,7 @@ def test_codec_matches_elementwise_reference(tmp_path):
             pieces.append((alice_op, doc["sequential"]["alice"][label]))
             pieces += zip(bob_ops, doc["sequential"]["bob"][label])
         for got, data in pieces:
-            want = _ref_matrix_from_json(data)
+            want = _ref_unpacked(data)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert loaded.meta["ka"] == ka and loaded.meta["kb"] == kb
         assert loaded.seq.weights == seq.weights and loaded.seq.branch == seq.branch
@@ -1010,11 +1059,12 @@ def test_writer_spells_edge_entries_as_the_reference(tmp_path):
     pair = canonicalize(FIG_K, FIG_K)
     seq = build_sequential(pair)
     finite = seq.alice.copy()
-    finite[0, 0, 0] = complex(-0.0, 5e-324)
+    finite[0, 0, 0] = -0.0
+    finite[0, 1, 1] = 5e-324
     finite[0, 1, 2] = complex(1e308, -1e-300)
     bob = seq.bob.copy()
-    bob[4, 1, 0, 0] = complex(math.nan, math.inf)
-    bob[4, 2, 1, 1] = -math.inf
+    bob[4, 1, 0, 0] = math.nan
+    bob[4, 2, 1, 2] = complex(0.5, -math.inf)
     edges = (
         (seq._replace(alice=finite), False),
         (seq._replace(alice=finite, bob=bob), True),
@@ -1024,7 +1074,7 @@ def test_writer_spells_edge_entries_as_the_reference(tmp_path):
         save_povm(path, edited, pair.ka, pair.kb, 0.5)
         text = _ref_file_text(edited, pair.ka, pair.kb, 0.5)
         assert path.read_bytes() == text.encode()
-        assert "[-0,4.9406564584124654e-324]" in text and "[1e+308,-1e-300]" in text
+        assert "[-0,4.9406564584124654e-324," in text and ",1e+308,-1e-300]" in text
         assert ("null" in text) == has_null
 
 
@@ -1053,8 +1103,11 @@ _JSON_VALUES = (
 def test_load_fuzzed_file_returns_or_raises_invalid_povm(saved_text, seed, value):
     text, path = saved_text
     doc = json.loads(text)
-    # a uniform walk of 0..7 levels picks the node to replace; the file is
-    # at most 7 levels deep (sequential, bob, label, outcome, row, entry, re)
+    if seed % 2:  # the same pieces in format 2's nested spelling
+        doc = as_format2(doc)
+    # a uniform walk of 0..7 levels picks the node to replace, stopping at a
+    # leaf; a format-3 file is at most 5 levels deep (sequential, bob, label,
+    # outcome, number), a format-2 one 7 (row, entry, re beyond the outcome)
     walk = random.Random(seed)
     parent, key, node = None, None, doc
     for _ in range(walk.randrange(8)):
