@@ -24,9 +24,9 @@ back to the raw amplitudes when Bob's overlap is numerically zero and no
 such orientation exists.
 
 `dual_certificate` re-proves optimality independently of how the
-measurement was built: for each label it projects the dual witness
-operator onto the subspace Bob can still use, with projectors known in
-closed form, and checks dual feasibility and complementary slackness.
+measurement was built: each label's dual witness, compressed onto the
+subspace Bob can still use, is known in closed form, and so is its least
+eigenvalue; it checks dual feasibility and complementary slackness.
 """
 
 from __future__ import annotations
@@ -53,15 +53,7 @@ from .optimality import BRANCHES, _offsets, _tie_branch, check_global_optimality
 from .serialize import array_json, json_dumps
 from .states import TAU, CanonicalPair, _orient, _validated
 
-LABELS = (
-    "announce0",
-    "announce1",
-    "announce2",
-    "exclude0",
-    "exclude1",
-    "exclude2",
-    "defer",
-)
+LABELS = ("announce0", "announce1", "announce2", "exclude0", "exclude1", "exclude2", "defer")
 
 OUTCOME_LABELS = ("0", "1", "2", "inconclusive")
 
@@ -198,19 +190,24 @@ def binary_unambiguous(u, v) -> Povm:
              each conclusive probability is 1 - |<u|v>|
     raises:  DegenerateStates if the states are numerically parallel
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    c = np.vdot(u, v)
-    if abs(c) >= 1.0 - TOL.degenerate:
-        raise DegenerateStates(f"|<u|v>| = {abs(c):.15g} is too close to 1")
-    wu = u - c.conjugate() * v  # component of u orthogonal to v
-    wu = wu / np.linalg.norm(wu)
-    wv = v - c * u
-    wv = wv / np.linalg.norm(wv)
-    detect = (1.0 / (1.0 + abs(c))) * _outer(np.stack((wu, wv)))
-    inconclusive = np.eye(len(u)) - detect[0] - detect[1]
-    labels = ("first", "second", "inconclusive")
-    return Povm(outcomes=np.stack((*detect, inconclusive)), labels=labels)
+    outcomes = _binary_stack(*np.asarray([[u], [v]], dtype=complex))[0]
+    return Povm(outcomes=outcomes, labels=("first", "second", "inconclusive"))
+
+
+def _binary_stack(us, vs) -> np.ndarray:
+    """binary_unambiguous's outcomes for each row pair (u, v) of two stacks, bit for
+    bit as one pair at a time: the stacked products repeat np.vdot, _frobenius
+    np.linalg.norm, and each |<u|v>| is Python's abs (np.abs rounds some apart)."""
+    cs = (us.conj()[:, None, :] @ vs[:, :, None])[:, 0, 0]
+    moduli = [abs(c) for c in cs.tolist()]
+    if max(moduli) >= 1.0 - TOL.degenerate:
+        raise DegenerateStates(f"|<u|v>| = {max(moduli):.15g} is too close to 1")
+    # the component of u orthogonal to v, and of v orthogonal to u
+    w = np.stack((us - cs.conj()[:, None] * vs, vs - cs[:, None] * us), 1)
+    w = w / _frobenius(w.reshape(-1, w.shape[-1])).reshape(-1, 2, 1)
+    detect = np.array([1.0 / (1.0 + m) for m in moduli])[:, None, None, None] * _outer(w)
+    inconclusive = np.eye(w.shape[-1]) - detect[:, 0] - detect[:, 1]
+    return np.concatenate((detect, inconclusive[:, None]), 1)
 
 
 def ternary_unambiguous(w) -> Povm:
@@ -259,10 +256,9 @@ def _bob_stack(y, b) -> np.ndarray:
     exclude j he unambiguously separates b_{j+1} from b_{j+2} (outcome j
     never fires); after defer he runs the three-state measurement on y."""
     bob = np.zeros((7, 4, 3, 3), dtype=complex)
-    for j in range(3):
-        bob[j, j] = np.eye(3)
-        r1, r2 = (j + 1) % 3, (j + 2) % 3
-        bob[3 + j, [r1, r2, 3]] = binary_unambiguous(b[r1], b[r2]).outcomes
+    bob[[0, 1, 2], [0, 1, 2]] = np.eye(3)
+    filled = np.array([[1, 2, 3], [2, 0, 3], [0, 1, 3]])  # by exclude j's binary outcomes
+    bob[[[3], [4], [5]], filled] = _binary_stack(b[filled[:, 0]], b[filled[:, 1]])
     bob[6] = ternary_unambiguous(y).outcomes
     return bob
 
@@ -275,9 +271,8 @@ def _product_sequential(sv: StateVectors, branch: str) -> SequentialMeasurement:
     alice = np.zeros((7, 3, 3), dtype=complex)
     alice[[0, 1, 2, 6]] = ternary_unambiguous(x).outcomes
     weights = (min(x) ** 2, 0.0, float(np.trace(alice[6]).real))
-    return SequentialMeasurement(
-        alice=alice, bob=_bob_stack(y, sv.b), weights=weights, branch=branch
-    )
+    bob = _bob_stack(y, sv.b)
+    return SequentialMeasurement(alice=alice, bob=bob, weights=weights, branch=branch)
 
 
 def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
@@ -392,10 +387,8 @@ def verify_unambiguous(p: Povm, states):
     return success, residual
 
 
-# the states Bob can no longer report after each Alice label, in LABELS order
-_BLOCKED_MASK = np.array(
-    [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)], dtype=bool
-)
+# the states Bob can no longer report after announce j (all but j), exclude j (j) and defer
+_BLOCKED_MASK = np.vstack((1 - np.eye(3), np.eye(3), np.zeros(3))).astype(bool)
 
 
 @_OVERFLOW_GATED
@@ -405,63 +398,65 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     Label l leaves Bob the states T, each of which he then finds with
     probability 3 q.  Its witness d_l = X - sum_{r in T} q |a_r><a_r|,
     X = diag(3 x_n^2 y_{perm[n]}^2), is compressed to g_l = P d_l P by the
-    projector P off the states he may no longer report:
+    projector P off the states he may no longer report.  As P kills those and
+    sum_r |a_r><a_r| = 3 diag(x^2), g_l = P D P, D = diag(d) with
+    d_n = 3 x_n^2 (y_{perm[n]}^2 - q).  Gate (i) reads the least eigenvalue of
+    D on P's range in closed form, 0 on a canonical pair in exact arithmetic:
 
-        announce j  P = |w_j><w_j| / <w_j|w_j>, w_j = PHASE[j] / x (w_j is
-                    orthogonal to a_r for r != j); q = 1/3
-        exclude j   P = I - |a_j><a_j|; q = level = (1 - |kb|) / 3
-        defer       P = I; q = y_2^2
+        announce j  P = |w_j><w_j| / <w_j|w_j>, w_j = PHASE[j] / x, q = 1/3:
+                    g_l = lam P exactly, lam = <w_j|D|w_j> / <w_j|w_j>, which
+                    is 3 (sum y^2 - 1) / sum x^-2 for every j
+        exclude j   P = I - |a_j><a_j|, q = level = (1 - |kb|) / 3: D on P's
+                    range has trace t = sum_n d_n (1 - x_n^2) and determinant
+                    e = sum_n d_{n+1} d_{n+2} x_n^2 (|a_jn|^2 = x_n^2 for all j),
+                    and its smaller eigenvalue is e over the larger-modulus root
+                    of s^2 - t s + e.  In the basis w_{j+1}, w_{j+2} it is
+                    3 [[|kb|, s'], [s'*, |kb|]], s' = sum_n tau^n y_{perm[n]}^2,
+                    |s'| = |kb| as Z_3's permutations are n -> +-n + c: rank <= 1
+        defer       P = I, q = y_2^2: g_l = D, min d = 0 at slot perm[2] (y_2 is
+                    Bob's minimum, perm an involution), where the build puts u_3
 
-    P kills the blocked states and sum_r |a_r><a_r| = 3 diag(x^2), so
-    g_l = P D_l P with the diagonal D_l = diag(3 x_n^2 (y_{perm[n]}^2 - q)).
-
-    Gates: (i) g_l PSD within TOL.psd; (ii) residual |g_l A_l| / |A_l|
+    Gates: (i) each margin at least -TOL.psd; (ii) residual |g_l A_l| / |A_l|
     within TOL.kernel_resid (an A_l of norm at most TOL.active is unused);
     per-label unambiguity leaks within TOL.leak; Alice completeness within
     TOL.completeness.  They prove optimality (Eldar, IEEE Trans. Inf.
     Theory 49, 446, 2003): tr X = p_global, and for PSD A_l that sum to I
     without leaking (A_l = P A_l P) the success is
     sum_l tr(A_l (X - d_l)) = tr X - sum_l tr(A_l g_l), at most tr X by (i)
-    and equal to it by (ii).  The size of a kernel does not enter.
-
-    On a canonical pair (i) holds in exact arithmetic, read off D.
-    Announce: <w_j|D|w_j> = 3 (sum y^2 - 1) = 0.  Exclude j: D is
-    3 diag(x_n^2 z_{perm[n]}), z Bob's offsets, and in the basis w_{j+1},
-    w_{j+2} of a_j's orthocomplement reads 3 [[|kb|, s], [s*, |kb|]],
-    s = sum_n tau^n y_{perm[n]}^2, with |s| = |kb| as every permutation of
-    Z_3 is n -> +-n + c: PSD, rank at most one.  Defer: D >= 0 as y_2 is
-    Bob's minimum, with an exact zero at slot perm[2] (perm is an
-    involution), where the build puts u_3; the kernel is two-dimensional
-    on the PositiveRealB tie.  As g reads only the pair, (i) guards the
-    pair's consistency (a kb that disagrees with y fails it); a measurement
-    checked against another canonical pair fails (ii) and the leak gate.
+    and equal to it by (ii).  The size of a kernel does not enter.  As g
+    reads only the pair, (i) guards the pair's consistency (a kb that
+    disagrees with y fails it); a measurement checked against another
+    canonical pair fails (ii) and the leak gate.
 
     raises: CertificateViolation naming every failed label and margin
     """
     x, y, perm = pair.x, pair.y, pair.perm
-    a = state_vectors(pair).a
+    a = np.array(x) * PHASE  # state_vectors(pair).a
     level, _ = _offsets(pair.kb, y)
-    # squared by float ** as _offsets squares: the exclude rows hold its z
-    y2 = np.array([y[p] ** 2 for p in perm])
-    q = np.array((1.0 / 3.0,) * 3 + (level,) * 3 + (y[2] ** 2,))
-    d = 3.0 * np.square(x) * (y2 - q[:, None])
-    v = _phase_over(x)  # row j is w_j
-    announce = _outer(v / _frobenius(v)[:, None])
-    proj = np.concatenate((announce, np.eye(3) - _outer(a), np.eye(3)[None]))
-    g = (proj * d[:, None, :]) @ proj
-    g = (g + np.swapaxes(g, -2, -1).conj()) / 2.0
-    w, _ = hermitian_eigen(g)
-
-    a_norm = _frobenius(seq.alice)
-    active = ~(a_norm <= TOL.active)
-    residual = np.divide(_frobenius(g @ seq.alice), a_norm, out=np.zeros(7), where=active)
-    leaks = np.max(np.abs(_quad(seq.alice, a)), axis=1, where=_BLOCKED_MASK, initial=0.0)
-    completeness = float(np.max(np.abs(seq.alice.sum(axis=0) - np.eye(3))))
+    x2 = [v * v for v in x]
+    y2 = [y[p] ** 2 for p in perm]  # squared by float ** as _offsets squares
+    inverse = [1.0 / s for s in x2]  # |w_jn|^2
+    lam = 3.0 * (y2[0] + y2[1] + y2[2] - 1.0) / (inverse[0] + inverse[1] + inverse[2])
+    exclude, defer = ([3.0 * s * (v - q) for s, v in zip(x2, y2)] for q in (level, y[2] ** 2))
+    d0, d1, d2 = exclude
+    t = d0 * (1.0 - x2[0]) + d1 * (1.0 - x2[1]) + d2 * (1.0 - x2[2])
+    e = d1 * d2 * x2[0] + d2 * d0 * x2[1] + d0 * d1 * x2[2]
+    root = (t + math.copysign(math.sqrt(max(t * t - 4.0 * e, 0.0)), t)) / 2.0
+    margins = [lam] * 3 + [min(root, e / root) if root else 0.0] * 3 + [min(defer)]
+    w = PHASE * np.sqrt(np.divide(inverse, sum(inverse)))  # row j is w_j / |w_j|
+    proj = np.eye(3) - a[:, :, None] * a.conj()[:, None, :]
+    g = np.concatenate(((lam * w)[:, :, None] * w.conj()[:, None, :], (proj * exclude) @ proj,
+                        np.diag(defer)[None]))
+    norms = _frobenius(np.concatenate((g @ seq.alice, seq.alice)))  # |g_l A_l|, then |A_l|
+    residual = np.divide(norms[:7], norms[7:], out=np.zeros(7), where=~(norms[7:] <= TOL.active))
+    leaks = np.abs(_quad(seq.alice, a), out=np.zeros((7, 3)), where=_BLOCKED_MASK).max(axis=1)
+    completeness = float(np.abs(seq.alice.sum(axis=0) - np.eye(3)).max())
+    residual, leaks = residual.tolist(), leaks.tolist()
 
     failures = []
     for i, label in enumerate(LABELS):
-        if not w[i, 0] >= -TOL.psd:
-            failures.append(f"{label}: witness eigenvalue {w[i, 0]:.3e}")
+        if not margins[i] >= -TOL.psd:
+            failures.append(f"{label}: witness eigenvalue {margins[i]:.3e}")
         if not residual[i] <= TOL.kernel_resid:  # 0.0 for an unused operator
             failures.append(f"{label}: kernel residual {residual[i]:.3e}")
         if not leaks[i] <= TOL.leak:
@@ -472,10 +467,10 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     if failures:
         raise CertificateViolation("; ".join(failures))
     return CertificateReport(
-        psd_margin=dict(zip(LABELS, w[:, 0].tolist())),
-        kernel_residual=dict(zip(LABELS, residual.tolist())),
+        psd_margin=dict(zip(LABELS, margins)),
+        kernel_residual=dict(zip(LABELS, residual)),
         completeness=completeness,
-        unambiguity=dict(zip(LABELS, leaks.tolist())),
+        unambiguity=dict(zip(LABELS, leaks)),
     )
 
 
@@ -484,14 +479,7 @@ def _frobenius(ops) -> np.ndarray:
     root of re.re + im.im as dot products."""
     flat = ops.reshape(len(ops), 1, -1)
     re, im = flat.real, flat.imag
-    return np.sqrt(re @ np.swapaxes(re, -2, -1) + im @ np.swapaxes(im, -2, -1))[:, 0, 0]
-
-
-def _outcome_probs(p: Povm, state) -> np.ndarray:
-    """<state|E|state> per outcome E, rounding noise below zero clipped
-    (as max(prob, 0.0) clips: a NaN or a -0.0 passes through)."""
-    probs = _quad(p.outcomes, np.asarray(state)[None])[:, 0]
-    return np.where(0.0 > probs, 0.0, probs)
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
 
 
 def sample_outcomes(p: Povm, state, shots, seed):
@@ -510,9 +498,10 @@ def sample_outcomes(p: Povm, state, shots, seed):
 
 
 def _draw(p: Povm, state, shots: int, seed: int):
-    """sample_outcomes past its argument checks; returns (counts, the
-    _outcome_probs they were drawn from)."""
-    probs = _outcome_probs(p, state)
+    """sample_outcomes past its argument checks; returns (counts, the <state|E|state>
+    they were drawn from, clipped at 0.0 as max(p, 0.0) clips: NaN and -0.0 pass)."""
+    probs = _quad(p.outcomes, np.asarray(state)[None])[:, 0]
+    probs = np.where(0.0 > probs, 0.0, probs)
     total = float(probs.sum())
     if not abs(total - 1.0) <= TOL.prob_sum:  # NaN fails too
         raise InvalidPovm(f"outcome probabilities sum to {total:.12g}")
@@ -569,7 +558,18 @@ def _stacks(keys, *parts, decode=_from_json):
 
 
 def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, success: float):
-    """Write a measurement file, format 3: meta and the pieces Alice and Bob run."""
+    """Write a measurement file, format 3: meta and the pieces Alice and Bob run.
+
+    raises: NonHermitian, writing nothing, when a piece is not Hermitian
+    """
+    for name, ops in (("alice", seq.alice), ("bob", seq.bob)):
+        ops = np.asarray(ops, dtype=complex)  # format 3 spells its upper triangle only
+        mirror = np.swapaxes(ops, -2, -1).conj()
+        same = ops == mirror  # and past this exact test, NaN counts as equal to NaN
+        bad = [] if same.all() else ~(same | np.isnan(ops) & np.isnan(mirror)).reshape(7, -1).all(1)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise NonHermitian(f"{name} {LABELS[i]}: not Hermitian", i)
     alice, bob = (np.ascontiguousarray(ops, dtype=complex).view(float).reshape(7, -1, 18)
                   [..., _PACKED].reshape(7, -1).tolist() for ops in (seq.alice, seq.bob))
     doc = {

@@ -935,9 +935,11 @@ def test_simulate_refuses_meta_overlaps_whose_modulus_overflows(tmp_path, capsys
 
 
 def test_certificate_fails_a_nan_margin(tmp_path, capsys, psk_file):
-    # a huge finite entry overflows announce0's kernel residual to NaN
+    # a huge finite entry overflows exclude0's kernel residual to NaN: the
+    # exclude witness is not zero, so the residual gate has to fail on NaN
+    # (the announce witness is rounding of zero, here exactly 0.0)
     doc = json.loads(psk_file)
-    doc["sequential"]["alice"]["announce0"][0] = 1e308
+    doc["sequential"]["alice"]["exclude0"][0] = 1e308
     bad = tmp_path / "huge.json"
     bad.write_text(json.dumps(doc))
     code = run(["verify", str(bad), "--psk", "0.3", "0.3"])
@@ -945,7 +947,7 @@ def test_certificate_fails_a_nan_margin(tmp_path, capsys, psk_file):
     assert code == 1
     (line,) = [ln for ln in captured.out.splitlines() if " certificate: " in ln]
     assert line.startswith("FAIL certificate: ")
-    assert "announce0: kernel residual nan" in line
+    assert "exclude0: kernel residual nan" in line
     assert captured.err == ""
 
 
@@ -974,36 +976,38 @@ def test_certificate_reads_a_huge_defer_entry_against_its_kernel(tmp_path, capsy
 
 
 _HUGE_CERTIFICATE = (
-    "FAIL certificate: announce0: kernel residual nan; announce0: unambiguity leak {};"
-    " announce1: kernel residual nan; announce1: unambiguity leak nan; announce2: kernel"
-    " residual nan; announce2: unambiguity leak nan; defer: kernel residual nan;"
+    "FAIL certificate: exclude0: kernel residual nan; exclude0: unambiguity leak nan;"
+    " exclude1: kernel residual nan; exclude1: unambiguity leak {}; exclude2: kernel"
+    " residual nan; exclude2: unambiguity leak {}; defer: kernel residual nan;"
     " completeness residual inf"
 )
 
 
 @pytest.mark.parametrize("fmt", (3, 2))
 def test_huge_pieces_fail_without_numpy_warnings(tmp_path, capsys, psk_file, fmt):
-    # 1.7e308 in every entry of the announce and defer pieces overflows
+    # 1.7e308 in every entry of the exclude and defer pieces overflows
     # flatten's sum, the outcomes' symmetry residual and the outcome
     # probabilities to inf or NaN; the gates fail on those, and no numpy
     # RuntimeWarning (an error under this suite) reaches stderr
     doc = json.loads(psk_file)
     if fmt == 2:
         doc = as_format2(doc)
-    for label in ("announce0", "announce1", "announce2", "defer"):
+    for label in ("exclude0", "exclude1", "exclude2", "defer"):
         doc["sequential"]["alice"][label] = (
             [1.7e308] * 9 if fmt == 3 else [[[1.7e308, 1.7e308]] * 3] * 3)
     bad = tmp_path / "huge.json"
     bad.write_text(json.dumps(doc))
     assert run(["verify", str(bad), "--psk", "0.3", "0.3"]) == 1
     captured = capsys.readouterr()
-    psd, leak = {
-        3: ("FAIL psd: outcomes: Eigenvalues did not converge", "nan"),
-        2: ("FAIL psd: outcome 0: symmetry residual inf exceeds 1.0e-12", "5.940e+307"),
+    psd, unambiguity, leaks = {
+        3: ("FAIL psd: outcomes: Eigenvalues did not converge", "8.1741911371803159e+307",
+            ("3.939e+307", "nan")),
+        2: ("FAIL psd: outcome 0: symmetry residual inf exceeds 1.0e-12",
+            "8.1741911371803149e+307", ("5.940e+307", "5.940e+307")),
     }[fmt]
     assert captured.out.splitlines() == [
-        psd, "FAIL unambiguity: nan", "FAIL success-vs-global: nan",
-        _HUGE_CERTIFICATE.format(leak), "success nan"]
+        psd, f"FAIL unambiguity: {unambiguity}", "FAIL success-vs-global: nan",
+        _HUGE_CERTIFICATE.format(*leaks), "success nan"]
     assert captured.err == ""
     argv = ["simulate", "--povm", str(bad), "--state", "0", "--shots", "10", "--seed", "0"]
     assert run(argv) == 65

@@ -40,6 +40,7 @@ from triseq.errors import (
     DegenerateStates,
     DomainError,
     InvalidPovm,
+    NonHermitian,
     NotGloballyOptimal,
     RankDeficient,
     SingularSystem,
@@ -51,6 +52,7 @@ from triseq.povm import (
     OUTCOME_LABELS,
     CertificateReport,
     Povm,
+    _bob_stack,
     _quad,
 )
 from triseq.serialize import json_dumps
@@ -104,6 +106,28 @@ def test_binary_unambiguous_complex_phase():
 def test_binary_unambiguous_parallel_rejected():
     with pytest.raises(DegenerateStates):
         binary_unambiguous([1, 0], [1, 0])
+
+
+def test_binary_degenerate_band_sits_at_its_tolerance():
+    # TOL.degenerate is 1e-12: an overlap 1e-10 short of 1 builds and one
+    # 1e-13 short raises, alone and inside Bob's exclude stack, where
+    # exclude0 separates b_1 from b_2; a band 1e3 times wider or narrower
+    # moves one of them across
+    for gap, parallel in ((1e-10, False), (1e-13, True)):
+        c = 1.0 - gap
+        u, v = np.array([1.0, 0.0]), np.array([c, math.sqrt(1.0 - c * c)])
+        b = np.array([[0.0, 0.0, 1.0], [*u, 0.0], [*v, 0.0]], dtype=complex)
+        if parallel:
+            with pytest.raises(DegenerateStates, match=r"^\|<u\|v>\| = 0.9999999999999 is too"):
+                binary_unambiguous(u, v)
+            with pytest.raises(DegenerateStates):
+                _bob_stack((0.5, 0.6, 0.7), b)
+            continue
+        p = binary_unambiguous(u, v)
+        assert _prob(p.outcomes[0], u) == pytest.approx(gap, rel=1e-3)
+        assert _prob(p.outcomes[0], v) == pytest.approx(0.0, abs=1e-20)
+        exclude0 = _bob_stack((0.5, 0.6, 0.7), b)[LABELS.index("exclude0")]
+        assert np.array_equal(exclude0[[1, 2, 3], :2, :2], p.outcomes)
 
 
 def test_ternary_unambiguous_discriminates():
@@ -478,6 +502,22 @@ def test_sample_outcomes_deterministic():
     assert not np.array_equal(counts, different)
 
 
+def test_sample_outcomes_probability_sum_sits_at_its_tolerance():
+    # TOL.prob_sum is 1e-8: outcomes scaled so the probabilities sum to
+    # 1 + 1e-10 still draw, scaled to 1 + 1e-6 they are refused; a bound
+    # 1e3 times wider or narrower moves one of them across
+    pair = canonicalize(FIG_K, FIG_K)
+    flat = flatten(build_sequential(pair))
+    psi = joint_states(state_vectors(pair))[1]
+    for excess, drawn in ((1e-10, True), (1e-6, False)):
+        scaled = flat._replace(outcomes=(1.0 + excess) * flat.outcomes)
+        if drawn:
+            assert sample_outcomes(scaled, psi, 1000, seed=0).sum() == 1000
+        else:
+            with pytest.raises(InvalidPovm, match="^outcome probabilities sum to 1.000001"):
+                sample_outcomes(scaled, psi, 1000, seed=0)
+
+
 def test_sample_outcomes_validates():
     half = Povm(outcomes=(0.5 * np.eye(2, dtype=complex),), labels=("only",))
     with pytest.raises(InvalidPovm):
@@ -661,6 +701,58 @@ def _assert_bits(got, want):
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _ref_binary(u, v):
+    """binary_unambiguous's outcomes as one pair at a time spelled them."""
+    c = np.vdot(u, v)
+    wu = u - c.conjugate() * v
+    wu = wu / np.linalg.norm(wu)
+    wv = v - c * u
+    wv = wv / np.linalg.norm(wv)
+    detect = (1.0 / (1.0 + abs(c))) * np.array([_ref_outer(wu), _ref_outer(wv)])
+    return np.stack((*detect, np.eye(len(u)) - detect[0] - detect[1]))
+
+
+def _ref_bob(y, b):
+    """_bob_stack as the per-label loop of three binary measurements built it."""
+    bob = np.zeros((7, 4, 3, 3), dtype=complex)
+    for j in range(3):
+        bob[j, j] = np.eye(3)
+        r1, r2 = (j + 1) % 3, (j + 2) % 3
+        bob[3 + j, [r1, r2, 3]] = _ref_binary(b[r1], b[r2])
+    bob[6] = ternary_unambiguous(y).outcomes
+    return bob
+
+
+def test_bob_stack_builds_as_the_per_pair_reference():
+    # the three exclude measurements come from one batched pass: bit for bit
+    # those of three one-pair calls (np.vdot, np.linalg.norm, abs of each
+    # complex overlap), on the frames of drawn pairs and on random unit
+    # vectors of two to four components
+    rng = np.random.default_rng(79)
+    tiny = lambda: complex(*rng.uniform(-1e-10, 1e-10, size=2))  # noqa: E731
+    draws = (
+        lambda: random_pair(rng),
+        lambda: (near_axis(rng), random_overlap(rng)),
+        lambda: (random_overlap(rng), near_axis(rng)),
+        lambda: (random_overlap(rng), tiny()),  # Orthogonal, no canonical form
+    )
+    built = 0
+    for i in range(400):
+        try:
+            _, sv = frame(*draws[i % len(draws)]())
+        except RankDeficient:  # a near-axis draw outside the state domain
+            continue
+        y = sv.b[0].real.tolist()
+        _assert_bits(_bob_stack(y, sv.b), _ref_bob(y, sv.b))
+        built += 1
+    assert built > 300
+    for dim in (2, 3, 4):
+        for _ in range(100):
+            u, v = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+            u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+            _assert_bits(binary_unambiguous(u, v).outcomes, _ref_binary(u, v))
+
+
 def test_phase_table_builds_as_the_per_index_reference():
     rng = np.random.default_rng(75)
     tiny = lambda: complex(*rng.uniform(-1e-10, 1e-10, size=2))  # noqa: E731
@@ -761,25 +853,66 @@ def _rank_one_witness(i, pair, proj):
     return proj @ d @ proj
 
 
+def _eigen_label(projector, witness):
+    """Label i's (margin, witness) from one projector(label index, x, state
+    rows), one witness(label index, pair, projector), symmetrized, and one
+    eigensolve."""
+
+    def label(i, pair):
+        g = witness(i, pair, projector(i, pair.x, state_vectors(pair).a))
+        g = (g + g.conj().T) / 2.0
+        return float(hermitian_eigen(g)[0][0]), g
+
+    return label
+
+
+def _closed_label(i, pair):
+    """Label i's (margin, witness) in closed form, per label, read off the
+    diagonal D with |a_jn|^2 = x_n^2: announce <w|D|w> and its witness that
+    times |w><w|; exclude the smaller eigenvalue of D on a_j's orthocomplement
+    from its trace t and determinant e, and P D P; defer min D, and D."""
+    x, y, perm = pair.x, pair.y, pair.perm
+    level, _ = _offsets(pair.kb, y)
+    q = (1.0 / 3.0, level, y[2] ** 2)[i // 3]
+    sq = [x[n] * x[n] for n in range(3)]
+    d = [3.0 * sq[n] * (y[perm[n]] ** 2 - q) for n in range(3)]
+    if i < 3:
+        inverse = [1.0 / s for s in sq]
+        lam = 3.0 * (sum(y[perm[n]] ** 2 for n in range(3)) - 1.0) / sum(inverse)
+        w = np.array([TAU ** (i * n) for n in range(3)]) * np.sqrt(np.divide(inverse, sum(inverse)))
+        return lam, np.outer(lam * w, w.conj())
+    if i < 6:
+        t = sum(d[n] * (1.0 - sq[n]) for n in range(3))
+        e = sum(d[(n + 1) % 3] * d[(n + 2) % 3] * sq[n] for n in range(3))
+        disc = math.sqrt(max(t * t - 4.0 * e, 0.0))
+        big = (t + disc) / 2.0 if t >= 0.0 else (t - disc) / 2.0
+        a = state_vectors(pair).a[i - 3]
+        proj = np.eye(3) - np.outer(a, a.conj())
+        return (min(big, e / big) if big else 0.0), (proj * d) @ proj
+    return min(d), np.diag(d)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _ref_margins(pair, seq, projector=_closed_form_projector, witness=_diagonal_witness):
-    """dual_certificate's report as the per-label loop computed it, gates
-    left out, with one projector(label index, x, state rows), one
-    witness(label index, pair, projector) and one eigensolve per label."""
+def _ref_report(pair, seq, label=_closed_label):
+    """dual_certificate's report as a per-label loop computes it, gates left
+    out, with one label(label index, pair) giving each margin and witness."""
     sv = state_vectors(pair)
     psd_margin, kernel_residual, unambiguity = {}, {}, {}
-    for i, (label, allowed, a_op) in enumerate(zip(LABELS, _REF_ALLOWED, seq.alice)):
-        g = witness(i, pair, projector(i, pair.x, sv.a))
-        g = (g + g.conj().T) / 2.0
-        psd_margin[label] = float(hermitian_eigen(g)[0][0])
+    for i, (name, allowed, a_op) in enumerate(zip(LABELS, _REF_ALLOWED, seq.alice)):
+        psd_margin[name], g = label(i, pair)
         a_norm = float(np.linalg.norm(a_op))
         active = not a_norm <= TOL.active
-        kernel_residual[label] = float(np.linalg.norm(g @ a_op) / a_norm) if active else 0.0
+        kernel_residual[name] = float(np.linalg.norm(g @ a_op) / a_norm) if active else 0.0
         leaks = [abs(float(np.real(np.vdot(sv.a[r], a_op @ sv.a[r]))))
                  for r in range(3) if r not in allowed]
-        unambiguity[label] = float(np.max(leaks, initial=0.0))
+        unambiguity[name] = float(np.max(leaks, initial=0.0))
     completeness = float(np.max(np.abs(sum(seq.alice) - np.eye(3))))
     return CertificateReport(psd_margin, kernel_residual, completeness, unambiguity)
+
+
+def _ref_margins(pair, seq, projector=_closed_form_projector, witness=_diagonal_witness):
+    """The report with each margin an eigensolve of the compressed witness."""
+    return _ref_report(pair, seq, _eigen_label(projector, witness))
 
 
 def _ref_failures(rep):
@@ -798,8 +931,8 @@ def _ref_failures(rep):
 
 
 def _ref_dual_certificate(pair, seq):
-    """dual_certificate as the per-label loop spelled it."""
-    rep = _ref_margins(pair, seq)
+    """dual_certificate as a per-label loop spells it in closed form."""
+    rep = _ref_report(pair, seq)
     failures = _ref_failures(rep)
     if failures:
         raise CertificateViolation("; ".join(failures))
@@ -965,7 +1098,7 @@ def test_closed_form_projectors_certify_as_the_gram_projector():
         _, seq, _, _ = construct(ka, kb)
         pair = frame(ka, kb)[0]
         if report.branch == "Orthogonal":
-            closed = _ref_margins(pair, seq)
+            closed = _ref_report(pair, seq)
         else:
             closed = dual_certificate(pair, seq)
         gram = _ref_margins(pair, seq, _gram_projector)
@@ -1016,7 +1149,7 @@ def test_diagonal_witness_certifies_as_the_rank_one_sum():
         try:
             new, refused = dual_certificate(pair, seq), ""
         except CertificateViolation as exc:
-            new, refused = _ref_margins(pair, seq), str(exc)
+            new, refused = _ref_report(pair, seq), str(exc)
         old = _ref_margins(pair, seq, witness=_rank_one_witness)
         assert refused == "; ".join(_ref_failures(old)), (pair, refused)
         for field in ("psd_margin", "kernel_residual"):
@@ -1062,9 +1195,11 @@ def test_writer_spells_edge_entries_as_the_reference(tmp_path):
     finite[0, 0, 0] = -0.0
     finite[0, 1, 1] = 5e-324
     finite[0, 1, 2] = complex(1e308, -1e-300)
+    finite[0, 2, 1] = complex(1e308, 1e-300)  # the mirror keeps the piece Hermitian
     bob = seq.bob.copy()
     bob[4, 1, 0, 0] = math.nan
     bob[4, 2, 1, 2] = complex(0.5, -math.inf)
+    bob[4, 2, 2, 1] = complex(0.5, math.inf)
     edges = (
         (seq._replace(alice=finite), False),
         (seq._replace(alice=finite, bob=bob), True),
@@ -1076,6 +1211,32 @@ def test_writer_spells_edge_entries_as_the_reference(tmp_path):
         assert path.read_bytes() == text.encode()
         assert "[-0,4.9406564584124654e-324," in text and ",1e+308,-1e-300]" in text
         assert ("null" in text) == has_null
+
+
+def test_writer_refuses_a_piece_that_is_not_hermitian(tmp_path):
+    # format 3 keeps only the real diagonal and the upper triangle, so a piece
+    # that is not Hermitian would read back as another one: the writer refuses
+    # it, names it, and writes nothing; a built measurement writes
+    pair = canonicalize(FIG_K, FIG_K)
+    seq = build_sequential(pair)
+    path = tmp_path / "m.json"
+    save_povm(path, seq, pair.ka, pair.kb, 0.5)
+    assert np.array_equal(load_povm(path).seq.alice, seq.alice)
+    alice, bob, diagonal = seq.alice.copy(), seq.bob.copy(), seq.alice.copy()
+    alice[0, 1, 2] += 1e-15
+    bob[4, 2, 2, 1] += 1e-15j
+    diagonal[6, 0, 0] += 1e-300j
+    edits = (
+        (seq._replace(alice=alice), "alice announce0"),
+        (seq._replace(bob=bob), "bob exclude1"),
+        (seq._replace(alice=diagonal), "alice defer"),
+    )
+    for edited, name in edits:
+        path.unlink()
+        with pytest.raises(NonHermitian, match=f"^{name}: not Hermitian"):
+            save_povm(path, edited, pair.ka, pair.kb, 0.5)
+        assert not path.exists()
+        save_povm(path, seq, pair.ka, pair.kb, 0.5)
 
 
 @pytest.fixture(scope="module")
