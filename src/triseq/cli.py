@@ -168,7 +168,7 @@ def cmd_verify(args, parser) -> int:
         checks.append(
             ("completeness", povm_check.completeness <= TOL.completeness, povm_check.completeness)
         )
-    except InvalidPovm as exc:  # an outcome that is not Hermitian has no eigenvalues to bound
+    except InvalidPovm as exc:  # an outcome that overflowed to inf or NaN has no eigenvalues
         checks.append(("psd", False, str(exc)))
 
     report = check_global_optimality(ka, kb)

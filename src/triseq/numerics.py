@@ -33,7 +33,6 @@ class Tolerances(NamedTuple):
     completeness: max |sum - identity| entry (certificate on Alice, verify)
     prob_sum:   distance of sampled outcome probabilities' sum from 1
     povm_psd:   eigenvalue floor of verify's positivity gate
-    drift:      load_povm's bound on a version-1 file's stored POVM against flatten
     success_gap: verify's bound on the success probability's miss of optimum
     """
 
@@ -53,7 +52,6 @@ class Tolerances(NamedTuple):
     completeness: float = 1e-10
     prob_sum: float = 1e-8
     povm_psd: float = 1e-12
-    drift: float = 1e-12
     success_gap: float = 1e-10
 
 

@@ -529,11 +529,6 @@ def _numbers(data, shape, context) -> np.ndarray:
     return arr
 
 
-def _from_json(data, shape, context) -> np.ndarray:
-    """Complex array from nested [re, im] pairs, exactly `shape` deep."""
-    return _numbers(data, (*shape, 2), context).view(complex)[..., 0]
-
-
 def _from_packed(data, shape, context) -> np.ndarray:
     """Hermitian pieces of `shape` (..., 3, 3) from format 3's nine numbers each."""
     packed = _numbers(data, (*shape[:-2], 9), context)
@@ -543,16 +538,16 @@ def _from_packed(data, shape, context) -> np.ndarray:
     return floats.view(complex).reshape(shape)
 
 
-def _stacks(keys, *parts, decode=_from_json):
+def _stacks(keys, *parts):
     """One stack per part (piece, shape, name) of the pieces piece(k), k in
-    keys, each decoded by one decode(data, shape, context) call.  When any
-    stack fails, every piece is decoded on its own, key by key and part by
-    part, so the error names the first bad piece in file order, as "name k"."""
+    keys, each decoded by one _from_packed call.  When any stack fails, every
+    piece is decoded on its own, key by key and part by part, so the error
+    names the first bad piece in file order, as "name k"."""
     try:
-        return [decode([piece(k) for k in keys], (len(keys), *shape), "block")
+        return [_from_packed([piece(k) for k in keys], (len(keys), *shape), "block")
                 for piece, shape, _ in parts]
     except (InvalidPovm, LookupError, TypeError, ValueError, OverflowError):
-        pieces = ([decode(piece(k), shape, f"{name} {k}") for piece, shape, name in parts]
+        pieces = ([_from_packed(piece(k), shape, f"{name} {k}") for piece, shape, name in parts]
                   for k in keys)
         return [np.stack(stack) for stack in zip(*pieces)]
 
@@ -565,9 +560,12 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
     for name, ops in (("alice", seq.alice), ("bob", seq.bob)):
         ops = np.asarray(ops, dtype=complex)  # format 3 spells its upper triangle only
         mirror = np.swapaxes(ops, -2, -1).conj()
-        same = ops == mirror  # and past this exact test, NaN counts as equal to NaN
-        bad = [] if same.all() else ~(same | np.isnan(ops) & np.isnan(mirror)).reshape(7, -1).all(1)
-        if np.any(bad):
+        if (ops == mirror).all():
+            continue
+        # past that exact test, part by part: a part NaN on both sides counts as equal
+        a, b = (np.stack((m.real, m.imag), -1) for m in (ops, mirror))
+        bad = ~((a == b) | np.isnan(a) & np.isnan(b)).reshape(7, -1).all(1)
+        if bad.any():
             i = int(np.argmax(bad))
             raise NonHermitian(f"{name} {LABELS[i]}: not Hermitian", i)
     alice, bob = (np.ascontiguousarray(ops, dtype=complex).view(float).reshape(7, -1, 18)
@@ -601,12 +599,11 @@ class LoadedMeasurement(NamedTuple):
 
 
 def load_povm(path) -> LoadedMeasurement:
-    """Read a save_povm file back, with povm = flatten(seq).  Format 2 and version 1 (no "format"
-    key) nest [re, im] pairs; version 1's "outcomes" block must match that within TOL.drift.
+    """Read a save_povm file back, with povm = flatten(seq).
 
     raises: InvalidPovm on any structural problem (missing keys, wrong shapes,
             entries that are not finite numbers, a meta branch outside
-            BRANCHES, a format other than 2 or 3)
+            BRANCHES, a format other than 3)
     """
     try:
         with open(path) as fh:
@@ -616,14 +613,15 @@ def load_povm(path) -> LoadedMeasurement:
     try:
         if doc["dim"] != 9:
             raise InvalidPovm(f"expected dim 9, got {doc['dim']!r}")
-        fmt = doc.get("format", 2)
-        if fmt not in (2, 3):
-            raise InvalidPovm(f"format: expected 3 or 2 (or no key: version 1), got {fmt!r}")
+        fmt = doc.get("format")
+        if fmt != 3:
+            raise InvalidPovm(f"format: expected 3, got {'no key' if fmt is None else repr(fmt)};"
+                              f" construct with the file's meta overlaps writes format 3")
         meta = doc["meta"]
         if not isinstance(meta, dict):
             raise InvalidPovm("meta: expected a JSON object")
-        meta["ka"] = complex(_from_json(meta["ka"], (), "meta ka"))
-        meta["kb"] = complex(_from_json(meta["kb"], (), "meta kb"))
+        meta["ka"] = complex(*_numbers(meta["ka"], (2,), "meta ka"))
+        meta["kb"] = complex(*_numbers(meta["kb"], (2,), "meta kb"))
         weights = tuple(_numbers(meta["kappa"], (3,), "meta kappa").tolist())
         branch = meta["branch"]
         if branch not in BRANCHES:
@@ -631,17 +629,8 @@ def load_povm(path) -> LoadedMeasurement:
         _numbers(meta["success"], (), "meta success")
         block = doc["sequential"]
         alice, bob = _stacks(LABELS, (lambda label: block["alice"][label], (3, 3), "alice"),
-                             (lambda label: block["bob"][label], (4, 3, 3), "bob"),
-                             decode=_from_packed if fmt == 3 else _from_json)
+                             (lambda label: block["bob"][label], (4, 3, 3), "bob"))
         seq = SequentialMeasurement(alice=alice, bob=bob, weights=weights, branch=branch)
-        povm = flatten(seq)
-        if "format" not in doc:
-            raw = {entry["label"]: entry["matrix"] for entry in doc["outcomes"]}
-            (stored,) = _stacks(OUTCOME_LABELS, (raw.__getitem__, (9, 9), "outcome"))
-            drift = float(np.max(np.abs(stored - povm.outcomes)))
-            if not drift <= TOL.drift:  # NaN fails too
-                raise InvalidPovm(f"outcomes: the stored operators differ from the flattened"
-                                  f" sequential pieces by {drift:.3e}")
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidPovm(f"missing or malformed field: {exc}") from exc
-    return LoadedMeasurement(povm=povm, seq=seq, meta=meta)
+    return LoadedMeasurement(povm=flatten(seq), seq=seq, meta=meta)

@@ -10,6 +10,8 @@ kinds of tampering. It is then simulated for every state.  The summary
 line counts the pairs (`verify_refused`, split by branch) whose own
 `verify` fails after `construct` succeeded, and gives the mean size in
 bytes of the files `construct` wrote (`mean_bytes`); neither is hashed.
+The script exits 1 when any run exits 2 (an internal error) or raises,
+as valid input must never end that way, and 0 otherwise.
 
 A refactor meant to change no output checks itself by running
 
@@ -43,7 +45,7 @@ os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
 
 import numpy as np  # noqa: E402
 
-from helpers import as_format2, near_axis, random_overlap, random_pair  # noqa: E402
+from helpers import near_axis, random_overlap, random_pair  # noqa: E402
 from triseq.cli import main  # noqa: E402
 
 PAIRS = 1500
@@ -90,6 +92,7 @@ class Digest:
         self.runs = 0
         self.log = log  # text file for the per-run lines, or None
         self.branch = "-"  # the last `check` run's branch, for the log
+        self.internal = 0  # runs that exit 2 or raise
 
     def run(self, argv, written=()):
         """Run one command, digest what it printed and wrote; returns
@@ -106,6 +109,8 @@ class Digest:
                 code = exc.code
             except Exception as exc:  # a traceback is output too
                 code = f"raised {type(exc).__name__}: {exc}"
+        if code == 2 or isinstance(code, str):
+            self.internal += 1
         if argv[0] == "check":
             self.branch = json.loads(out.getvalue())["branch"] if code in (0, 1) else "-"
         # a warning's text, not the source line it names
@@ -127,16 +132,14 @@ class Digest:
 
 
 def _tampered(text, i):
-    """Three edits of a measurement file: a scaled Alice label, one
-    non-Hermitian entry in a Bob piece after an announce label (Alice uses
-    those on every branch), written in format 2 as format 3 cannot spell
-    it, and a 1e308 on an Alice diagonal."""
-    scaled, huge = json.loads(text), json.loads(text)
-    skew = as_format2(json.loads(text))
+    """Three edits of a measurement file: a scaled Alice label, Re H01 of a
+    Bob piece after an announce label (Alice uses those on every branch)
+    moved by 1e-3, and a 1e308 on an Alice diagonal."""
+    scaled, skew, huge = (json.loads(text) for _ in range(3))
     alice = scaled["sequential"]["alice"]
     label = list(alice)[i % 7]
     alice[label] = [1.001 * v for v in alice[label]]
-    skew["sequential"]["bob"][list(alice)[i % 3]][i % 4][0][1][0] += 1e-3
+    skew["sequential"]["bob"][list(alice)[i % 3]][i % 4][3] += 1e-3  # Re H01
     huge["sequential"]["alice"][label][0] = 1e308  # H00
     return [json.dumps(d) for d in (scaled, skew, huge)]
 
@@ -194,6 +197,9 @@ def main_digest(log=None):
     print(f"{digest.sha.hexdigest()}  runs={digest.runs} pairs={PAIRS} {counts}"
           f" verify_refused={refused.total()} [{split}]"
           f" mean_bytes={sum(sizes) / len(sizes):.1f} over {len(sizes)} files")
+    if digest.internal:
+        print(f"{digest.internal} runs exit 2 or raise")
+    return 1 if digest.internal else 0
 
 
 if __name__ == "__main__":
@@ -204,4 +210,5 @@ if __name__ == "__main__":
         log = None if runs is None else stack.enter_context(open(runs.resolve(), "w"))
         work = stack.enter_context(tempfile.TemporaryDirectory())
         os.chdir(work)
-        main_digest(log)
+        status = main_digest(log)
+    raise SystemExit(status)

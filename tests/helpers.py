@@ -1,5 +1,5 @@
 """Shared test utilities: seeded random overlap draws, and the measurement
-file's spellings of a piece, entry by entry."""
+file's spelling of a piece, entry by entry."""
 
 import numpy as np
 
@@ -37,19 +37,3 @@ def packed(op):
     return [float(op[n, n].real) for n in range(3)] + [
         float(part) for z in upper for part in (z.real, z.imag)]
 
-
-def nested(piece):
-    """Format 3's nine numbers (H00, H11, H22, then Re and Im of H01, H02,
-    H12) as the nested [re, im] rows format 2 spells the Hermitian piece in."""
-    d0, d1, d2, r01, i01, r02, i02, r12, i12 = map(float, piece)  # -0.0 from an int 0
-    return [[[d0, 0.0], [r01, i01], [r02, i02]],
-            [[r01, -i01], [d1, 0.0], [r12, i12]],
-            [[r02, -i02], [r12, -i12], [d2, 0.0]]]
-
-
-def as_format2(doc):
-    """A format-3 measurement document as format 2 spells the same pieces."""
-    block = doc["sequential"]
-    spelled = {"alice": {label: nested(p) for label, p in block["alice"].items()},
-               "bob": {label: [nested(p) for p in ps] for label, ps in block["bob"].items()}}
-    return {**doc, "format": 2, "sequential": spelled}

@@ -1,5 +1,5 @@
-"""Break the certificate, `verify` and loader gates, the packed-piece decoder, Bob's
-binary measurements and the sampler one at a time; list what tier 1 misses.
+"""Break the certificate, `verify`, writer and loader gates, the packed-piece decoder,
+Bob's binary measurements and the sampler one at a time; list what tier 1 misses.
 
     python tests/mutate.py
 
@@ -8,11 +8,12 @@ reads) into a temporary directory.  Each mutant rewrites one site of
 src/triseq in that copy:
 
   - a comparison in `povm.dual_certificate`, `povm.verify_povm`,
-    `povm.load_povm` (the version-1 drift gate among them), `povm._numbers`
-    (the shape and type checks of every stored number), `povm._binary_stack`
-    (the parallel-states check behind `binary_unambiguous` and `_bob_stack`),
-    `povm._draw` (the probability-sum check of `simulate`) or
-    `cli.cmd_verify`, negated (`a <= b` becomes `not (a <= b)`);
+    `povm.save_povm` (the writer's Hermitian gate), `povm.load_povm` (the
+    format check among them), `povm._numbers` (the shape and type checks of
+    every stored number), `povm._binary_stack` (the parallel-states check
+    behind `binary_unambiguous` and `_bob_stack`), `povm._draw` (the
+    probability-sum check of `simulate`) or `cli.cmd_verify`, negated
+    (`a <= b` becomes `not (a <= b)`);
   - a `failures.append(...)` in `dual_certificate`, dropped;
   - in those functions and in `povm._from_packed` (the format-3 decoder,
     which rebuilds each piece's lower triangle from its upper one), a unary
@@ -43,8 +44,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
 TARGETS = {
-    "povm.py": ("dual_certificate", "verify_povm", "load_povm", "_numbers", "_from_packed",
-                "binary_unambiguous", "_binary_stack", "_bob_stack", "_draw"),
+    "povm.py": ("dual_certificate", "verify_povm", "save_povm", "load_povm", "_numbers",
+                "_from_packed", "binary_unambiguous", "_binary_stack", "_bob_stack", "_draw"),
     "cli.py": ("cmd_verify",),
 }
 # run first: a broken gate fails a test in these soonest, and -x stops there

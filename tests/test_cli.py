@@ -17,12 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import as_format2, packed, random_overlap
+from helpers import packed, random_overlap
 from triseq import (
     LABELS,
-    SequentialMeasurement,
     check_global_optimality,
-    flatten,
     frame,
     joint_states,
     load_povm,
@@ -589,19 +587,6 @@ def _set(path, value):
     return mutate
 
 
-def _as_version1(doc):
-    """A format-3 document as version 1 wrote it: no format key, the pieces
-    in nested [re, im] pairs, and the flattened POVM stored as an outcomes
-    block."""
-    block = as_format2(doc)["sequential"]
-    alice, bob = (np.array([block[part][label] for label in LABELS]).view(complex)[..., 0]
-                  for part in ("alice", "bob"))
-    flat = flatten(SequentialMeasurement(alice, bob, (), ""))
-    outcomes = [{"label": label, "matrix": np.stack((op.real, op.imag), -1).tolist()}
-                for label, op in zip(flat.labels, flat.outcomes)]
-    return {"dim": doc["dim"], "outcomes": outcomes, "meta": doc["meta"], "sequential": block}
-
-
 def _edit(mutate):
     return lambda text: json.dumps(mutate(json.loads(text))).encode()
 
@@ -612,8 +597,8 @@ def _dim_overflow(text):
 
 
 def _ragged(doc):
-    doc = as_format2(doc)
-    doc["sequential"]["bob"]["exclude0"][1][2].pop()
+    piece = doc["sequential"]["bob"]["exclude0"][1]
+    doc["sequential"]["bob"]["exclude0"][1] = [piece[:3], piece[3:6], piece[6:]]
     return doc
 
 
@@ -628,21 +613,19 @@ def _no_bob_defer(doc):
 
 
 def _two_by_two(doc):
-    doc = as_format2(doc)
     alice = doc["sequential"]["alice"]
-    alice["exclude2"] = [row[:2] for row in alice["exclude2"][:2]]
+    d0, d1, _, r01, i01, *_ = alice["exclude2"]
+    alice["exclude2"] = [d0, d1, r01, i01]
     return doc
 
 
 # each maps the text of a good file to the bytes of a bad one; three_numbers,
-# ragged_row and wrong_shape damage the nesting of the pieces in format 2
+# ragged_row, wrong_shape and nested_in_format3 damage the nesting of a piece
 MALFORMED = {
     "entry_object": _edit(_set(["sequential", "bob", "defer", 0, 0], {"re": 1.0, "im": 0.0})),
-    "outcomes_not_list": _edit(lambda doc: _set(["outcomes"], 5)(_as_version1(doc))),
     "dim_overflow": _dim_overflow,
     "huge_int_entry": _edit(_set(["sequential", "alice", "announce2", 0], 10**400)),
-    "three_numbers": _edit(lambda doc: _set(["sequential", "alice", "announce0", 0, 0],
-                                            [1.0, 0.0, 7.0])(as_format2(doc))),
+    "three_numbers": _edit(_set(["sequential", "alice", "announce0", 0], [1.0, 0.0, 7.0])),
     "ten_numbers": _edit(lambda doc: _set(["sequential", "alice", "announce0"],
                                           doc["sequential"]["alice"]["announce0"] + [7.0])(doc)),
     "string_numbers": _edit(_set(["sequential", "bob", "exclude1", 2, 0], "1.0")),
@@ -652,8 +635,8 @@ MALFORMED = {
     "ragged_row": _edit(_ragged),
     "short_piece": _edit(_short_piece),
     "wrong_shape": _edit(_two_by_two),
-    # each spelling is read only under its own format key
-    "nested_in_format3": _edit(lambda doc: {**as_format2(doc), "format": 3}),
+    # a piece as the [re, im] rows of format 2, and the nine numbers under format 2
+    "nested_in_format3": _edit(_set(["sequential", "alice", "defer"], [[[0.5, 0.0]] * 3] * 3)),
     "packed_in_format2": _edit(_set(["format"], 2)),
     "missing_label": _edit(_no_bob_defer),
     "non_object": _edit(lambda doc: [1, 2, 3]),
@@ -661,7 +644,6 @@ MALFORMED = {
     "kappa_huge_int": _edit(_set(["meta", "kappa"], [10**400, 0.0, 0.0])),
     "kappa_string_bool": _edit(_set(["meta", "kappa"], ["1.5", True])),
     "kappa_two_numbers": _edit(_set(["meta", "kappa"], [0.25, 0.5])),
-    "label_not_string": _edit(lambda doc: _set(["outcomes", 0, "label"], 0)(_as_version1(doc))),
     "meta_pairs": _edit(lambda doc: {**doc, "meta": list(doc["meta"].items())}),
     "branch_number": _edit(_set(["meta", "branch"], 7)),
     "branch_null": _edit(_set(["meta", "branch"], None)),
@@ -704,27 +686,18 @@ def test_loader_names_the_failing_piece(tmp_path, capsys, psk_file):
                        (["meta", "success"], "meta success")):
         assert f"cannot load measurement file: {name}: " in message(_set(path, "0.5"))
 
-    # each kind of bad entry, and a short row, in each block of each spelling
+    # each kind of bad entry, and a short row, in each block
     head = "cannot load measurement file:"
     overflow = f"{head} missing or malformed field: int too large to convert to float\n"
-    # (a version-1 file's outcomes block is decoded as format 2's pieces are)
-    same = lambda doc: doc  # noqa: E731
-    for prep, row, entry, name, shape in (
-        (_as_version1, ["outcomes", 2, "matrix", 1], [1, 0], "outcome 2", "(9, 9, 2)"),
-        (as_format2, ["sequential", "alice", "exclude0", 1], [1, 0], "alice exclude0",
-         "(3, 3, 2)"),
-        (as_format2, ["sequential", "bob", "announce1", 3, 1], [1, 0], "bob announce1",
-         "(4, 3, 3, 2)"),
-        (same, ["sequential", "alice", "exclude0"], [4], "alice exclude0", "(9,)"),
-        (same, ["sequential", "bob", "announce1", 3], [4], "bob announce1", "(4, 9)"),
-    ):
+    for row, name, shape in ((["sequential", "alice", "exclude0"], "alice exclude0", "(9,)"),
+                             (["sequential", "bob", "announce1", 3], "bob announce1", "(4, 9)")):
         numbers = f"{head} {name}: expected a {shape} array of numbers\n"
         for value, want in ((True, numbers), (None, numbers), ("0.5", numbers),
                             ("1e400", f"{head} {name}: non-finite entries\n"),
                             (10**400, overflow)):
-            assert message(prep, _set([*row, *entry], value)) == want, (name, value)
-        full = functools.reduce(operator.getitem, row, prep(json.loads(psk_file)))
-        assert message(prep, _set(row, full[:-1])) == numbers, name
+            assert message(_set([*row, 4], value)) == want, (name, value)
+        full = functools.reduce(operator.getitem, row, json.loads(psk_file))
+        assert message(_set(row, full[:-1])) == numbers, name
 
     # two bad pieces: the one read first, piece by piece in label order, is named
     two = message(_set(["sequential", "alice", "announce1", 0], None),
@@ -732,62 +705,18 @@ def test_loader_names_the_failing_piece(tmp_path, capsys, psk_file):
     assert two.startswith(f"{head} bob announce0: "), two
 
 
-@pytest.mark.parametrize("args", [
-    FIG_ARGS,  # Inequality
-    ["--psk", "0.3", "0.3"],
-    ["--ka", "0.19", "0.062", "--kb", "0.3", "0"],  # PositiveRealB
-    ["--ka", "0.3", "0", "--kb", "0.19", "0.062"],  # PositiveRealA
-    ["--ka", "0", "0", "--kb", "0.38", "0.11"],  # Orthogonal, canonical build
-    ["--ka", "0.3", "0", "--kb", "0", "0"],  # Orthogonal, Bob alone
-])
-def test_version1_file_reads_as_its_version2_twin(tmp_path, capsys, args):
-    # the same pieces as format 3 writes them (nine numbers each), as format
-    # 2 spelled them (nested [re, im] pairs) and as version 1, which also
-    # stored flatten(seq) as an outcomes block: a version-1 file whose block
-    # is within TOL.drift of its pieces verifies and simulates byte for byte
-    # as the files that hold only the pieces
-    new, v2 = tmp_path / "v3.json", tmp_path / "v2.json"
-    old, near = tmp_path / "v1.json", tmp_path / "near.json"
-    assert run(["construct", *args, "--out", str(new)]) == 0
-    branch = json.loads(capsys.readouterr().out)["branch"]
-    doc = json.loads(new.read_text())
-    assert list(doc) == ["dim", "format", "meta", "sequential"] and doc["format"] == 3
-    v2.write_text(json.dumps(as_format2(doc)))
-    v1 = _as_version1(doc)
-    old.write_text(json.dumps(v1))
-    v1["outcomes"][1]["matrix"][0][2][0] += 3e-14
-    near.write_text(json.dumps(v1))
-    seen = []
-    for path in (new, v2, old, near):
-        runs = [["verify", str(path), *args]] + [
-            ["simulate", "--povm", str(path), "--state", str(r), "--shots", "1000", "--seed", "5"]
-            for r in range(3)
-        ]
-        outputs = []
-        for argv in runs:
-            code = run(argv)
-            captured = capsys.readouterr()
-            outputs.append((code, captured.out, captured.err))
-        seen.append(outputs)
-    assert seen[0] == seen[1] == seen[2] == seen[3], branch
-    assert [code for code, _, _ in seen[0]] == [0, 0, 0, 0], branch
+def _no_format_key(doc):
+    del doc["format"]
+    return doc
 
 
-def _skewed_version1(s):
-    def edit(doc):
-        doc = _as_version1(doc)
-        doc["outcomes"][1]["matrix"][0][2][0] += s
-        return doc
-    return edit
-
-
+# format 2 and version 1 (no format key) are refused, however their pieces are spelled
+_REWRITE = "; construct with the file's meta overlaps writes format 3"
 REFUSED = {
-    "version1_skew_1e-3": (_skewed_version1(1e-3), "outcomes: the stored operators differ"
-                           " from the flattened sequential pieces by 1.000e-03"),
-    "version1_skew_3e-11": (_skewed_version1(3e-11), "outcomes: the stored operators differ"
-                            " from the flattened sequential pieces by 3.000e-11"),
-    "format_4": (_set(["format"], 4), "format: expected 3 or 2 (or no key: version 1), got 4"),
-    "format_1": (_set(["format"], 1), "format: expected 3 or 2 (or no key: version 1), got 1"),
+    "format_4": (_set(["format"], 4), f"format: expected 3, got 4{_REWRITE}"),
+    "format_2": (_set(["format"], 2), f"format: expected 3, got 2{_REWRITE}"),
+    "format_1": (_set(["format"], 1), f"format: expected 3, got 1{_REWRITE}"),
+    "no_format_key": (_no_format_key, f"format: expected 3, got no key{_REWRITE}"),
 }
 
 
@@ -807,28 +736,6 @@ def test_disagreeing_version1_block_and_unknown_format_are_refused(tmp_path, cap
 
 
 def test_readable_invalid_file_is_not_an_internal_error(tmp_path, capsys, psk_file):
-    # a non-Hermitian Bob piece makes a non-Hermitian outcome, which fails
-    # verify's psd check; only format 2 can spell one
-    doc = as_format2(json.loads(psk_file))
-    doc["sequential"]["bob"]["announce0"][0][0][1] = [0.3, 0.0]
-    bad = tmp_path / "skew.json"
-    bad.write_text(json.dumps(doc))
-    code = run(["verify", str(bad), "--psk", "0.3", "0.3"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "FAIL psd: outcome 0: symmetry residual" in captured.out
-    assert captured.err == ""
-
-    # the stacked check names the failing outcome by its label
-    doc = as_format2(json.loads(psk_file))
-    doc["sequential"]["bob"]["announce0"][3][0][1] = [0.3, 0.0]
-    bad.write_text(json.dumps(doc))
-    code = run(["verify", str(bad), "--psk", "0.3", "0.3"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "FAIL psd: outcome inconclusive: symmetry residual" in captured.out
-    assert captured.err == ""
-
     # outcome probabilities that do not sum to one make simulate refuse the file
     # (Bob's outcome 0 gains 0.2 I after every label, so outcome 0 gains 0.2 I)
     doc = json.loads(psk_file)
@@ -975,39 +882,25 @@ def test_certificate_reads_a_huge_defer_entry_against_its_kernel(tmp_path, capsy
     assert captured.err == ""
 
 
-_HUGE_CERTIFICATE = (
-    "FAIL certificate: exclude0: kernel residual nan; exclude0: unambiguity leak nan;"
-    " exclude1: kernel residual nan; exclude1: unambiguity leak {}; exclude2: kernel"
-    " residual nan; exclude2: unambiguity leak {}; defer: kernel residual nan;"
-    " completeness residual inf"
-)
-
-
-@pytest.mark.parametrize("fmt", (3, 2))
-def test_huge_pieces_fail_without_numpy_warnings(tmp_path, capsys, psk_file, fmt):
+def test_huge_pieces_fail_without_numpy_warnings(tmp_path, capsys, psk_file):
     # 1.7e308 in every entry of the exclude and defer pieces overflows
     # flatten's sum, the outcomes' symmetry residual and the outcome
     # probabilities to inf or NaN; the gates fail on those, and no numpy
     # RuntimeWarning (an error under this suite) reaches stderr
     doc = json.loads(psk_file)
-    if fmt == 2:
-        doc = as_format2(doc)
     for label in ("exclude0", "exclude1", "exclude2", "defer"):
-        doc["sequential"]["alice"][label] = (
-            [1.7e308] * 9 if fmt == 3 else [[[1.7e308, 1.7e308]] * 3] * 3)
+        doc["sequential"]["alice"][label] = [1.7e308] * 9
     bad = tmp_path / "huge.json"
     bad.write_text(json.dumps(doc))
     assert run(["verify", str(bad), "--psk", "0.3", "0.3"]) == 1
     captured = capsys.readouterr()
-    psd, unambiguity, leaks = {
-        3: ("FAIL psd: outcomes: Eigenvalues did not converge", "8.1741911371803159e+307",
-            ("3.939e+307", "nan")),
-        2: ("FAIL psd: outcome 0: symmetry residual inf exceeds 1.0e-12",
-            "8.1741911371803149e+307", ("5.940e+307", "5.940e+307")),
-    }[fmt]
     assert captured.out.splitlines() == [
-        psd, f"FAIL unambiguity: {unambiguity}", "FAIL success-vs-global: nan",
-        _HUGE_CERTIFICATE.format(*leaks), "success nan"]
+        "FAIL psd: outcomes: Eigenvalues did not converge",
+        "FAIL unambiguity: 8.1741911371803159e+307", "FAIL success-vs-global: nan",
+        "FAIL certificate: exclude0: kernel residual nan; exclude0: unambiguity leak nan;"
+        " exclude1: kernel residual nan; exclude1: unambiguity leak 3.939e+307; exclude2:"
+        " kernel residual nan; exclude2: unambiguity leak nan; defer: kernel residual nan;"
+        " completeness residual inf", "success nan"]
     assert captured.err == ""
     argv = ["simulate", "--povm", str(bad), "--state", "0", "--shots", "10", "--seed", "0"]
     assert run(argv) == 65

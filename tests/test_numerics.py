@@ -13,7 +13,7 @@ from triseq.errors import NonHermitian
 
 
 def test_tolerances_frozen():
-    assert len(TOL) == 18
+    assert len(TOL) == 17
     assert TOL.herm == 1e-12
     assert TOL.psd == 1e-9
     assert TOL.tie == 1e-9
@@ -24,7 +24,7 @@ def test_tolerances_frozen():
     assert 2 * TOL.degenerate == 2e-12  # multipartite's clamp target, bit-equal
     assert (TOL.active, TOL.kernel_resid, TOL.leak) == (1e-14, 1e-8, 1e-10)
     assert (TOL.completeness, TOL.prob_sum, TOL.povm_psd) == (1e-10, 1e-8, 1e-12)
-    assert (TOL.drift, TOL.success_gap) == (1e-12, 1e-10)
+    assert TOL.success_gap == 1e-10
 
 
 def test_tolerances_live_in_tol():
@@ -42,6 +42,16 @@ def test_tolerances_live_in_tol():
             if exponent or 0.0 < abs(ast.literal_eval(text)) < 1e-6:
                 found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     assert found == []
+
+
+def test_every_tolerance_is_read():
+    # a field no site reads as TOL.<field> is a threshold nothing applies
+    src = Path(__file__).resolve().parents[1] / "src" / "triseq"
+    read = {node.attr for path in src.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "TOL"}
+    assert "herm" in read  # numerics' own hermitian_eigen counts
+    assert [field for field in TOL._fields if field not in read] == []
 
 
 def test_eigen_identity():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import as_format2, near_axis, packed, random_overlap, random_pair
+from helpers import near_axis, packed, random_overlap, random_pair
 from triseq import (
     BRANCHES,
     TOL,
@@ -476,6 +476,9 @@ def test_verify_povm_structural_errors():
         verify_povm(Povm(outcomes=(skew,), labels=("a",)))
     with pytest.raises(InvalidPovm):  # a non-Hermitian outcome past the last label
         verify_povm(Povm(outcomes=(np.eye(2, dtype=complex), skew), labels=("a",)))
+    # the stacked check names the first failing outcome by its label
+    with pytest.raises(InvalidPovm, match=r"^outcome b: symmetry residual 1\.000e\+00 exceeds"):
+        verify_povm(Povm(outcomes=(np.eye(2, dtype=complex), skew, skew), labels=("a", "b", "c")))
     nan = np.full((1, 3, 3), np.nan, dtype=complex)  # passes the Hermitian check
     with pytest.raises(InvalidPovm, match="Eigenvalues did not converge"):
         verify_povm(Povm(outcomes=nan, labels=("a",)))
@@ -1222,14 +1225,17 @@ def test_writer_refuses_a_piece_that_is_not_hermitian(tmp_path):
     path = tmp_path / "m.json"
     save_povm(path, seq, pair.ka, pair.kb, 0.5)
     assert np.array_equal(load_povm(path).seq.alice, seq.alice)
-    alice, bob, diagonal = seq.alice.copy(), seq.bob.copy(), seq.alice.copy()
+    alice, bob, diagonal, nan = (ops.copy() for ops in (seq.alice, seq.bob, seq.alice, seq.alice))
     alice[0, 1, 2] += 1e-15
     bob[4, 2, 2, 1] += 1e-15j
     diagonal[6, 0, 0] += 1e-300j
+    # NaN real parts on both sides, imaginary parts that are not mirrored
+    nan[0, 1, 2], nan[0, 2, 1] = complex(math.nan, 1.0), complex(math.nan, 5.0)
     edits = (
         (seq._replace(alice=alice), "alice announce0"),
         (seq._replace(bob=bob), "bob exclude1"),
         (seq._replace(alice=diagonal), "alice defer"),
+        (seq._replace(alice=nan), "alice announce0"),
     )
     for edited, name in edits:
         path.unlink()
@@ -1264,14 +1270,12 @@ _JSON_VALUES = (
 def test_load_fuzzed_file_returns_or_raises_invalid_povm(saved_text, seed, value):
     text, path = saved_text
     doc = json.loads(text)
-    if seed % 2:  # the same pieces in format 2's nested spelling
-        doc = as_format2(doc)
-    # a uniform walk of 0..7 levels picks the node to replace, stopping at a
-    # leaf; a format-3 file is at most 5 levels deep (sequential, bob, label,
-    # outcome, number), a format-2 one 7 (row, entry, re beyond the outcome)
+    # a uniform walk of 0..5 levels picks the node to replace, stopping at a
+    # leaf; the file is at most 5 levels deep (sequential, bob, label,
+    # outcome, number)
     walk = random.Random(seed)
     parent, key, node = None, None, doc
-    for _ in range(walk.randrange(8)):
+    for _ in range(walk.randrange(6)):
         if not isinstance(node, (dict, list)) or not node:
             break
         parent = node
