@@ -161,7 +161,7 @@ def in_triangle(point: PlanePoint, tri: Triangle, tol: float) -> bool:
     if not tri.degenerate:
         bx, by = tri.e2.u - tri.e3.u, tri.e2.v - tri.e3.v
         det = ax * by - bx * ay
-        if abs(det) > TOL.det_floor:
+        if det != 0.0:
             w1 = (px * by - py * bx) / det
             w2 = (ax * py - ay * px) / det
             return bool(min(w1, w2, 1.0 - w1 - w2) >= -tol)

@@ -11,17 +11,8 @@ result is reported as "sufficient", never as a necessity claim.
 from __future__ import annotations
 
 from .errors import DomainError
-from .numerics import TOL
 from .optimality import check_global_optimality
 from .states import _check_overlap, psk_overlap
-
-
-def _clamp(k: complex) -> complex:
-    # rounding can push a product of near-unit overlaps over the
-    # degeneracy gate; pull it just inside
-    if abs(k) >= 1.0 - TOL.degenerate:
-        k = k / abs(k) * (1.0 - 2 * TOL.degenerate)
-    return k
 
 
 def check_multipartite(overlaps):
@@ -38,7 +29,7 @@ def check_multipartite(overlaps):
         downstream = complex(1.0)
         for k in ks[n + 1 :]:
             downstream *= k
-        if not check_global_optimality(ks[n], _clamp(downstream)).verdict:
+        if not check_global_optimality(ks[n], downstream).verdict:
             return False, n
     return True, None
 
@@ -59,6 +50,6 @@ def check_copies_psk(s_total, n):
     ka = psk_overlap(s)  # raises for s_total <= 0
     for lvl in range(n - 1):
         kb = psk_overlap((n - lvl - 1) * s)
-        if not check_global_optimality(ka, _clamp(kb)).verdict:
+        if not check_global_optimality(ka, kb).verdict:
             return False, lvl
     return True, None

@@ -18,12 +18,12 @@ class Tolerances(NamedTuple):
 
     herm:       max |H - H^dag| entry accepted as Hermitian
     psd:        eigenvalue floor of the build's weights and certificate gate (i)
-    tie:        amplitude gap treated as a tie
+    tie:        amplitude gap treated as a tie, and |overlap| below which a
+                pair goes to the Orthogonal branch
     zero_trace: trace below which a plane point cannot be normalized
     pole:       distance of a level from a squared amplitude (a pole)
     defer_snap: distance of a level from the defer level that snaps it
     collinear:  |cross product| below which the outcome triangle is flat
-    det_floor:  determinant floor of the barycentric membership solve
     membership: slack of the uniform-point membership test
     degenerate: distance of |overlap| from 1 below which two states count
                 as parallel
@@ -43,7 +43,6 @@ class Tolerances(NamedTuple):
     pole: float = 1e-14
     defer_snap: float = 1e-10
     collinear: float = 1e-10
-    det_floor: float = 1e-18
     membership: float = 1e-9
     degenerate: float = 1e-12
     active: float = 1e-14

@@ -302,7 +302,7 @@ def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
     alice[:3] = (u[0] / 3.0) * _outer(_phase_over(x))
     if u[1] > 0:
         alice[3:6] = (u[1] / 3.0) * _outer(_phase_over(x * np.array(z)[list(perm)]))
-    alice[6] = u[2] * _outer(np.eye(3)[perm[2]])
+    alice[6, perm[2], perm[2]] = u[2]
     return SequentialMeasurement(
         alice=alice, bob=_bob_stack(y, state_vectors(pair).b), weights=u, branch="Inequality"
     )

@@ -138,7 +138,7 @@ def _amplitudes(k: complex) -> tuple[float, float, float]:
         (1.0 + 2.0 * (_TAU_2N[1] * k).real) / 3.0,
         (1.0 + 2.0 * (_TAU_2N[2] * k).real) / 3.0,
     )
-    if min(rad) <= TOL.tie**2:
+    if min(rad) <= 0.0:
         raise RankDeficient(f"squared amplitudes {rad} include a numerical zero")
     return (math.sqrt(rad[0]), math.sqrt(rad[1]), math.sqrt(rad[2]))
 
@@ -148,7 +148,7 @@ def amplitudes_from_overlap(k) -> tuple[float, float, float]:
 
     post:   sum of squares is 1 and sum_n x_n^2 tau^n reproduces k
     raises: DegenerateStates if |k| is numerically 1,
-            RankDeficient if any squared amplitude is <= TOL.tie^2
+            RankDeficient if any squared amplitude (radicand) is <= 0
     """
     return _amplitudes(_check_overlap(k))
 

@@ -1,36 +1,34 @@
-"""Break the certificate, `verify`, writer and loader gates, the packed-piece decoder,
-Bob's binary measurements and the sampler one at a time; list what tier 1 misses.
+"""Break every tolerance site of the package, and the certificate, `verify`, writer
+and loader gates around them, one at a time; list what tier 1 misses.
 
     python tests/mutate.py
 
 Copies src/, tests/, demos/, perfbench/ and pyproject.toml (what the suite
 reads) into a temporary directory.  Each mutant rewrites one site of
-src/triseq in that copy:
+src/triseq in that copy.  The targets are every function that reads a TOL
+field (but `optimality.check_global_optimality`, whose |k| < tie cut to
+the Orthogonal branch has no pinned width yet), and beside them
+`povm.verify_povm`, `povm.save_povm` (the writer's Hermitian gate),
+`povm.load_povm` (the format check among them), `povm._numbers` (the
+shape and type checks of every stored number), `povm._from_packed` (the
+format-3 decoder, which rebuilds each piece's lower triangle from its
+upper one), `povm.binary_unambiguous` and `povm._bob_stack`.  In them:
 
-  - a comparison in `povm.dual_certificate`, `povm.verify_povm`,
-    `povm.save_povm` (the writer's Hermitian gate), `povm.load_povm` (the
-    format check among them), `povm._numbers` (the shape and type checks of
-    every stored number), `povm._binary_stack` (the parallel-states check
-    behind `binary_unambiguous` and `_bob_stack`), `povm._draw` (the
-    probability-sum check of `simulate`) or `cli.cmd_verify`, negated
-    (`a <= b` becomes `not (a <= b)`);
+  - a comparison negated (`a <= b` becomes `not (a <= b)`);
   - a `failures.append(...)` in `dual_certificate`, dropped;
-  - in those functions and in `povm._from_packed` (the format-3 decoder,
-    which rebuilds each piece's lower triangle from its upper one), a unary
-    minus on a name or expression dropped (`-x` becomes `x`; a negative
-    literal stays) and an integer slice start moved one on (`a[3::2]`
-    becomes `a[4::2]`);
-  - a TOL field one of those functions reads, scaled by 1e3 and by 1e-3 at
-    that site only.  The scaled table is defined in the copy's numerics.py,
-    so no tolerance literal lands in another module (a tier-1 test refuses
-    one).
+  - a unary minus on a name or expression dropped (`-x` becomes `x`; a
+    negative literal stays) and an integer slice start moved one on
+    (`a[3::2]` becomes `a[4::2]`);
+  - a TOL field, scaled by 1e3 and by 1e-3 at that site only.  The scaled
+    table is defined in the copy's numerics.py, so no tolerance literal
+    lands in another module (a tier-1 test refuses one).
 
 The unmutated copy runs the suite first and must pass.  Each mutant then
-runs it in a fresh process, stopping at the first failure, with the
-certificate and command-line tests first.  The script prints each mutant
-as `killed` or `SURVIVED` with `path:line: change`, then the survivors
-again and their count.  Its exit status is 1 when a mutant survives.
-pytest does not collect this file.
+runs it in a fresh process, stopping at the first failure, with the tests
+of the mutated module, then the certificate and command-line tests, first.
+The script prints each mutant as `killed` or `SURVIVED` with
+`path:line: change`, then the survivors again and their count.  Its exit
+status is 1 when a mutant survives.  pytest does not collect this file.
 """
 
 import ast
@@ -44,11 +42,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
 TARGETS = {
+    "numerics.py": ("hermitian_eigen",),
+    "states.py": ("_check_overlap", "_orient"),
+    "optimality.py": ("_tie_branch",),
+    "geometry.py": ("_check_trace", "outcome_triangle", "_level_rows", "identity_membership"),
     "povm.py": ("dual_certificate", "verify_povm", "save_povm", "load_povm", "_numbers",
-                "_from_packed", "binary_unambiguous", "_binary_stack", "_bob_stack", "_draw"),
+                "_from_packed", "binary_unambiguous", "_binary_stack", "_bob_stack",
+                "build_sequential", "_draw"),
     "cli.py": ("cmd_verify",),
 }
-# run first: a broken gate fails a test in these soonest, and -x stops there
+# run after the mutated module's own tests: a broken gate fails a test in
+# these soonest, and -x stops there
 FIRST = ("tests/test_povm.py", "tests/test_cli.py")
 FACTORS = ("1e3", "1e-3")
 
@@ -101,8 +105,8 @@ def sites(source: bytes, functions):
     return [(node.lineno, *span(node), *rest) for node, *rest in found]
 
 
-def run_suite(root: Path) -> int:
-    tests = [str(root / t) for t in FIRST]
+def run_suite(root: Path, first=FIRST) -> int:
+    tests = [str(root / t) for t in first]
     tests += sorted(str(p) for p in (root / "tests").glob("test_*.py") if str(p) not in tests)
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -130,17 +134,21 @@ def main() -> int:
         for module, functions in TARGETS.items():
             path = package / module
             original = path.read_bytes()
+            first = tuple(dict.fromkeys((f"tests/test_{path.stem}.py", *FIRST)))
             for line, a, b, replacement, what, scaled in sites(original, functions):
                 total += 1
                 mutated = original[:a] + replacement.encode() + original[b:]
                 if scaled is not None:
                     field, factor = scaled
-                    mutated += b"\nfrom .numerics import _SCALED  # noqa: E402\n"
                     table = f"\n_SCALED = TOL._replace({field}=TOL.{field} * {factor})\n"
-                    (package / "numerics.py").write_bytes(numerics + table.encode())
+                    if module == "numerics.py":
+                        mutated += table.encode()
+                    else:
+                        mutated += b"\nfrom .numerics import _SCALED  # noqa: E402\n"
+                        (package / "numerics.py").write_bytes(numerics + table.encode())
                 path.write_bytes(mutated)
                 try:
-                    killed = run_suite(root) != 0
+                    killed = run_suite(root, first) != 0
                 except subprocess.TimeoutExpired:
                     killed = True  # the suite did not pass
                 finally:

@@ -66,6 +66,14 @@ def test_diagonal_point_zero_trace():
         diagonal_point(np.diag([1.0, -1.0, 0.0]), (2, 1, 0))
 
 
+def test_zero_trace_band_sits_at_its_tolerance():
+    # TOL.zero_trace is 1e-14: a trace of 1e-12 normalizes, one of 1e-16
+    # raises; a floor 1e3 times higher or lower moves one of them across
+    assert diagonal_point(np.diag([1e-12, 0.0, 0.0]), (2, 1, 0)) == (0.0, 0.0)
+    with pytest.raises(ZeroOperator):
+        diagonal_point(np.diag([1e-16, 0.0, 0.0]), (2, 1, 0))
+
+
 def test_outcome_triangle_frozen():
     pair = canonicalize(FIG_K, FIG_K)
     tri = outcome_triangle(pair)
@@ -101,6 +109,17 @@ def test_outcome_triangle_degenerate_case():
     assert tri.degenerate
 
 
+def test_collinear_band_sits_at_its_tolerance():
+    # TOL.collinear is 1e-10: Bob's overlap 0.3 e^{i(pi/3 + d)} turns the
+    # triangle by |cross| ~ 0.3 d, so d = 3e-8 (|cross| ~ 9e-9) is flat only
+    # under a band 1e3 times wider, and d = 3e-12 (~9e-13) is flat unless
+    # the band is 1e3 times narrower
+    for d, flat in ((3e-8, False), (3e-12, True)):
+        tri = outcome_triangle(canonicalize(0.2, 0.3 * cmath.exp(1j * (cmath.pi / 3 + d))))
+        assert 0.2 * d < abs(tri.e1.u * tri.e2.v - tri.e1.v * tri.e2.u) < 0.4 * d
+        assert tri.degenerate == flat
+
+
 def test_level_vector_endpoints():
     pair = canonicalize(FIG_K, FIG_K)
     tri = outcome_triangle(pair)
@@ -123,6 +142,19 @@ def test_level_vector_rejects_pole():
     pair = canonicalize(FIG_K, FIG_K)
     with pytest.raises(DomainError):
         level_vector(pair, pair.y[1] ** 2)
+
+
+def test_level_bands_sit_at_their_tolerances():
+    # TOL.defer_snap is 1e-10: a level 1e-11 above y_2^2 snaps onto the
+    # defer slot, one 1e-8 above does not.  TOL.pole is 1e-14: a level
+    # 1e-15 above y_1^2 is refused, one 1e-12 above is not.  A band 1e3
+    # times wider or narrower moves one of each pair across
+    pair = canonicalize(FIG_K, FIG_K)
+    assert np.count_nonzero(level_vector(pair, pair.y[2] ** 2 + 1e-11)) == 1
+    assert np.count_nonzero(level_vector(pair, pair.y[2] ** 2 + 1e-8)) == 3
+    with pytest.raises(DomainError, match="hits a squared amplitude"):
+        level_vector(pair, pair.y[1] ** 2 + 1e-15)
+    assert np.count_nonzero(level_vector(pair, pair.y[1] ** 2 + 1e-12)) == 3
 
 
 def test_level_curve_shape():
@@ -176,6 +208,14 @@ def test_in_triangle_unit():
     assert in_triangle(PlanePoint(-0.01, 0.2), tri, 0.02)  # slack absorbs it
 
 
+def test_in_triangle_tiny_triangle():
+    # the barycentric solve runs for any nonzero determinant: a triangle
+    # with sides of 1e-10 (determinant 1e-20) still holds its inner points
+    tri = Triangle(PlanePoint(1e-10, 0.0), PlanePoint(0.0, 1e-10), PlanePoint(0.0, 0.0), False)
+    assert in_triangle(PlanePoint(2e-11, 2e-11), tri, 0.0)
+    assert not in_triangle(PlanePoint(6e-11, 6e-11), tri, 0.0)
+
+
 def test_in_triangle_degenerate_segment():
     tri = Triangle(PlanePoint(1, 1), PlanePoint(0.5, 0.5), PlanePoint(0, 0), True)
     assert in_triangle(PlanePoint(0.3, 0.3), tri, 1e-9)
@@ -208,6 +248,20 @@ def test_identity_membership_matches_verdict():
         assert identity_membership(r.pair) == r.verdict
         compared += 1
     assert compared > 100
+
+
+def test_membership_slack_sits_at_its_tolerance():
+    # TOL.membership is 1e-9: two Fails pairs whose triangles miss the
+    # uniform point by a barycentric 1e-11 and 1e-7; the slack admits the
+    # first, not the second, and a slack 1e3 times wider or narrower moves
+    # one of them across
+    ka = -0.42130999367228134 - 0.2829624816752794j
+    for kb, member in ((-0.35894354366556397 - 0.1836322079855073j, True),
+                       (-0.3589435519077521 - 0.18363219187460603j, False)):
+        r = check_global_optimality(ka, kb)
+        assert r.branch == "Fails"
+        assert not in_triangle(PlanePoint(1 / 3, 1 / 3), outcome_triangle(r.pair), 0.0)
+        assert identity_membership(r.pair) == member
 
 
 def test_chord_ratio_identity_at_threshold():

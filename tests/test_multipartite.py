@@ -6,7 +6,6 @@ import pytest
 from helpers import random_overlap
 from triseq import check_copies_psk, check_global_optimality, check_multipartite, psk_overlap
 from triseq.errors import DegenerateStates, DomainError
-from triseq.multipartite import _clamp
 
 
 def test_two_parties_reduce_to_bipartite():
@@ -79,11 +78,3 @@ def test_copies_psk_downstream_closed_form():
         prod *= psk_overlap(s)
     assert prod == pytest.approx(psk_overlap(5 * s), rel=1e-12)
 
-
-def test_clamp_only_touches_near_unit_moduli():
-    assert _clamp(0.5 + 0.1j) == 0.5 + 0.1j
-    pulled = _clamp(1.0 - 1e-13)
-    assert abs(pulled) < 1.0 - 1e-12
-    pulled = _clamp((1.0 - 1e-14) * np.exp(0.3j))
-    assert abs(pulled) == pytest.approx(1.0 - 2e-12, abs=1e-15)
-    assert np.angle(pulled) == pytest.approx(0.3, abs=1e-12)

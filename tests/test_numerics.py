@@ -13,15 +13,13 @@ from triseq.errors import NonHermitian
 
 
 def test_tolerances_frozen():
-    assert len(TOL) == 17
+    assert len(TOL) == 16
     assert TOL.herm == 1e-12
     assert TOL.psd == 1e-9
     assert TOL.tie == 1e-9
     assert (TOL.zero_trace, TOL.pole) == (1e-14, 1e-14)
     assert (TOL.defer_snap, TOL.collinear) == (1e-10, 1e-10)
-    assert (TOL.det_floor, TOL.membership) == (1e-18, 1e-9)
-    assert TOL.degenerate == 1e-12
-    assert 2 * TOL.degenerate == 2e-12  # multipartite's clamp target, bit-equal
+    assert (TOL.membership, TOL.degenerate) == (1e-9, 1e-12)
     assert (TOL.active, TOL.kernel_resid, TOL.leak) == (1e-14, 1e-8, 1e-10)
     assert (TOL.completeness, TOL.prob_sum, TOL.povm_psd) == (1e-10, 1e-8, 1e-12)
     assert TOL.success_gap == 1e-10
@@ -84,6 +82,19 @@ def test_eigen_rejects_non_hermitian():
     m[0, 1] = 1e-6
     with pytest.raises(NonHermitian):
         hermitian_eigen(m)
+
+
+def test_eigen_hermiticity_band_sits_at_its_tolerance():
+    # TOL.herm is 1e-12: a residual of 1e-14 is accepted, one of 1e-10 is
+    # refused; a band 1e3 times wider or narrower moves one of them across
+    for skew, accepted in ((1e-14, True), (1e-10, False)):
+        m = np.eye(3, dtype=complex)
+        m[0, 1] = skew
+        if accepted:
+            assert np.allclose(hermitian_eigen(m)[0], 1.0)
+        else:
+            with pytest.raises(NonHermitian, match="^symmetry residual 1.000e-10 exceeds 1.0e-12$"):
+                hermitian_eigen(m)
 
 
 def test_eigen_rejects_non_square():

@@ -130,6 +130,23 @@ def test_binary_degenerate_band_sits_at_its_tolerance():
         assert np.array_equal(exclude0[[1, 2, 3], :2, :2], p.outcomes)
 
 
+def test_weight_floor_sits_at_its_tolerance():
+    # TOL.psd is 1e-9: two Fails pairs whose least weight is -1e-11 and
+    # -1e-7; the first builds with that weight clipped to 0, the second is
+    # refused, and a floor 1e3 times higher or lower moves one of them across
+    ka = -0.42130999367228134 - 0.2829624816752794j
+    for kb, least, builds in ((-0.3589435436712939 - 0.1836322079743072j, -1e-11, True),
+                              (-0.35894360920566315 - 0.18363207987505198j, -1e-7, False)):
+        pair = canonicalize(ka, kb)
+        assert check_global_optimality(ka, kb).branch == "Fails"
+        assert min(solve_weights(pair)) == pytest.approx(least, rel=1e-3)
+        if builds:
+            assert min(build_sequential(pair).weights) == 0.0
+        else:
+            with pytest.raises(NotGloballyOptimal, match="^negative measurement weight"):
+                build_sequential(pair)
+
+
 def test_ternary_unambiguous_discriminates():
     pair = canonicalize(0.3, 0.3 * cmath.exp(0.7j))
     w = pair.y

@@ -151,6 +151,8 @@ def test_amplitudes_conjugation_reverses(k):
 def test_amplitudes_rank_deficient():
     with pytest.raises(RankDeficient):
         amplitudes_from_overlap(-0.5)  # one radicand is exactly 0
+    # the next overlap up leaves 2^-53 / 3, the least positive radicand there is
+    assert min(amplitudes_from_overlap(-0.5 + 2**-54)) == math.sqrt(2**-53 / 3)
 
 
 def test_amplitudes_degenerate():
@@ -158,6 +160,16 @@ def test_amplitudes_degenerate():
         amplitudes_from_overlap(1.0)
     with pytest.raises(DegenerateStates):
         amplitudes_from_overlap(1 - 1e-13)
+
+
+def test_overlap_degenerate_band_sits_at_its_tolerance():
+    # TOL.degenerate is 1e-12: Alice's positive real overlap 1e-10 short of
+    # 1 is decided, 1e-13 short is refused; a band 1e3 times wider or
+    # narrower moves one of them across
+    kb = 0.3 * cmath.exp(0.5j)
+    assert check_global_optimality(1.0 - 1e-10, kb).branch == "PositiveRealA"
+    with pytest.raises(DegenerateStates, match="^\\|K\\| = 0.9999999999999 is too close to 1$"):
+        check_global_optimality(1.0 - 1e-13, kb)
 
 
 def test_canonicalize_positive_real_identity():
@@ -285,7 +297,7 @@ def _ref_radicands(k):
 def _ref_amplitudes(k):
     k = _ref_check_overlap(k)
     rad = _ref_radicands(k)
-    if min(rad) <= TOL.tie**2:
+    if min(rad) <= 0.0:
         raise RankDeficient(f"squared amplitudes {rad} include a numerical zero")
     return tuple(math.sqrt(r) for r in rad)
 
@@ -429,10 +441,8 @@ def test_decision_bit_identical_to_reference():
 
 def _ref_first_failure(pairs):
     # (sufficient, failing_level) of a chain whose level n decides pairs[n],
-    # by the reference decision after the chain's clamp of near-unit overlaps
+    # by the reference decision
     for level, (ka, kb) in enumerate(pairs):
-        if abs(kb) >= 1.0 - 1e-12:
-            kb = kb / abs(kb) * (1.0 - 2e-12)
         if not _ref_report(ka, kb).verdict:
             return False, level
     return True, None
