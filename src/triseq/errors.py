@@ -14,7 +14,8 @@ class DegenerateStates(TriseqError):
 
 
 class RankDeficient(TriseqError):
-    """The three states do not span the space (an amplitude vanishes)."""
+    """No three states with this overlap span the space: a squared amplitude
+    is exactly zero, or it is negative and no states have the overlap."""
 
 
 class NoCanonicalForm(TriseqError):

@@ -541,8 +541,8 @@ def _from_packed(data, shape, context) -> np.ndarray:
 def _stacks(keys, *parts):
     """One stack per part (piece, shape, name) of the pieces piece(k), k in
     keys, each decoded by one _from_packed call.  When any stack fails, every
-    piece is decoded on its own, key by key and part by part, so the error
-    names the first bad piece in file order, as "name k"."""
+    piece is decoded on its own, key by key and part by part within a key,
+    so the error names the first bad piece in that order, as "name k"."""
     try:
         return [_from_packed([piece(k) for k in keys], (len(keys), *shape), "block")
                 for piece, shape, _ in parts]
@@ -555,18 +555,19 @@ def _stacks(keys, *parts):
 def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, success: float):
     """Write a measurement file, format 3: meta and the pieces Alice and Bob run.
 
-    raises: NonHermitian, writing nothing, when a piece is not Hermitian
+    raises: InvalidPovm, writing nothing, when a piece has a non-finite entry;
+            NonHermitian, writing nothing, when a finite piece is not Hermitian;
+            each names the first bad piece, Alice's seven before Bob's, in load_povm's words
     """
     for name, ops in (("alice", seq.alice), ("bob", seq.bob)):
         ops = np.asarray(ops, dtype=complex)  # format 3 spells its upper triangle only
-        mirror = np.swapaxes(ops, -2, -1).conj()
-        if (ops == mirror).all():
-            continue
-        # past that exact test, part by part: a part NaN on both sides counts as equal
-        a, b = (np.stack((m.real, m.imag), -1) for m in (ops, mirror))
-        bad = ~((a == b) | np.isnan(a) & np.isnan(b)).reshape(7, -1).all(1)
-        if bad.any():
-            i = int(np.argmax(bad))
+        finite = np.isfinite(ops)
+        if not finite.all():
+            i = int(np.argmin(finite.reshape(7, -1).all(1)))
+            raise InvalidPovm(f"{name} {LABELS[i]}: non-finite entries")
+        hermitian = ops == np.swapaxes(ops, -2, -1).conj()
+        if not hermitian.all():
+            i = int(np.argmin(hermitian.reshape(7, -1).all(1)))
             raise NonHermitian(f"{name} {LABELS[i]}: not Hermitian", i)
     alice, bob = (np.ascontiguousarray(ops, dtype=complex).view(float).reshape(7, -1, 18)
                   [..., _PACKED].reshape(7, -1).tolist() for ops in (seq.alice, seq.bob))

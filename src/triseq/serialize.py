@@ -24,25 +24,19 @@ class Raw(str):
 
 
 @functools.cache
-def _template(shape: tuple, slot: str) -> str:
-    """Nested JSON arrays of `shape` with one %-format slot per entry."""
+def _template(shape: tuple) -> str:
+    """Nested JSON arrays of `shape` with one '%.17g' slot per entry."""
     if not shape:
-        return slot
-    return "[" + ",".join([_template(shape[1:], slot)] * shape[0]) + "]"
+        return "%.17g"
+    return "[" + ",".join([_template(shape[1:])] * shape[0]) + "]"
 
 
 def array_json(values, shape: tuple) -> Raw:
-    """JSON text of the row-major float list `values` nested to `shape`,
-    spelled as json_dumps spells the nested lists.
-
-    For a finite float, '%.17g' % v equals fmt_float(v); a nan or inf
-    entry (the only spellings holding the letter n) sends every entry
-    through json_dumps instead, which writes it as null.
-    """
-    text = _template(shape, "%.17g") % tuple(values)
-    if "n" in text:
-        text = _template(shape, "%s") % tuple(map(json_dumps, values))
-    return Raw(text)
+    """JSON text of the row-major list of finite floats `values` nested to
+    `shape`, spelled as json_dumps spells the nested lists: for a finite
+    float, '%.17g' % v equals fmt_float(v).  A nan or inf entry is the
+    caller's to refuse; it would be spelled nan or inf, which is not JSON."""
+    return Raw(_template(shape) % tuple(values))
 
 
 def json_dumps(obj) -> str:

@@ -139,7 +139,8 @@ def _amplitudes(k: complex) -> tuple[float, float, float]:
         (1.0 + 2.0 * (_TAU_2N[2] * k).real) / 3.0,
     )
     if min(rad) <= 0.0:
-        raise RankDeficient(f"squared amplitudes {rad} include a numerical zero")
+        why = "a numerical zero" if min(rad) == 0.0 else "a negative: no states have this overlap"
+        raise RankDeficient(f"squared amplitudes {rad} include {why}")
     return (math.sqrt(rad[0]), math.sqrt(rad[1]), math.sqrt(rad[2]))
 
 

@@ -8,11 +8,11 @@ reads) into a temporary directory.  Each mutant rewrites one site of
 src/triseq in that copy.  The targets are every function that reads a TOL
 field (but `optimality.check_global_optimality`, whose |k| < tie cut to
 the Orthogonal branch has no pinned width yet), and beside them
-`povm.verify_povm`, `povm.save_povm` (the writer's Hermitian gate),
-`povm.load_povm` (the format check among them), `povm._numbers` (the
-shape and type checks of every stored number), `povm._from_packed` (the
-format-3 decoder, which rebuilds each piece's lower triangle from its
-upper one), `povm.binary_unambiguous` and `povm._bob_stack`.  In them:
+`povm.verify_povm`, `povm.save_povm` (the writer's finite and Hermitian
+gates), `povm.load_povm` (the format check among them), `povm._numbers`
+(the shape and type checks of every stored number), `povm._from_packed`
+(the format-3 decoder, which rebuilds each piece's lower triangle from
+its upper one), `povm.binary_unambiguous` and `povm._bob_stack`.  In them:
 
   - a comparison negated (`a <= b` becomes `not (a <= b)`);
   - a `failures.append(...)` in `dual_certificate`, dropped;

@@ -133,6 +133,19 @@ def test_domain_errors_map_to_64():
                 "1.5654550644419116e+115", "-9.639535358635913e+114"]) == 64
 
 
+def test_rank_deficient_tells_a_negative_radicand_from_a_zero(capsys):
+    # K = -0.6 leaves a radicand of -1/15: no states have that overlap; at
+    # K = -1/2 one radicand is exactly 0, the edge of the state domain
+    assert run(["check", "--ka", "-0.6", "0", "--kb", "0.3", "0"]) == 64
+    assert capsys.readouterr().err == (
+        "error: squared amplitudes (-0.06666666666666665, 0.5333333333333335,"
+        " 0.5333333333333331) include a negative: no states have this overlap\n")
+    assert run(["check", "--ka", "-0.5", "0", "--kb", "0.3", "0"]) == 64
+    assert capsys.readouterr().err == (
+        "error: squared amplitudes (0.0, 0.5000000000000001, 0.4999999999999997)"
+        " include a numerical zero\n")
+
+
 def test_untyped_package_error_is_internal(monkeypatch, capsys):
     def broken(args, parser):
         raise TriseqError("no handler maps this")

@@ -1,6 +1,7 @@
 """Measurement construction, flattening, certificates, file round-trip."""
 
 import cmath
+import itertools
 import json
 import math
 import random
@@ -1216,21 +1217,23 @@ def test_writer_spells_edge_entries_as_the_reference(tmp_path):
     finite[0, 1, 1] = 5e-324
     finite[0, 1, 2] = complex(1e308, -1e-300)
     finite[0, 2, 1] = complex(1e308, 1e-300)  # the mirror keeps the piece Hermitian
+    path = tmp_path / "m.json"
+    edited = seq._replace(alice=finite)
+    save_povm(path, edited, pair.ka, pair.kb, 0.5)
+    text = _ref_file_text(edited, pair.ka, pair.kb, 0.5)
+    assert path.read_bytes() == text.encode()
+    assert "[-0,4.9406564584124654e-324," in text and ",1e+308,-1e-300]" in text
+    assert "null" not in text
+    # a NaN, and an inf mirrored as its conjugate, are refused: the reader
+    # refuses a non-finite entry, so the writer spells none
     bob = seq.bob.copy()
     bob[4, 1, 0, 0] = math.nan
     bob[4, 2, 1, 2] = complex(0.5, -math.inf)
     bob[4, 2, 2, 1] = complex(0.5, math.inf)
-    edges = (
-        (seq._replace(alice=finite), False),
-        (seq._replace(alice=finite, bob=bob), True),
-    )
-    path = tmp_path / "m.json"
-    for edited, has_null in edges:
-        save_povm(path, edited, pair.ka, pair.kb, 0.5)
-        text = _ref_file_text(edited, pair.ka, pair.kb, 0.5)
-        assert path.read_bytes() == text.encode()
-        assert "[-0,4.9406564584124654e-324," in text and ",1e+308,-1e-300]" in text
-        assert ("null" in text) == has_null
+    path.unlink()
+    with pytest.raises(InvalidPovm, match="^bob exclude1: non-finite entries$"):
+        save_povm(path, edited._replace(bob=bob), pair.ka, pair.kb, 0.5)
+    assert not path.exists()
 
 
 def test_writer_refuses_a_piece_that_is_not_hermitian(tmp_path):
@@ -1246,20 +1249,73 @@ def test_writer_refuses_a_piece_that_is_not_hermitian(tmp_path):
     alice[0, 1, 2] += 1e-15
     bob[4, 2, 2, 1] += 1e-15j
     diagonal[6, 0, 0] += 1e-300j
-    # NaN real parts on both sides, imaginary parts that are not mirrored
+    # NaN real parts on both sides, imaginary parts that are not mirrored:
+    # refused as non-finite before the Hermitian test
     nan[0, 1, 2], nan[0, 2, 1] = complex(math.nan, 1.0), complex(math.nan, 5.0)
     edits = (
-        (seq._replace(alice=alice), "alice announce0"),
-        (seq._replace(bob=bob), "bob exclude1"),
-        (seq._replace(alice=diagonal), "alice defer"),
-        (seq._replace(alice=nan), "alice announce0"),
+        (seq._replace(alice=alice), NonHermitian, "alice announce0: not Hermitian"),
+        (seq._replace(bob=bob), NonHermitian, "bob exclude1: not Hermitian"),
+        (seq._replace(alice=diagonal), NonHermitian, "alice defer: not Hermitian"),
+        (seq._replace(alice=nan), InvalidPovm, "alice announce0: non-finite entries"),
     )
-    for edited, name in edits:
+    for edited, error, message in edits:
         path.unlink()
-        with pytest.raises(NonHermitian, match=f"^{name}: not Hermitian"):
+        with pytest.raises(error, match=f"^{message}$"):
             save_povm(path, edited, pair.ka, pair.kb, 0.5)
         assert not path.exists()
         save_povm(path, seq, pair.ka, pair.kb, 0.5)
+
+
+def _edit(piece, a, b, kind, z):
+    """Edit entry (a, b) of a 3x3 piece in place: set its real or imaginary
+    part to z, add z there alone, or add z there and its conjugate at (b, a)."""
+    if kind == "re":
+        piece[a, b] = complex(z, piece[a, b].imag)
+    elif kind == "im":
+        piece[a, b] = complex(piece[a, b].real, z)
+    elif kind == "unmirrored":
+        piece[a, b] += z
+    elif a == b:  # "hermitian" on the diagonal, which stays real
+        piece[a, a] += z.real
+    else:
+        piece[a, b] += z
+        piece[b, a] += z.conjugate()
+
+
+def test_writer_never_writes_what_the_reader_refuses(tmp_path):
+    # every label and outcome of three built measurements (the product
+    # strategy among them), each edited at one seeded entry in each of eight
+    # ways: save_povm refuses the edit, naming the piece as the reader would
+    # and leaving no file, or writes a file that load_povm reads back equal
+    rng = np.random.default_rng(41)
+    built = [construct(*pair)[1] for pair in ((FIG_K, FIG_K), (0.3, 0.25), (0.25, 0.2j))]
+    assert [seq.branch for seq in built] == ["Inequality", "PositiveRealB", "PositiveRealA"]
+    edits = [(part, v, InvalidPovm, "non-finite entries")
+             for part in ("re", "im") for v in (math.nan, math.inf, -math.inf)]
+    edits += [("unmirrored", None, NonHermitian, "not Hermitian"), ("hermitian", None, None, "")]
+    path = tmp_path / "m.json"
+    written = 0
+    for seq in built:
+        for name, outcomes in (("alice", (None,)), ("bob", range(4))):
+            for i, label in enumerate(LABELS):
+                for r, (kind, z, error, words) in itertools.product(outcomes, edits):
+                    z = complex(*rng.uniform(0.1, 1.0, 2)) if z is None else z
+                    ops = getattr(seq, name).copy()
+                    where = rng.choice(3, 2, replace=kind != "unmirrored")
+                    _edit(ops[i] if r is None else ops[i, r], *where, kind, z)
+                    edited = seq._replace(**{name: ops})
+                    path.unlink(missing_ok=True)
+                    if error is None:
+                        save_povm(path, edited, 0.2, 0.3, 0.5)
+                        loaded = load_povm(path).seq
+                        assert np.array_equal(loaded.alice, edited.alice)
+                        assert np.array_equal(loaded.bob, edited.bob)
+                        written += 1
+                    else:
+                        with pytest.raises(error, match=f"^{name} {label}: {words}$"):
+                            save_povm(path, edited, 0.2, 0.3, 0.5)
+                        assert not path.exists()
+    assert written == 3 * 7 * 5
 
 
 @pytest.fixture(scope="module")

@@ -297,7 +297,10 @@ def _ref_radicands(k):
 def _ref_amplitudes(k):
     k = _ref_check_overlap(k)
     rad = _ref_radicands(k)
-    if min(rad) <= 0.0:
+    if min(rad) < 0.0:
+        raise RankDeficient(f"squared amplitudes {rad} include a negative: "
+                            f"no states have this overlap")
+    if min(rad) == 0.0:
         raise RankDeficient(f"squared amplitudes {rad} include a numerical zero")
     return tuple(math.sqrt(r) for r in rad)
 
