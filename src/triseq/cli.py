@@ -145,14 +145,7 @@ def cmd_construct(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    from .povm import (
-        dual_certificate,
-        frame,
-        joint_states,
-        load_povm,
-        verify_povm,
-        verify_unambiguous,
-    )
+    from .povm import _local_check, dual_certificate, frame, load_povm, state_vectors
 
     ka, kb = _resolve_overlaps(args, parser)
     try:
@@ -160,27 +153,21 @@ def cmd_verify(args, parser) -> int:
     except (InvalidPovm, OSError) as exc:
         print(f"cannot load measurement file: {exc}", file=sys.stderr)
         return 65
-    checks = []
-
-    try:
-        povm_check = verify_povm(loaded.povm)
-        checks.append(("psd", povm_check.psd_margin >= -TOL.povm_psd, povm_check.psd_margin))
-        checks.append(
-            ("completeness", povm_check.completeness <= TOL.completeness, povm_check.completeness)
-        )
-    except InvalidPovm as exc:  # an outcome that overflowed to inf or NaN has no eigenvalues
-        checks.append(("psd", False, str(exc)))
 
     report = check_global_optimality(ka, kb)
-    sv = frame(ka, kb)[1]
-    success, leak = verify_unambiguous(loaded.povm, joint_states(sv))
-    checks.append(("unambiguity", leak <= TOL.leak, leak))
+    sv = frame(ka, kb)[1] if report.pair is None else state_vectors(report.pair)
+    local = _local_check(loaded.seq, sv)
+    checks = [
+        ("psd", local.psd_margin >= -TOL.povm_psd, local.psd_margin),
+        ("completeness", local.completeness <= TOL.completeness, local.completeness),
+        ("unambiguity", local.leak <= TOL.leak, local.leak),
+    ]
 
     # the decision, not the file's label, chooses the checks; the label is only compared
     if loaded.seq.branch != report.branch:
         checks.append(("branch", False, f"file {loaded.seq.branch}, decision {report.branch}"))
     if report.pair is not None:
-        gap = abs(success - report.p_global)
+        gap = abs(local.success - report.p_global)
         checks.append(("success-vs-global", gap <= TOL.success_gap, gap))
         try:
             dual_certificate(report.pair, loaded.seq)
@@ -193,7 +180,7 @@ def cmd_verify(args, parser) -> int:
         status = "ok" if passed else "FAIL"
         detail = fmt_float(value) if isinstance(value, float) else str(value)
         print(f"{status:4s} {name}: {detail}")
-    print(f"success {fmt_float(success)}")
+    print(f"success {fmt_float(local.success)}")
     return 0 if ok else 1
 
 
@@ -295,7 +282,7 @@ def cmd_curve(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
-    from .povm import _MAX_SHOTS, _draw, frame, joint_states, load_povm
+    from .povm import _MAX_SHOTS, OUTCOME_LABELS, _draw, _outcomes, frame, load_povm
 
     if args.state not in (0, 1, 2):
         parser.error("--state must be 0, 1, or 2")
@@ -314,10 +301,9 @@ def cmd_simulate(args, parser) -> int:
         _, sv = frame(loaded.meta["ka"], loaded.meta["kb"])
     except (DomainError, DegenerateStates, RankDeficient) as exc:
         raise InvalidPovm(f"meta overlaps: {exc}") from exc  # the file's fault, not the command's
-    state = joint_states(sv)[args.state]
-    counts, probs = _draw(loaded.povm, state, args.shots, args.seed)
+    counts, probs = _draw(_outcomes(loaded.seq, sv)[:, args.state], args.shots, args.seed)
     print(json_dumps({
-        "labels": loaded.povm.labels,
+        "labels": OUTCOME_LABELS,
         "counts": [int(c) for c in counts],
         "probs": probs.tolist(),
         "shots": args.shots,

@@ -23,6 +23,12 @@ state vectors, the amplitude rows times PHASE[r, n] = tau^(r n), and falls
 back to the raw amplitudes when Bob's overlap is numerically zero and no
 such orientation exists.
 
+The commands read what they print off the 35 pieces themselves:
+`_outcomes` gives each outcome's probability on each state, and
+`_local_check` adds the least eigenvalue of every piece and the
+completeness of Alice's and each of Bob's seven measurements, every label
+counted, used or not.  `flatten` and its 9x9 POVM serve the library API.
+
 `dual_certificate` re-proves optimality independently of how the
 measurement was built: each label's dual witness, compressed onto the
 subspace Bob can still use, is known in closed form, and so is its least
@@ -50,7 +56,7 @@ from .errors import (
 )
 from .numerics import TOL, hermitian_eigen
 from .optimality import BRANCHES, _offsets, _tie_branch, check_global_optimality
-from .serialize import array_json, json_dumps
+from .serialize import Raw, float_template, json_dumps
 from .states import TAU, CanonicalPair, _orient, _validated
 
 LABELS = ("announce0", "announce1", "announce2", "exclude0", "exclude1", "exclude2", "defer")
@@ -166,7 +172,9 @@ def state_vectors(pair: CanonicalPair) -> StateVectors:
 
 def frame(ka, kb) -> tuple[CanonicalPair | None, StateVectors]:
     """The orientation every measurement on this overlap pair is built in,
-    and the one source of its state vectors (construct, verify, simulate).
+    and the one source of its state vectors: construct and verify, holding the
+    decision, take state_vectors(report.pair) and call this only when that is
+    None; simulate calls it on the file's meta overlaps.
 
     returns: (pair, state_vectors(pair)), pair the decision's report.pair
              whenever that is not None, or (None, vectors from the raw
@@ -324,13 +332,13 @@ def construct(ka, kb):
     report = check_global_optimality(ka, kb)
     if not report.verdict:
         raise NotGloballyOptimal()
-    sv = frame(ka, kb)[1]
     if report.pair is None:
+        sv = frame(ka, kb)[1]
         seq = _product_sequential(sv, "Orthogonal")
     else:
+        sv = state_vectors(report.pair)
         seq = build_sequential(report.pair)
-    success, _ = verify_unambiguous(flatten(seq), joint_states(sv))
-    return report, seq, sv, success
+    return report, seq, sv, _score(_outcomes(seq, sv)[:3])[0]
 
 
 @_OVERFLOW_GATED
@@ -381,10 +389,53 @@ def verify_unambiguous(p: Povm, states):
     returns: (success, residual) where residual is the largest
              probability of reporting r on a state r' != r
     """
-    q = _quad(p.outcomes[:3], states)
-    success = float(sum((1 / 3) * np.diagonal(q)))  # from 0.0, in outcome order
-    residual = float(np.max(np.abs(q[~np.eye(3, dtype=bool)])))
-    return success, residual
+    return _score(_quad(p.outcomes[:3], states))
+
+
+_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
+
+
+def _score(q):
+    """(success, leak) from q[r, s], the probability of conclusive outcome r on state s."""
+    d0, d1, d2 = np.diagonal(q).tolist()
+    success = 0.0 + (1 / 3) * d0 + (1 / 3) * d1 + (1 / 3) * d2  # as sum() adds, from 0
+    return success, float(np.max(np.abs(q[_OFF_DIAGONAL])))
+
+
+@_OVERFLOW_GATED
+def _outcomes(seq: SequentialMeasurement, sv: StateVectors) -> np.ndarray:
+    """The protocol Alice and Bob run, scored piece by piece: the (4, 3) table of
+    sum_l <a_s|A_l|a_s> <b_s|B_l,r|b_s>, the probability of Bob's outcome r on state s."""
+    bob = _quad(seq.bob.reshape(28, 3, 3), sv.b).reshape(7, 4, 3)
+    return (_quad(seq.alice, sv.a)[:, None] * bob).sum(axis=0)
+
+
+class _LocalCheck(NamedTuple):
+    """What verify reads off a sequential measurement's pieces.
+
+    success:      sum_s outcomes[s, s] / 3 over _outcomes' table
+    leak:         largest |outcomes[r, s]|, r != s conclusive
+    psd_margin:   smallest eigenvalue over all 35 pieces (verify wants >= -TOL.povm_psd)
+    completeness: max |sum of outcomes - identity| entry over Alice's measurement
+                  and each of Bob's seven (verify wants <= TOL.completeness)
+    """
+
+    success: float
+    leak: float
+    psd_margin: float
+    completeness: float
+
+
+@_OVERFLOW_GATED
+def _local_check(seq: SequentialMeasurement, sv: StateVectors) -> _LocalCheck:
+    """Check the protocol Alice and Bob run piece by piece: every label counts,
+    one Alice never fires too.  Every piece a file spells is exactly Hermitian
+    (the reader mirrors its upper triangle, the build its products), so the
+    eigenvalues need no symmetry check."""
+    margin = np.linalg.eigvalsh(np.concatenate((seq.alice, seq.bob.reshape(28, 3, 3))))
+    sums = np.concatenate((seq.alice.sum(axis=0)[None], seq.bob.sum(axis=1)))
+    return _LocalCheck(*_score(_outcomes(seq, sv)[:3]), float(margin[:, 0].min()),
+                       float(np.abs(sums - np.eye(3)).max()))
 
 
 # the states Bob can no longer report after announce j (all but j), exclude j (j) and defer
@@ -494,13 +545,13 @@ def sample_outcomes(p: Povm, state, shots, seed):
         raise DomainError(f"shots must be in [0, {_MAX_SHOTS}], got {shots}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    return _draw(p, state, shots, seed)[0]
+    return _draw(_quad(p.outcomes, np.asarray(state)[None])[:, 0], shots, seed)[0]
 
 
-def _draw(p: Povm, state, shots: int, seed: int):
-    """sample_outcomes past its argument checks; returns (counts, the <state|E|state>
-    they were drawn from, clipped at 0.0 as max(p, 0.0) clips: NaN and -0.0 pass)."""
-    probs = _quad(p.outcomes, np.asarray(state)[None])[:, 0]
+def _draw(probs, shots: int, seed: int):
+    """sample_outcomes past its argument checks, from the outcome probabilities
+    probs; returns (counts, probs clipped at 0.0 as max(p, 0.0) clips: NaN and
+    -0.0 pass)."""
     probs = np.where(0.0 > probs, 0.0, probs)
     total = float(probs.sum())
     if not abs(total - 1.0) <= TOL.prob_sum:  # NaN fails too
@@ -529,6 +580,19 @@ def _numbers(data, shape, context) -> np.ndarray:
     return arr
 
 
+def _meta_numbers(data, shape, context) -> list:
+    """_numbers for a meta field in plain floats, with its messages: a list of
+    shape[0] JSON numbers, or one number when shape is ()."""
+    items = data if shape else [data]
+    if (shape and (type(data) is not list or len(data) != shape[0])
+            or not all(type(v) in (int, float) for v in items)):
+        raise InvalidPovm(f"{context}: expected a {shape} array of numbers")
+    items = [float(v) for v in items]  # OverflowError on an integer beyond float range
+    if not all(map(math.isfinite, items)):
+        raise InvalidPovm(f"{context}: non-finite entries")
+    return items
+
+
 def _from_packed(data, shape, context) -> np.ndarray:
     """Hermitian pieces of `shape` (..., 3, 3) from format 3's nine numbers each."""
     packed = _numbers(data, (*shape[:-2], 9), context)
@@ -552,13 +616,29 @@ def _stacks(keys, *parts):
         return [np.stack(stack) for stack in zip(*pieces)]
 
 
+@functools.cache
+def _block_template() -> str:
+    """The sequential block as save_povm spells it, one '%.17g' slot per packed
+    number: Alice's seven pieces, then Bob's four per label, in LABELS order."""
+    return json_dumps({"alice": dict.fromkeys(LABELS, Raw(float_template((9,)))),
+                       "bob": dict.fromkeys(LABELS, Raw(float_template((4, 9))))})
+
+
 def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, success: float):
     """Write a measurement file, format 3: meta and the pieces Alice and Bob run.
 
-    raises: InvalidPovm, writing nothing, when a piece has a non-finite entry;
-            NonHermitian, writing nothing, when a finite piece is not Hermitian;
-            each names the first bad piece, Alice's seven before Bob's, in load_povm's words
+    raises: InvalidPovm, writing nothing, when a meta number or a piece has a
+            non-finite entry; NonHermitian, writing nothing, when a finite piece
+            is not Hermitian; each names the first bad field or piece in load_povm's
+            words and order: meta ka, kb, kappa and success, then Alice's seven
+            pieces before Bob's
     """
+    ka, kb = complex(ka), complex(kb)
+    meta = (("ka", (ka.real, ka.imag)), ("kb", (kb.real, kb.imag)), ("kappa", seq.weights),
+            ("success", (success,)))
+    for name, values in meta:
+        if not all(map(math.isfinite, values)):
+            raise InvalidPovm(f"meta {name}: non-finite entries")
     for name, ops in (("alice", seq.alice), ("bob", seq.bob)):
         ops = np.asarray(ops, dtype=complex)  # format 3 spells its upper triangle only
         finite = np.isfinite(ops)
@@ -569,22 +649,19 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
         if not hermitian.all():
             i = int(np.argmin(hermitian.reshape(7, -1).all(1)))
             raise NonHermitian(f"{name} {LABELS[i]}: not Hermitian", i)
-    alice, bob = (np.ascontiguousarray(ops, dtype=complex).view(float).reshape(7, -1, 18)
-                  [..., _PACKED].reshape(7, -1).tolist() for ops in (seq.alice, seq.bob))
+    numbers = np.concatenate([np.ascontiguousarray(ops, dtype=complex).view(float)
+                              .reshape(-1, 18)[:, _PACKED].ravel() for ops in (seq.alice, seq.bob)])
     doc = {
         "dim": 9,
         "format": 3,
         "meta": {
-            "ka": complex(ka),
-            "kb": complex(kb),
+            "ka": ka,
+            "kb": kb,
             "branch": seq.branch,
             "kappa": seq.weights,
             "success": success,
         },
-        "sequential": {
-            "alice": {label: array_json(p, (9,)) for label, p in zip(LABELS, alice)},
-            "bob": {label: array_json(p, (4, 9)) for label, p in zip(LABELS, bob)},
-        },
+        "sequential": Raw(_block_template() % tuple(numbers.tolist())),
     }
     with open(path, "w", newline="\n") as fh:
         fh.write(json_dumps(doc))
@@ -592,15 +669,19 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
 
 
 class LoadedMeasurement(NamedTuple):
-    """A measurement file as load_povm reads it; povm is flatten(seq), meta has ka, kb complex."""
+    """A measurement file as load_povm reads it; meta has ka, kb complex."""
 
-    povm: Povm
     seq: SequentialMeasurement
     meta: dict
 
+    @property
+    def povm(self) -> Povm:
+        """flatten(seq), derived on each access: the commands read the pieces."""
+        return flatten(self.seq)
+
 
 def load_povm(path) -> LoadedMeasurement:
-    """Read a save_povm file back, with povm = flatten(seq).
+    """Read a save_povm file back.
 
     raises: InvalidPovm on any structural problem (missing keys, wrong shapes,
             entries that are not finite numbers, a meta branch outside
@@ -621,17 +702,17 @@ def load_povm(path) -> LoadedMeasurement:
         meta = doc["meta"]
         if not isinstance(meta, dict):
             raise InvalidPovm("meta: expected a JSON object")
-        meta["ka"] = complex(*_numbers(meta["ka"], (2,), "meta ka"))
-        meta["kb"] = complex(*_numbers(meta["kb"], (2,), "meta kb"))
-        weights = tuple(_numbers(meta["kappa"], (3,), "meta kappa").tolist())
+        meta["ka"] = complex(*_meta_numbers(meta["ka"], (2,), "meta ka"))
+        meta["kb"] = complex(*_meta_numbers(meta["kb"], (2,), "meta kb"))
+        weights = tuple(_meta_numbers(meta["kappa"], (3,), "meta kappa"))
         branch = meta["branch"]
         if branch not in BRANCHES:
             raise InvalidPovm(f"meta branch: expected one of {', '.join(BRANCHES)}")
-        _numbers(meta["success"], (), "meta success")
+        _meta_numbers(meta["success"], (), "meta success")
         block = doc["sequential"]
         alice, bob = _stacks(LABELS, (lambda label: block["alice"][label], (3, 3), "alice"),
                              (lambda label: block["bob"][label], (4, 3, 3), "bob"))
         seq = SequentialMeasurement(alice=alice, bob=bob, weights=weights, branch=branch)
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidPovm(f"missing or malformed field: {exc}") from exc
-    return LoadedMeasurement(povm=flatten(seq), seq=seq, meta=meta)
+    return LoadedMeasurement(seq=seq, meta=meta)

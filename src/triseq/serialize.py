@@ -8,7 +8,6 @@ module cannot control float formatting, hence the small writer here.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -23,20 +22,14 @@ class Raw(str):
     """Text that is already JSON; json_dumps writes it as it stands."""
 
 
-@functools.cache
-def _template(shape: tuple) -> str:
-    """Nested JSON arrays of `shape` with one '%.17g' slot per entry."""
+def float_template(shape: tuple) -> str:
+    """Nested JSON arrays of `shape` with one '%.17g' slot per entry: filled
+    with finite floats, it spells them as json_dumps spells the nested lists,
+    as '%.17g' % v equals fmt_float(v).  A nan or inf entry is the caller's
+    to refuse; it would be spelled nan or inf, which is not JSON."""
     if not shape:
         return "%.17g"
-    return "[" + ",".join([_template(shape[1:])] * shape[0]) + "]"
-
-
-def array_json(values, shape: tuple) -> Raw:
-    """JSON text of the row-major list of finite floats `values` nested to
-    `shape`, spelled as json_dumps spells the nested lists: for a finite
-    float, '%.17g' % v equals fmt_float(v).  A nan or inf entry is the
-    caller's to refuse; it would be spelled nan or inf, which is not JSON."""
-    return Raw(_template(shape) % tuple(values))
+    return "[" + ",".join([float_template(shape[1:])] * shape[0]) + "]"
 
 
 def json_dumps(obj) -> str:

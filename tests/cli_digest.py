@@ -11,7 +11,9 @@ line counts the pairs (`verify_refused`, split by branch) whose own
 `verify` fails after `construct` succeeded, and gives the mean size in
 bytes of the files `construct` wrote (`mean_bytes`); neither is hashed.
 The script exits 1 when any run exits 2 (an internal error) or raises,
-as valid input must never end that way, and 0 otherwise.
+as valid input must never end that way, or when more pairs are refused
+than the KNOWN_REFUSED near-tie pairs (ROADMAP item 1), so that a `verify`
+gate that starts refusing good files fails; it exits 0 otherwise.
 
 A refactor meant to change no output checks itself by running
 
@@ -50,6 +52,8 @@ from triseq.cli import main  # noqa: E402
 
 PAIRS = 1500
 SEED = 2024
+# own-pair verify refusals of the near-tie defect; lower it when that is mended
+KNOWN_REFUSED = 18
 
 
 def _arg(x: float) -> str:
@@ -199,7 +203,10 @@ def main_digest(log=None):
           f" mean_bytes={sum(sizes) / len(sizes):.1f} over {len(sizes)} files")
     if digest.internal:
         print(f"{digest.internal} runs exit 2 or raise")
-    return 1 if digest.internal else 0
+    if refused.total() > KNOWN_REFUSED:
+        print(f"{refused.total()} pairs fail their own verify, more than the"
+              f" {KNOWN_REFUSED} known near-tie refusals")
+    return 1 if digest.internal or refused.total() > KNOWN_REFUSED else 0
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ redoes that stage in mpmath at DPS significant digits.  The distance of the
 package's result from the model's is then the rounding of that stage alone,
 not of the amplitudes fed into it.  The model covers the decision from the
 input overlaps (canonical amplitudes, offsets, c1, c2 and p_global), the
-weight solve and the success of the product strategy.  pytest does not
-collect this file.
+weight solve, the success of the product strategy, and the outcome
+probabilities of a measurement's pieces.  pytest does not collect this file.
 """
 
 from typing import NamedTuple
@@ -79,6 +79,26 @@ def product_success(x, y):
     with mpmath.workdps(DPS):
         pa, pb = (3 * min(mpmath.mpf(v) ** 2 for v in t) for t in (x, y))
         return pa + (1 - pa) * pb
+
+
+def outcomes(seq, sv):
+    """The outcome table t[r][s] = sum_l <a_s|A_l|a_s> <b_s|B_l,r|b_s>, as
+    mpf, for the float pieces seq.alice, seq.bob and the float state rows
+    sv.a, sv.b: the probability of Bob's outcome r on state s.  Its diagonal
+    over three gives the success.
+    """
+    with mpmath.workdps(DPS):
+        a, b = ([[mpmath.mpc(c) for c in v] for v in rows.tolist()] for rows in (sv.a, sv.b))
+
+        def quads(op, vs):  # Re <v|op|v> for each row v
+            op = [[mpmath.mpc(c) for c in row] for row in op]
+            return [mpmath.re(mpmath.fdot([mpmath.fdot(row, v) for row in op], v, conjugate=True))
+                    for v in vs]
+
+        alice = [quads(op, a) for op in seq.alice.tolist()]
+        bob = [[quads(op, b) for op in ops] for ops in seq.bob.tolist()]
+        return [[mpmath.fsum(alice[l][s] * bob[l][r][s] for l in range(7)) for s in range(3)]
+                for r in range(4)]
 
 
 def relative_error(got, exact) -> float:

@@ -4,6 +4,7 @@ import cmath
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -190,11 +191,12 @@ FIG_ARGS = ["--ka", "0.19021130325903071", "0.061803398874989479",
 
 
 def test_verify_gates_sit_at_their_tolerances(tmp_path, capsys):
-    # each edit adds c |b><b| to Bob's outcome k after one Alice label,
-    # whose operator is the rank-one t |w><w| (t its trace), so the derived
-    # outcome k gains (c t) |w (x) b><w (x) b|; c t = s sits about 30x beyond
-    # or inside the bounds it moves, so a bound a thousand times looser or
-    # tighter changes which checks fail
+    # each edit adds s |v><v| to Bob's outcome k after one Alice label, so
+    # that piece moves by s: its least eigenvalue and Bob's completeness
+    # after that label by up to s, and outcome k on state j by
+    # s <a_j|A_l|a_j> |<b_j|v>|^2, where <a_j|A_l|a_j> is 0.69 for announce j;
+    # every value a case moves lands 14x to 200x beyond or inside its bound,
+    # so a bound a thousand times looser or tighter changes which checks fail
     good = tmp_path / "m.json"
     assert run(["construct", *FIG_ARGS, "--out", str(good)]) == 0
     doc = json.loads(good.read_text())
@@ -202,9 +204,9 @@ def test_verify_gates_sit_at_their_tolerances(tmp_path, capsys):
     b = frame(FIG_K, FIG_K)[1].b  # Bob's states, unit rows
     e0 = np.eye(3)[0]
     cases = [
-        ("defer", 3, e0, 3e-9, {"completeness"}),  # w (x) e0 is a basis vector
-        ("defer", 3, e0, 3e-11, set()),
-        ("announce1", 0, b[2], -3e-11, {"psd"}),  # margin -1.5e-11, leak 1.1e-12
+        ("defer", 3, e0, 3e-9, {"completeness"}),
+        ("defer", 3, e0, 3e-12, set()),
+        ("announce1", 0, b[2], -3e-11, {"psd"}),  # Bob's piece is 0, A_1 a_2 is rounding
         ("announce1", 0, b[2], -3e-14, set()),
         ("announce1", 0, b[1], 3e-9, {"unambiguity", "completeness"}),
         ("announce1", 0, b[1], 2e-12, set()),
@@ -214,14 +216,35 @@ def test_verify_gates_sit_at_their_tolerances(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for label, k, v, s, failed in cases:
         edited = json.loads(json.dumps(doc))
-        i = LABELS.index(label)
-        op = seq.bob[i, k] + s / np.trace(seq.alice[i]).real * np.outer(v, v.conj())
+        op = seq.bob[LABELS.index(label), k] + s * np.outer(v, v.conj())
         edited["sequential"]["bob"][label][k] = packed(op)
         bad.write_text(json.dumps(edited))
         code = run(["verify", str(bad), *FIG_ARGS])
         lines = capsys.readouterr().out.splitlines()
         assert {ln[5:].split(":")[0] for ln in lines if ln.startswith("FAIL")} == failed, (k, s)
         assert code == (1 if failed else 0)
+
+
+@pytest.mark.parametrize("overlaps", [
+    FIG_ARGS,  # Inequality
+    ["--ka", "0.25", "0", "--kb", "0", "0.2"],  # PositiveRealA
+    ["--ka", "0.3", "0", "--kb", "0.25", "0"],  # PositiveRealB
+    ["--ka", "0", "0", "--kb", "0.38", "0.11"],  # Orthogonal, canonical build
+    ["--ka", "0.3", "0", "--kb", "0", "0"],  # Orthogonal, Bob alone
+])
+def test_verify_refuses_a_skewed_bob_piece_under_every_label(tmp_path, capsys, overlaps):
+    # Re H01 of Bob's piece moved by 1e-3 breaks his measurement after that
+    # label, whether or not Alice ever announces it: verify checks each piece
+    good, bad = tmp_path / "m.json", tmp_path / "bad.json"
+    assert run(["construct", *overlaps, "--out", str(good)]) == 0
+    assert run(["verify", str(good), *overlaps]) == 0
+    doc = json.loads(good.read_text())
+    for label, r in itertools.product(LABELS, range(4)):
+        edited = json.loads(json.dumps(doc))
+        edited["sequential"]["bob"][label][r][3] += 1e-3
+        bad.write_text(json.dumps(edited))
+        assert run(["verify", str(bad), *overlaps]) == 1, (label, r)
+    capsys.readouterr()
 
 
 def test_verify_fails_cleanly_on_pair_without_canonical_form(tmp_path, capsys):
@@ -897,7 +920,7 @@ def test_certificate_reads_a_huge_defer_entry_against_its_kernel(tmp_path, capsy
 
 def test_huge_pieces_fail_without_numpy_warnings(tmp_path, capsys, psk_file):
     # 1.7e308 in every entry of the exclude and defer pieces overflows
-    # flatten's sum, the outcomes' symmetry residual and the outcome
+    # their eigenvalues, Alice's completeness sum and the outcome
     # probabilities to inf or NaN; the gates fail on those, and no numpy
     # RuntimeWarning (an error under this suite) reaches stderr
     doc = json.loads(psk_file)
@@ -908,8 +931,8 @@ def test_huge_pieces_fail_without_numpy_warnings(tmp_path, capsys, psk_file):
     assert run(["verify", str(bad), "--psk", "0.3", "0.3"]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
-        "FAIL psd: outcomes: Eigenvalues did not converge",
-        "FAIL unambiguity: 8.1741911371803159e+307", "FAIL success-vs-global: nan",
+        "FAIL psd: nan", "FAIL completeness: inf", "FAIL unambiguity: nan",
+        "FAIL success-vs-global: nan",
         "FAIL certificate: exclude0: kernel residual nan; exclude0: unambiguity leak nan;"
         " exclude1: kernel residual nan; exclude1: unambiguity leak 3.939e+307; exclude2:"
         " kernel residual nan; exclude2: unambiguity leak nan; defer: kernel residual nan;"
