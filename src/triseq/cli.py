@@ -145,7 +145,7 @@ def cmd_construct(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    from .povm import _local_check, dual_certificate, frame, load_povm, state_vectors
+    from .povm import _local_check, dual_certificate, frame, load_povm
 
     ka, kb = _resolve_overlaps(args, parser)
     try:
@@ -155,19 +155,18 @@ def cmd_verify(args, parser) -> int:
         return 65
 
     report = check_global_optimality(ka, kb)
-    sv = frame(ka, kb)[1] if report.pair is None else state_vectors(report.pair)
-    local = _local_check(loaded.seq, sv)
+    success, leak, margin, completeness = _local_check(loaded.seq, frame(ka, kb)[1])
     checks = [
-        ("psd", local.psd_margin >= -TOL.povm_psd, local.psd_margin),
-        ("completeness", local.completeness <= TOL.completeness, local.completeness),
-        ("unambiguity", local.leak <= TOL.leak, local.leak),
+        ("psd", margin >= -TOL.povm_psd, margin),
+        ("completeness", completeness <= TOL.completeness, completeness),
+        ("unambiguity", leak <= TOL.leak, leak),
     ]
 
     # the decision, not the file's label, chooses the checks; the label is only compared
     if loaded.seq.branch != report.branch:
         checks.append(("branch", False, f"file {loaded.seq.branch}, decision {report.branch}"))
     if report.pair is not None:
-        gap = abs(local.success - report.p_global)
+        gap = abs(success - report.p_global)
         checks.append(("success-vs-global", gap <= TOL.success_gap, gap))
         try:
             dual_certificate(report.pair, loaded.seq)
@@ -180,7 +179,7 @@ def cmd_verify(args, parser) -> int:
         status = "ok" if passed else "FAIL"
         detail = fmt_float(value) if isinstance(value, float) else str(value)
         print(f"{status:4s} {name}: {detail}")
-    print(f"success {fmt_float(local.success)}")
+    print(f"success {fmt_float(success)}")
     return 0 if ok else 1
 
 

@@ -172,9 +172,7 @@ def state_vectors(pair: CanonicalPair) -> StateVectors:
 
 def frame(ka, kb) -> tuple[CanonicalPair | None, StateVectors]:
     """The orientation every measurement on this overlap pair is built in,
-    and the one source of its state vectors: construct and verify, holding the
-    decision, take state_vectors(report.pair) and call this only when that is
-    None; simulate calls it on the file's meta overlaps.
+    and the one source of its state vectors (construct, verify, simulate).
 
     returns: (pair, state_vectors(pair)), pair the decision's report.pair
              whenever that is not None, or (None, vectors from the raw
@@ -332,11 +330,10 @@ def construct(ka, kb):
     report = check_global_optimality(ka, kb)
     if not report.verdict:
         raise NotGloballyOptimal()
+    sv = frame(ka, kb)[1]
     if report.pair is None:
-        sv = frame(ka, kb)[1]
         seq = _product_sequential(sv, "Orthogonal")
     else:
-        sv = state_vectors(report.pair)
         seq = build_sequential(report.pair)
     return report, seq, sv, _score(_outcomes(seq, sv)[:3])[0]
 
@@ -410,32 +407,25 @@ def _outcomes(seq: SequentialMeasurement, sv: StateVectors) -> np.ndarray:
     return (_quad(seq.alice, sv.a)[:, None] * bob).sum(axis=0)
 
 
-class _LocalCheck(NamedTuple):
-    """What verify reads off a sequential measurement's pieces.
-
-    success:      sum_s outcomes[s, s] / 3 over _outcomes' table
-    leak:         largest |outcomes[r, s]|, r != s conclusive
-    psd_margin:   smallest eigenvalue over all 35 pieces (verify wants >= -TOL.povm_psd)
-    completeness: max |sum of outcomes - identity| entry over Alice's measurement
-                  and each of Bob's seven (verify wants <= TOL.completeness)
-    """
-
-    success: float
-    leak: float
-    psd_margin: float
-    completeness: float
-
-
 @_OVERFLOW_GATED
-def _local_check(seq: SequentialMeasurement, sv: StateVectors) -> _LocalCheck:
+def _local_check(seq: SequentialMeasurement, sv: StateVectors):
     """Check the protocol Alice and Bob run piece by piece: every label counts,
     one Alice never fires too.  Every piece a file spells is exactly Hermitian
     (the reader mirrors its upper triangle, the build its products), so the
-    eigenvalues need no symmetry check."""
-    margin = np.linalg.eigvalsh(np.concatenate((seq.alice, seq.bob.reshape(28, 3, 3))))
+    eigenvalues need no symmetry check.
+
+    returns: (success, leak) as _score reads them off _outcomes' table, then
+             the least eigenvalue of the 35 pieces (nan when the eigensolver
+             does not converge) and the largest |entry| of Alice's and each of
+             Bob's seven outcome sums minus the identity
+    """
+    try:
+        margin = float(np.linalg.eigvalsh(np.concatenate((seq.alice, seq.bob.reshape(28, 3, 3))))
+                       [:, 0].min())
+    except np.linalg.LinAlgError:
+        margin = math.nan
     sums = np.concatenate((seq.alice.sum(axis=0)[None], seq.bob.sum(axis=1)))
-    return _LocalCheck(*_score(_outcomes(seq, sv)[:3]), float(margin[:, 0].min()),
-                       float(np.abs(sums - np.eye(3)).max()))
+    return (*_score(_outcomes(seq, sv)[:3]), margin, float(np.abs(sums - np.eye(3)).max()))
 
 
 # the states Bob can no longer report after announce j (all but j), exclude j (j) and defer
@@ -580,19 +570,6 @@ def _numbers(data, shape, context) -> np.ndarray:
     return arr
 
 
-def _meta_numbers(data, shape, context) -> list:
-    """_numbers for a meta field in plain floats, with its messages: a list of
-    shape[0] JSON numbers, or one number when shape is ()."""
-    items = data if shape else [data]
-    if (shape and (type(data) is not list or len(data) != shape[0])
-            or not all(type(v) in (int, float) for v in items)):
-        raise InvalidPovm(f"{context}: expected a {shape} array of numbers")
-    items = [float(v) for v in items]  # OverflowError on an integer beyond float range
-    if not all(map(math.isfinite, items)):
-        raise InvalidPovm(f"{context}: non-finite entries")
-    return items
-
-
 def _from_packed(data, shape, context) -> np.ndarray:
     """Hermitian pieces of `shape` (..., 3, 3) from format 3's nine numbers each."""
     packed = _numbers(data, (*shape[:-2], 9), context)
@@ -702,13 +679,13 @@ def load_povm(path) -> LoadedMeasurement:
         meta = doc["meta"]
         if not isinstance(meta, dict):
             raise InvalidPovm("meta: expected a JSON object")
-        meta["ka"] = complex(*_meta_numbers(meta["ka"], (2,), "meta ka"))
-        meta["kb"] = complex(*_meta_numbers(meta["kb"], (2,), "meta kb"))
-        weights = tuple(_meta_numbers(meta["kappa"], (3,), "meta kappa"))
+        meta["ka"] = complex(*_numbers(meta["ka"], (2,), "meta ka"))
+        meta["kb"] = complex(*_numbers(meta["kb"], (2,), "meta kb"))
+        weights = tuple(_numbers(meta["kappa"], (3,), "meta kappa").tolist())
         branch = meta["branch"]
         if branch not in BRANCHES:
             raise InvalidPovm(f"meta branch: expected one of {', '.join(BRANCHES)}")
-        _meta_numbers(meta["success"], (), "meta success")
+        _numbers(meta["success"], (), "meta success")
         block = doc["sequential"]
         alice, bob = _stacks(LABELS, (lambda label: block["alice"][label], (3, 3), "alice"),
                              (lambda label: block["bob"][label], (4, 3, 3), "bob"))

@@ -10,11 +10,11 @@ field (but `optimality.check_global_optimality`, whose |k| < tie cut to
 the Orthogonal branch has no pinned width yet), and beside them
 `povm.verify_povm`, `povm.save_povm` (the writer's finite and Hermitian
 gates), `povm.load_povm` (the format check among them), `povm._numbers`
-and `povm._meta_numbers` (the shape and type checks of every stored
-number), `povm._from_packed` (the format-3 decoder, which rebuilds each
-piece's lower triangle from its upper one), `povm.binary_unambiguous`,
-`povm._bob_stack`, and `povm._local_check` and `povm._outcomes` (the
-per-piece checks and outcome table `verify` gates on).  In them:
+(the shape and type checks of every stored number), `povm._from_packed`
+(the format-3 decoder, which rebuilds each piece's lower triangle from
+its upper one), `povm.binary_unambiguous`, `povm._bob_stack`, and
+`povm._local_check` and `povm._outcomes` (the per-piece checks and
+outcome table `verify` gates on).  In them:
 
   - a comparison negated (`a <= b` becomes `not (a <= b)`);
   - a `failures.append(...)` in `dual_certificate`, dropped;
@@ -49,8 +49,8 @@ TARGETS = {
     "optimality.py": ("_tie_branch",),
     "geometry.py": ("_check_trace", "outcome_triangle", "_level_rows", "identity_membership"),
     "povm.py": ("dual_certificate", "verify_povm", "save_povm", "load_povm", "_numbers",
-                "_meta_numbers", "_from_packed", "binary_unambiguous", "_binary_stack",
-                "_bob_stack", "build_sequential", "_draw", "_local_check", "_outcomes"),
+                "_from_packed", "binary_unambiguous", "_binary_stack", "_bob_stack",
+                "build_sequential", "_draw", "_local_check", "_outcomes"),
     "cli.py": ("cmd_verify",),
 }
 # run after the mutated module's own tests: a broken gate fails a test in

@@ -943,3 +943,20 @@ def test_huge_pieces_fail_without_numpy_warnings(tmp_path, capsys, psk_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "invalid measurement file: outcome probabilities sum to nan\n"
+
+
+def test_eigensolver_failure_fails_psd(tmp_path, capsys, psk_file, monkeypatch):
+    # an eigensolve that does not converge leaves the pieces with no least
+    # eigenvalue: psd reads nan and fails, and verify exits 1, not 2
+    good = tmp_path / "m.json"
+    good.write_text(psk_file)
+
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    assert run(["verify", str(good), "--psk", "0.3", "0.3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "FAIL psd: nan"
+    assert [line[:2] for line in captured.out.splitlines()[1:-1]] == ["ok"] * 4
+    assert captured.err == ""
