@@ -39,7 +39,7 @@ from .errors import (
 from .multipartite import check_copies_psk
 from .numerics import TOL
 from .optimality import check_global_optimality
-from .serialize import fmt_float, json_dumps
+from .serialize import fmt_float, json_dumps, write_text
 from .states import lifted_trine_overlap, ppm_overlap, psk_overlap
 
 
@@ -210,9 +210,7 @@ def _scan_row(a, b, overlaps, na_errors) -> str:
 
 
 def _write_csv(path, lines) -> int:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {path}")
     return 0
 

@@ -56,7 +56,7 @@ from .errors import (
 )
 from .numerics import TOL, hermitian_eigen
 from .optimality import BRANCHES, _offsets, _tie_branch, check_global_optimality
-from .serialize import Raw, float_template, json_dumps
+from .serialize import Raw, float_template, json_dumps, write_text
 from .states import TAU, CanonicalPair, _orient, _validated
 
 LABELS = ("announce0", "announce1", "announce2", "exclude0", "exclude1", "exclude2", "defer")
@@ -557,12 +557,12 @@ _PACKED = np.array([0, 8, 16, 2, 3, 4, 5, 10, 11])
 
 def _numbers(data, shape, context) -> np.ndarray:
     """Float array from nested lists of JSON numbers (not bools or
-    strings), exactly `shape` deep, every entry finite.
+    strings) or numpy floats, exactly `shape` deep, every entry finite.
 
     raises: InvalidPovm naming `context`
     """
     arr = np.array(data, dtype=object)
-    if arr.shape != shape or not set(map(type, arr.flat)) <= {int, float}:
+    if arr.shape != shape or not set(map(type, arr.flat)) <= {int, float, np.float64}:
         raise InvalidPovm(f"{context}: expected a {shape} array of numbers")
     arr = arr.astype(float)  # OverflowError on an integer beyond float range
     if not np.isfinite(arr).all():
@@ -604,18 +604,21 @@ def _block_template() -> str:
 def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, success: float):
     """Write a measurement file, format 3: meta and the pieces Alice and Bob run.
 
-    raises: InvalidPovm, writing nothing, when a meta number or a piece has a
-            non-finite entry; NonHermitian, writing nothing, when a finite piece
-            is not Hermitian; each names the first bad field or piece in load_povm's
-            words and order: meta ka, kb, kappa and success, then Alice's seven
-            pieces before Bob's
+    raises: InvalidPovm, writing nothing (an existing target keeps its bytes),
+            when meta is what load_povm refuses or a piece has a non-finite
+            entry; NonHermitian, writing nothing, when a finite piece is not
+            Hermitian; each names the first bad field or piece in load_povm's
+            words and order: meta ka, kb, kappa, branch and success, then Alice's
+            seven pieces before Bob's
     """
     ka, kb = complex(ka), complex(kb)
-    meta = (("ka", (ka.real, ka.imag)), ("kb", (kb.real, kb.imag)), ("kappa", seq.weights),
-            ("success", (success,)))
-    for name, values in meta:
+    for name, values in (("ka", (ka.real, ka.imag)), ("kb", (kb.real, kb.imag))):
         if not all(map(math.isfinite, values)):
             raise InvalidPovm(f"meta {name}: non-finite entries")
+    _numbers(seq.weights, (3,), "meta kappa")
+    if seq.branch not in BRANCHES:
+        raise InvalidPovm(f"meta branch: expected one of {', '.join(BRANCHES)}")
+    _numbers(success, (), "meta success")
     for name, ops in (("alice", seq.alice), ("bob", seq.bob)):
         ops = np.asarray(ops, dtype=complex)  # format 3 spells its upper triangle only
         finite = np.isfinite(ops)
@@ -640,9 +643,7 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
         },
         "sequential": Raw(_block_template() % tuple(numbers.tolist())),
     }
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json_dumps(doc))
-        fh.write("\n")
+    write_text(path, json_dumps(doc) + "\n")
 
 
 class LoadedMeasurement(NamedTuple):

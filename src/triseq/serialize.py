@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 
 
 def fmt_float(v: float) -> str:
@@ -58,3 +60,22 @@ def json_dumps(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(json_dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` as UTF-8 over the old bytes of `path` and cut a regular file
+    at the written length, also when a write raises: inode and mode stay, no
+    fsync.  Opening with O_TRUNC instead makes ext4 start writeback on close."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_IFMT(os.fstat(fd).st_mode) == stat.S_IFREG  # /dev/null, a pipe: no cut
+        done = 0
+        try:
+            while done < len(data):  # a pipe may take part of the data per call
+                done += os.write(fd, data[done:])
+        finally:
+            if regular:
+                os.ftruncate(fd, done)
+    finally:
+        os.close(fd)

@@ -14,10 +14,13 @@ gates), `povm.load_povm` (the format check among them), `povm._numbers`
 (the format-3 decoder, which rebuilds each piece's lower triangle from
 its upper one), `povm.binary_unambiguous`, `povm._bob_stack`, and
 `povm._local_check` and `povm._outcomes` (the per-piece checks and
-outcome table `verify` gates on).  In them:
+outcome table `verify` gates on), and `serialize.write_text` (the `--out`
+writer: its write loop, and the cut to length with its regular-file
+guard).  In them:
 
   - a comparison negated (`a <= b` becomes `not (a <= b)`);
-  - a `failures.append(...)` in `dual_certificate`, dropped;
+  - a `failures.append(...)` in `dual_certificate` and the
+    `os.ftruncate(...)` of `write_text`, dropped;
   - a unary minus on a name or expression dropped (`-x` becomes `x`; a
     negative literal stays) and an integer slice start moved one on
     (`a[3::2]` becomes `a[4::2]`);
@@ -52,7 +55,9 @@ TARGETS = {
                 "_from_packed", "binary_unambiguous", "_binary_stack", "_bob_stack",
                 "build_sequential", "_draw", "_local_check", "_outcomes"),
     "cli.py": ("cmd_verify",),
+    "serialize.py": ("write_text",),
 }
+DROPPED = ("failures.append", "os.ftruncate")  # call statements a mutant drops
 # run after the mutated module's own tests: a broken gate fails a test in
 # these soonest, and -x stops there
 FIRST = ("tests/test_povm.py", "tests/test_cli.py")
@@ -88,8 +93,8 @@ def sites(source: bytes, functions):
                 text = source[slice(*span(node))].decode()
                 found.append((node, f"not ({text})", f"negate `{text}`", None))
             elif (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
-                  and ast.unparse(node.value.func) == "failures.append"):
-                found.append((node, "pass", "drop failures.append", None))
+                  and ast.unparse(node.value.func) in DROPPED):
+                found.append((node, "pass", f"drop {ast.unparse(node.value.func)}", None))
             elif (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
                   and not isinstance(node.operand, ast.Constant)):
                 text = source[slice(*span(node.operand))].decode()
@@ -108,7 +113,7 @@ def sites(source: bytes, functions):
 
 
 def run_suite(root: Path, first=FIRST) -> int:
-    tests = [str(root / t) for t in first]
+    tests = [str(root / t) for t in first if (root / t).is_file()]
     tests += sorted(str(p) for p in (root / "tests").glob("test_*.py") if str(p) not in tests)
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

@@ -397,6 +397,103 @@ def test_unwritable_output_is_not_a_verdict(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_WRITERS = [
+    ["construct", "--psk", "0.3", "0.3"],
+    ["scan", "--mode", "copies", "--resolution", "2", "--n-max", "3"],
+    ["curve", "--s-max", "0.1", "--step", "0.05"],
+]
+
+
+@pytest.mark.parametrize("argv", _WRITERS)
+def test_output_over_a_longer_file_is_cut_to_length(tmp_path, capsys, argv):
+    # --out writes over the old bytes in place and cuts the file at the new
+    # length: nothing of 64 KiB of junk is left
+    fresh, target = tmp_path / "fresh", tmp_path / "target"
+    target.write_bytes(bytes(range(256)) * 256)
+    assert run([*argv, "--out", str(fresh)]) == 0
+    assert run([*argv, "--out", str(target)]) == 0
+    capsys.readouterr()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_output_to_a_device_or_a_pipe(tmp_path, capsys):
+    # /dev/null and a pipe are not regular files: written, never cut
+    argv = ["construct", "--psk", "0.3", "0.3", "--out"]
+    assert run([*argv, "/dev/null"]) == 0
+    assert json.loads(capsys.readouterr().out)["out"] == "/dev/null"
+    assert run([*argv, str(tmp_path / "m.json")]) == 0
+    capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "triseq.cli", *argv, "/dev/stdout"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    written, report = proc.stdout.decode().splitlines()
+    assert (written + "\n").encode() == (tmp_path / "m.json").read_bytes()
+    assert json.loads(written)["format"] == 3
+    assert json.loads(report)["out"] == "/dev/stdout"
+
+
+def test_output_keeps_the_inode_mode_and_links(tmp_path, capsys):
+    out, link = tmp_path / "m.json", tmp_path / "link.json"
+    out.write_bytes(b"x" * 65536)
+    out.chmod(0o600)
+    link.symlink_to(out)
+    before = out.stat()
+    for target in (out, link):
+        assert run(["construct", "--psk", "0.3", "0.3", "--out", str(target)]) == 0
+        capsys.readouterr()
+        after = out.stat()
+        assert after.st_ino == before.st_ino
+        assert after.st_mode == before.st_mode  # a regular file, still 0o600
+        assert link.is_symlink()
+    assert json.loads(out.read_text())["format"] == 3
+
+
+@pytest.mark.parametrize("argv", _WRITERS)
+def test_directory_output_is_not_a_verdict(tmp_path, capsys, argv):
+    code = run([*argv, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 73
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write output: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_failed_write_leaves_a_prefix_of_the_new_text(tmp_path, capsys, monkeypatch):
+    # each raw write takes at most 1000 bytes, as a pipe may; then the disk
+    # fills after the first of them: the file holds those 1000 new bytes and
+    # nothing of the old 64 KiB
+    fresh, target = tmp_path / "fresh", tmp_path / "target"
+    argv = ["construct", "--psk", "0.3", "0.3", "--out"]
+    assert run([*argv, str(fresh)]) == 0
+    new = fresh.read_bytes()
+    assert len(new) > 2000
+    real_write, calls = os.write, []
+
+    def write(fd, data):
+        calls.append(len(data))
+        if fail and len(calls) > 1:
+            raise OSError(28, "No space left on device")
+        return real_write(fd, data[:1000])
+
+    for fail in (False, True):
+        target.write_bytes(b"\xff" * 65536)
+        calls.clear()
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", write)
+            code = run([*argv, str(target)])
+        captured = capsys.readouterr()
+        if fail:
+            assert code == 73
+            assert captured.err == "cannot write output: [Errno 28] No space left on device\n"
+            assert target.read_bytes() == new[:1000]
+        else:
+            assert code == 0
+            assert len(calls) == -(-len(new) // 1000)
+            assert target.read_bytes() == new
+
+
 def test_construct_refuses_failing_pair(tmp_path, capsys):
     out = tmp_path / "m.json"
     code = run(["construct", "--ka", "-0.2", "0", "--kb", "-0.2", "0", "--out", str(out)])

@@ -1352,6 +1352,53 @@ def test_writer_never_writes_what_the_reader_refuses(tmp_path):
             assert not path.exists()
 
 
+def _refused_like_the_reader(tmp_path, field, value, message, edits):
+    """load_povm refuses meta `field` set to `value` with `message`; save_povm
+    refuses each edit (seq, ka, success) with its message, and an existing
+    target keeps its bytes."""
+    seq = construct(0.3, 0.25)[1]
+    path = tmp_path / "m.json"
+    save_povm(path, seq, 0.3, 0.25, 0.5)
+    doc = json.loads(path.read_text())
+    doc["meta"][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidPovm, match=f"^{message}$"):
+        load_povm(path)
+    old = path.read_bytes()
+    for edited, ka, success, words in edits(seq):
+        with pytest.raises(InvalidPovm, match=f"^{words}$"):
+            save_povm(path, edited, ka, 0.25, success)
+        assert path.read_bytes() == old
+
+
+def test_writer_refuses_a_branch_the_reader_refuses(tmp_path):
+    branch = f"meta branch: expected one of {', '.join(BRANCHES)}"
+    _refused_like_the_reader(tmp_path, "branch", "Foo", branch, lambda seq: (
+        (seq._replace(branch="Foo"), 0.3, 0.5, branch),
+        (seq._replace(branch=None), 0.3, 0.5, branch),
+        # in the reader's order: kappa, then branch, then success
+        (seq._replace(branch="Foo", weights=(0.1, 0.2)), 0.3, 0.5,
+         r"meta kappa: expected a \(3,\) array of numbers"),
+        (seq._replace(branch="Foo"), 0.3, math.nan, branch),
+    ))
+
+
+def test_writer_refuses_a_kappa_the_reader_refuses(tmp_path):
+    kappa = r"meta kappa: expected a \(3,\) array of numbers"
+    _refused_like_the_reader(tmp_path, "kappa", [0.1, 0.2], kappa, lambda seq: (
+        (seq._replace(weights=(0.1, 0.2)), 0.3, 0.5, kappa),
+        (seq._replace(weights=(0.1, 0.2, 0.3, 0.4)), 0.3, 0.5, kappa),
+        (seq._replace(weights=(0.1, 0.2, True)), 0.3, 0.5, kappa),
+        (seq._replace(weights=(0.1, 0.2, "0.3")), 0.3, 0.5, kappa),
+        (seq._replace(weights=((0.1,), (0.2,), (0.3,))), 0.3, 0.5, kappa),
+        (seq._replace(weights=(0.1, 0.2, math.nan)), 0.3, 0.5, "meta kappa: non-finite entries"),
+        # in the reader's order: ka and kb, then kappa; a success the
+        # reader refuses, a bool, is refused too
+        (seq._replace(weights=(0.1, 0.2)), math.inf, 0.5, "meta ka: non-finite entries"),
+        (seq, 0.3, True, r"meta success: expected a \(\) array of numbers"),
+    ))
+
+
 @pytest.fixture(scope="module")
 def saved_text(tmp_path_factory):
     pair = canonicalize(FIG_K, FIG_K)
