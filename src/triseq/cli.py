@@ -154,8 +154,8 @@ def cmd_verify(args, parser) -> int:
         print(f"cannot load measurement file: {exc}", file=sys.stderr)
         return 65
 
-    report = check_global_optimality(ka, kb)
-    success, leak, margin, completeness = _local_check(loaded.seq, frame(ka, kb)[1])
+    report, sv = frame(ka, kb)
+    success, leak, margin, completeness = _local_check(loaded.seq, sv)
     checks = [
         ("psd", margin >= -TOL.povm_psd, margin),
         ("completeness", completeness <= TOL.completeness, completeness),
@@ -250,7 +250,7 @@ def cmd_scan(args, parser) -> int:
 
 
 def cmd_curve(args, parser) -> int:
-    from .povm import construct
+    from .povm import _build, frame
 
     if not args.step > 0:
         parser.error("--step must be positive")
@@ -264,15 +264,11 @@ def cmd_curve(args, parser) -> int:
             break
         try:
             k = psk_overlap(s)
-            rep = check_global_optimality(k, k)
+            rep, sv = frame(k, k)
         except (DegenerateStates, RankDeficient):
             lines.append(f"{fmt_float(s)},NA,NA,")
             continue
-        if rep.verdict:
-            success = construct(k, k)[3]
-            p_seq = fmt_float(success)
-        else:
-            p_seq = ""
+        p_seq = fmt_float(_build(rep, sv)[2]) if rep.verdict else ""
         verdict = "true" if rep.verdict else "false"
         lines.append(f"{fmt_float(s)},{fmt_float(rep.p_global)},{verdict},{p_seq}")
     return _write_csv(args.out, lines)

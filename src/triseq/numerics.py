@@ -1,9 +1,10 @@
 """The tolerance table and the Hermitian eigensolver.
 
 Every threshold of the package is a field of TOL, so the tolerance policy
-lives in exactly one place; `hermitian_eigen` is the one eigensolve.
-numpy loads on the first `hermitian_eigen` call, not with this module, so
-the decision modules that read TOL run without it.
+lives in exactly one place.  `hermitian_eigen` is the eigensolve that checks
+symmetry first; `povm._local_check` calls np.linalg.eigvalsh on pieces that
+are exactly Hermitian by construction.  numpy loads on the first call, not
+with this module, so the decision modules that read TOL run without it.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ equations solved in closed form; nonnegativity of the solution is exactly
 the optimality verdict, so a negative weight raises NotGloballyOptimal.
 That system serves only the no-tie branch: every tie branch, and
 Orthogonal, builds the product strategy, each party running its own
-three-state optimum.  `frame` pairs the canonical orientation with its
-state vectors, the amplitude rows times PHASE[r, n] = tau^(r n), and falls
-back to the raw amplitudes when Bob's overlap is numerically zero and no
-such orientation exists.
+three-state optimum.  `frame` decides a pair once and returns the report
+with the state vectors of its canonical pair, the amplitude rows times
+PHASE[r, n] = tau^(r n); `construct` and `curve` build on both.  Without
+a canonical form (Bob's overlap numerically zero) it takes the raw amplitudes.
 
 The commands read what they print off the 35 pieces themselves:
 `_outcomes` gives each outcome's probability on each state, and
@@ -55,7 +55,7 @@ from .errors import (
     SingularSystem,
 )
 from .numerics import TOL, hermitian_eigen
-from .optimality import BRANCHES, _offsets, _tie_branch, check_global_optimality
+from .optimality import BRANCHES, OptimalityReport, _offsets, _tie_branch, check_global_optimality
 from .serialize import Raw, float_template, json_dumps, write_text
 from .states import TAU, CanonicalPair, _orient, _validated
 
@@ -170,21 +170,23 @@ def state_vectors(pair: CanonicalPair) -> StateVectors:
     return _vectors(pair.x, pair.y)
 
 
-def frame(ka, kb) -> tuple[CanonicalPair | None, StateVectors]:
-    """The orientation every measurement on this overlap pair is built in,
-    and the one source of its state vectors (construct, verify, simulate).
+def frame(ka, kb) -> tuple[OptimalityReport, StateVectors]:
+    """The decision on an overlap pair and the states every measurement on it is
+    built in, the one source of both for construct, verify, simulate and curve.
 
-    returns: (pair, state_vectors(pair)), pair the decision's report.pair
-             whenever that is not None, or (None, vectors from the raw
-             amplitudes of ka, kb) when no canonical form exists
+    returns: (report, state_vectors(report.pair)); on the Orthogonal branch (no
+             report.pair) frame orients the pair itself, or takes the raw
+             amplitudes of ka, kb when no canonical form exists
     raises:  DegenerateStates / RankDeficient from state validation
     """
+    report = check_global_optimality(ka, kb)
+    if report.pair is not None:
+        return report, state_vectors(report.pair)
     ka, kb, x, y = _validated(ka, kb)
     try:
-        pair = _orient(ka, kb, x, y)[0]
+        return report, state_vectors(_orient(ka, kb, x, y)[0])
     except NoCanonicalForm:
-        return None, _vectors(x, y)
-    return pair, state_vectors(pair)
+        return report, _vectors(x, y)
 
 
 def binary_unambiguous(u, v) -> Povm:
@@ -226,7 +228,7 @@ def ternary_unambiguous(w) -> Povm:
              diagonal exactly (its off-diagonal entries are 0.0)
     """
     w = tuple(float(v) for v in w)
-    if min(w) <= 0.0:
+    if not all(v > 0.0 for v in w):  # NaN fails too
         raise DomainError(f"amplitudes must be positive, got {w}")
     detect = _outer((min(w) / math.sqrt(3.0)) / np.array(w) * PHASE)
     inconclusive = np.diag(1.0 - np.diagonal(detect.sum(axis=0)))
@@ -316,7 +318,7 @@ def build_sequential(pair: CanonicalPair) -> SequentialMeasurement:
 
 def construct(ka, kb):
     """Decide, build and score the sequential measurement for an overlap
-    pair: the one build path, in the states of `frame(ka, kb)`.
+    pair: the one build path, on the decision and states `frame(ka, kb)` returns.
 
     On the Orthogonal branch one party alone identifies the state, so each
     party runs its own three-state optimum in that frame.
@@ -327,15 +329,17 @@ def construct(ka, kb):
     raises:  NotGloballyOptimal with an empty message when the verdict is
              false, with the build's reason when the build refuses
     """
-    report = check_global_optimality(ka, kb)
+    report, sv = frame(ka, kb)
     if not report.verdict:
         raise NotGloballyOptimal()
-    sv = frame(ka, kb)[1]
-    if report.pair is None:
-        seq = _product_sequential(sv, "Orthogonal")
-    else:
-        seq = build_sequential(report.pair)
-    return report, seq, sv, _score(_outcomes(seq, sv)[:3])[0]
+    return (report, *_build(report, sv))
+
+
+def _build(report, sv: StateVectors):
+    """construct past its verdict gate: (seq, sv, success) for a verdict-true frame."""
+    seq = (_product_sequential(sv, "Orthogonal") if report.pair is None
+           else build_sequential(report.pair))
+    return seq, sv, _score(_outcomes(seq, sv)[:3])[0]
 
 
 @_OVERFLOW_GATED
@@ -472,7 +476,7 @@ def dual_certificate(pair: CanonicalPair, seq: SequentialMeasurement) -> Certifi
     raises: CertificateViolation naming every failed label and margin
     """
     x, y, perm = pair.x, pair.y, pair.perm
-    a = np.array(x) * PHASE  # state_vectors(pair).a
+    a = state_vectors(pair).a
     level, _ = _offsets(pair.kb, y)
     x2 = [v * v for v in x]
     y2 = [y[p] ** 2 for p in perm]  # squared by float ** as _offsets squares
@@ -570,6 +574,20 @@ def _numbers(data, shape, context) -> np.ndarray:
     return arr
 
 
+def _meta_fields(meta):
+    """(ka, kb, kappa) from meta, ka and kb as [re, im]: the reader's and the writer's
+    checks, each field looked up only when checked, in the order ka, kb, kappa,
+    branch, success.  raises: InvalidPovm naming the first bad field
+    """
+    ka = complex(*_numbers(meta["ka"], (2,), "meta ka"))
+    kb = complex(*_numbers(meta["kb"], (2,), "meta kb"))
+    kappa = tuple(_numbers(meta["kappa"], (3,), "meta kappa").tolist())
+    if meta["branch"] not in BRANCHES:
+        raise InvalidPovm(f"meta branch: expected one of {', '.join(BRANCHES)}")
+    _numbers(meta["success"], (), "meta success")
+    return ka, kb, kappa
+
+
 def _from_packed(data, shape, context) -> np.ndarray:
     """Hermitian pieces of `shape` (..., 3, 3) from format 3's nine numbers each."""
     packed = _numbers(data, (*shape[:-2], 9), context)
@@ -612,13 +630,9 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
             seven pieces before Bob's
     """
     ka, kb = complex(ka), complex(kb)
-    for name, values in (("ka", (ka.real, ka.imag)), ("kb", (kb.real, kb.imag))):
-        if not all(map(math.isfinite, values)):
-            raise InvalidPovm(f"meta {name}: non-finite entries")
-    _numbers(seq.weights, (3,), "meta kappa")
-    if seq.branch not in BRANCHES:
-        raise InvalidPovm(f"meta branch: expected one of {', '.join(BRANCHES)}")
-    _numbers(success, (), "meta success")
+    meta = {"ka": (ka.real, ka.imag), "kb": (kb.real, kb.imag), "branch": seq.branch,
+            "kappa": seq.weights, "success": success}
+    _meta_fields(meta)
     for name, ops in (("alice", seq.alice), ("bob", seq.bob)):
         ops = np.asarray(ops, dtype=complex)  # format 3 spells its upper triangle only
         finite = np.isfinite(ops)
@@ -634,13 +648,7 @@ def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, succes
     doc = {
         "dim": 9,
         "format": 3,
-        "meta": {
-            "ka": ka,
-            "kb": kb,
-            "branch": seq.branch,
-            "kappa": seq.weights,
-            "success": success,
-        },
+        "meta": meta,
         "sequential": Raw(_block_template() % tuple(numbers.tolist())),
     }
     write_text(path, json_dumps(doc) + "\n")
@@ -680,17 +688,11 @@ def load_povm(path) -> LoadedMeasurement:
         meta = doc["meta"]
         if not isinstance(meta, dict):
             raise InvalidPovm("meta: expected a JSON object")
-        meta["ka"] = complex(*_numbers(meta["ka"], (2,), "meta ka"))
-        meta["kb"] = complex(*_numbers(meta["kb"], (2,), "meta kb"))
-        weights = tuple(_numbers(meta["kappa"], (3,), "meta kappa").tolist())
-        branch = meta["branch"]
-        if branch not in BRANCHES:
-            raise InvalidPovm(f"meta branch: expected one of {', '.join(BRANCHES)}")
-        _numbers(meta["success"], (), "meta success")
+        meta["ka"], meta["kb"], weights = _meta_fields(meta)
         block = doc["sequential"]
         alice, bob = _stacks(LABELS, (lambda label: block["alice"][label], (3, 3), "alice"),
                              (lambda label: block["bob"][label], (4, 3, 3), "bob"))
-        seq = SequentialMeasurement(alice=alice, bob=bob, weights=weights, branch=branch)
+        seq = SequentialMeasurement(alice=alice, bob=bob, weights=weights, branch=meta["branch"])
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidPovm(f"missing or malformed field: {exc}") from exc
     return LoadedMeasurement(seq=seq, meta=meta)

@@ -9,7 +9,8 @@ src/triseq in that copy.  The targets are every function that reads a TOL
 field (but `optimality.check_global_optimality`, whose |k| < tie cut to
 the Orthogonal branch has no pinned width yet), and beside them
 `povm.verify_povm`, `povm.save_povm` (the writer's finite and Hermitian
-gates), `povm.load_povm` (the format check among them), `povm._numbers`
+gates), `povm.load_povm` (the format check among them), `povm._meta_fields`
+(the meta checks the writer and the reader share), `povm._numbers`
 (the shape and type checks of every stored number), `povm._from_packed`
 (the format-3 decoder, which rebuilds each piece's lower triangle from
 its upper one), `povm.binary_unambiguous`, `povm._bob_stack`, and
@@ -51,8 +52,8 @@ TARGETS = {
     "states.py": ("_check_overlap", "_orient"),
     "optimality.py": ("_tie_branch",),
     "geometry.py": ("_check_trace", "outcome_triangle", "_level_rows", "identity_membership"),
-    "povm.py": ("dual_certificate", "verify_povm", "save_povm", "load_povm", "_numbers",
-                "_from_packed", "binary_unambiguous", "_binary_stack", "_bob_stack",
+    "povm.py": ("dual_certificate", "verify_povm", "save_povm", "load_povm", "_meta_fields",
+                "_numbers", "_from_packed", "binary_unambiguous", "_binary_stack", "_bob_stack",
                 "build_sequential", "_draw", "_local_check", "_outcomes"),
     "cli.py": ("cmd_verify",),
     "serialize.py": ("write_text",),

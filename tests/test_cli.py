@@ -616,6 +616,28 @@ def test_curve(tmp_path, capsys):
                 "--out", str(out)]) == 64  # the one-choice option is gone
 
 
+def test_each_command_decides_once(tmp_path, capsys, monkeypatch):
+    # a validation computes both overlaps' amplitudes: two _amplitudes calls.
+    # construct, verify and simulate decide the pair once each, and curve each
+    # row once, its build sharing that row's decision
+    import triseq.states
+
+    calls = []
+    amplitudes = triseq.states._amplitudes
+    monkeypatch.setattr(triseq.states, "_amplitudes", lambda k: calls.append(k) or amplitudes(k))
+    pair = ["--ka", "0.19", "0.062", "--kb", "0.27", "0.13"]
+    path = str(tmp_path / "m.json")
+    for argv in (["construct", *pair, "--out", path], ["verify", path, *pair],
+                 ["simulate", "--povm", path, "--state", "0", "--shots", "10", "--seed", "1"]):
+        calls.clear()
+        assert run(argv) == 0, argv
+        assert len(calls) == 2, argv
+    calls.clear()
+    assert run(["curve", "--s-max", "3", "--step", "0.01", "--out", str(tmp_path / "c.csv")]) == 0
+    assert len(calls) == 2 * 300
+    assert capsys.readouterr().out.endswith("wrote 300 rows to " + str(tmp_path / "c.csv") + "\n")
+
+
 def test_curve_stops_past_s_max(tmp_path, capsys):
     # count = int(0.18 / 0.04 + 0.5) = 5, but 5 * 0.04 = 0.2 lies past
     # 0.18 + 0.04 / 2 = 0.19999999999999998, so the fifth row is not written

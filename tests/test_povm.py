@@ -41,6 +41,7 @@ from triseq.errors import (
     DegenerateStates,
     DomainError,
     InvalidPovm,
+    NoCanonicalForm,
     NonHermitian,
     NotGloballyOptimal,
     RankDeficient,
@@ -174,8 +175,21 @@ def test_ternary_unambiguous_uniform_is_projective():
 
 
 def test_ternary_unambiguous_rejects_zero():
-    with pytest.raises(DomainError):
-        ternary_unambiguous((0.5, 0.0, 0.5))
+    for w in ((0.5, 0.0, 0.5), (0.5, math.nan, 0.5), (math.nan, 0.5, 0.5)):
+        with pytest.raises(DomainError):
+            ternary_unambiguous(w)
+
+
+def _framed_pair(report, ka, kb):
+    """The canonical pair whose states frame returns: report.pair, or on the
+    Orthogonal branch the one frame orients itself; None on the bob-only
+    route, where canonicalize raises NoCanonicalForm."""
+    if report.pair is not None:
+        return report.pair
+    try:
+        return canonicalize(ka, kb)
+    except NoCanonicalForm:
+        return None
 
 
 def test_solve_weights_against_direct_solver():
@@ -259,8 +273,8 @@ def test_product_success_against_oracle():
             continue
         if report.branch == "Inequality":
             continue
-        pair, framed = frame(ka, kb)
-        route = report.branch + ("/bob-only" if pair is None else "")
+        _, framed = frame(ka, kb)
+        route = report.branch + ("/bob-only" if _framed_pair(report, ka, kb) is None else "")
         routes[route] = routes.get(route, 0) + 1
         # construct takes its states from frame, whichever route it builds on
         _assert_bits(sv.a, framed.a)
@@ -799,7 +813,8 @@ def test_phase_table_builds_as_the_per_index_reference():
     while sum(routes.values()) < 100:
         ka, kb = draws[i % len(draws)]()
         i += 1
-        pair, sv = frame(ka, kb)
+        report, sv = frame(ka, kb)
+        pair = _framed_pair(report, ka, kb)
         if pair is None:
             x, y = amplitudes_from_overlap(ka), amplitudes_from_overlap(kb)
         else:
@@ -1001,7 +1016,7 @@ def test_built_pieces_are_exactly_hermitian_and_round_trip(tmp_path):
             report, seq, _, success = construct(ka, kb)
         except NotGloballyOptimal:
             continue
-        route = report.branch + ("/bob-only" if frame(ka, kb)[0] is None else "")
+        route = report.branch + ("/bob-only" if _framed_pair(report, ka, kb) is None else "")
         routes[route] = routes.get(route, 0) + 1
         for ops in (seq.alice, seq.bob):
             assert np.array_equal(ops, ops.conj().swapaxes(-1, -2)), route
@@ -1034,7 +1049,7 @@ def test_codec_matches_elementwise_reference(tmp_path):
             report, seq, _, success = construct(ka, kb)
         except NotGloballyOptimal:
             continue
-        route = report.branch + ("/bob-only" if frame(ka, kb)[0] is None else "")
+        route = report.branch + ("/bob-only" if _framed_pair(report, ka, kb) is None else "")
         routes[route] = routes.get(route, 0) + 1
 
         for got, want in zip(flatten(seq).outcomes, _ref_flatten(seq)):
@@ -1087,7 +1102,7 @@ def test_certificate_matches_per_label_reference():
             report, seq, _, _ = construct(ka, kb)
         except NotGloballyOptimal:
             continue
-        pair = frame(ka, kb)[0]
+        pair = _framed_pair(report, ka, kb)
         branches[report.branch] = branches.get(report.branch, 0) + 1
         scaled, huge = seq.alice.copy(), seq.alice.copy()
         scaled[i % 7] *= 1.001
@@ -1127,7 +1142,7 @@ def test_closed_form_projectors_certify_as_the_gram_projector():
             continue
         branches[report.branch] += 1
         _, seq, _, _ = construct(ka, kb)
-        pair = frame(ka, kb)[0]
+        pair = _framed_pair(report, ka, kb)
         if report.branch == "Orthogonal":
             closed = _ref_report(pair, seq)
         else:
