@@ -11,6 +11,12 @@ Subcommands:
 Only construct, verify, curve and simulate import povm (and with it
 numpy), each when it runs; check and scan decide in plain floats.
 
+When the first argument names a command, that command's own parser reads
+the rest, and any token it leaves is refused as the top-level parser
+refuses it; the top-level parser reads argv itself only when the first
+argument names no command (help, a typo, nothing).  Both give the same
+result as one top-level parse.
+
 Exit codes: 0 success / verdict true; 1 verdict false or verification
 failure; 2 internal error; 64 usage or parameter domain; 65 unreadable
 or invalid measurement file; 73 an output file cannot be written; 141
@@ -308,23 +314,29 @@ def cmd_simulate(args, parser) -> int:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The parser, built once per process: parse_args keeps no state between
-    calls, and usage and help read the terminal width only when printed."""
+    """The parser, built once per process, with each command's own parser in
+    `parser.commands` by name: parsing keeps no state between calls, and usage
+    and help read the terminal width only when printed."""
     parser = _Parser(prog="triseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = {}
 
-    sp = sub.add_parser("check", help="decide sequential optimality")
+    def add(name, summary):
+        parser.commands[name] = sub.add_parser(name, help=summary)
+        return parser.commands[name]
+
+    sp = add("check", "decide sequential optimality")
     _add_overlap_args(sp)
 
-    sp = sub.add_parser("construct", help="build and save the optimal measurement")
+    sp = add("construct", "build and save the optimal measurement")
     _add_overlap_args(sp)
     sp.add_argument("--out", required=True, help="output JSON path")
 
-    sp = sub.add_parser("verify", help="re-validate a measurement file")
+    sp = add("verify", "re-validate a measurement file")
     sp.add_argument("povm", help="measurement JSON path")
     _add_overlap_args(sp)
 
-    sp = sub.add_parser("scan", help="tabulate verdicts over a grid")
+    sp = add("scan", "tabulate verdicts over a grid")
     sp.add_argument("--mode", required=True, choices=("complex-k", "psk-grid", "copies"))
     sp.add_argument("--resolution", type=int, required=True, help="grid steps per axis")
     sp.add_argument("--out", required=True, help="output CSV path")
@@ -336,12 +348,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--s-max", type=float, default=4.0)
     sp.add_argument("--n-max", type=int, default=20)
 
-    sp = sub.add_parser("curve", help="success curve along the phase-keyed axis")
+    sp = add("curve", "success curve along the phase-keyed axis")
     sp.add_argument("--s-max", type=float, required=True)
     sp.add_argument("--step", type=float, required=True)
     sp.add_argument("--out", required=True, help="output CSV path")
 
-    sp = sub.add_parser("simulate", help="sample outcome counts from a stored measurement")
+    sp = add("simulate", "sample outcome counts from a stored measurement")
     sp.add_argument("--povm", required=True, help="measurement JSON path")
     sp.add_argument("--state", type=int, required=True, help="which state to prepare (0..2)")
     sp.add_argument("--shots", type=int, required=True)
@@ -362,8 +374,18 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in parser.commands:
+            # the command's own parser reads the rest, and what it leaves is
+            # refused, as argparse's subparsers action does: without the
+            # top-level parser scanning every token first
+            args, extras = parser.commands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:  # help, a typo or nothing: the top-level parser says which
+            args = parser.parse_args(argv)
         code = _COMMANDS[args.command](args, parser)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code

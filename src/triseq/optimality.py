@@ -99,8 +99,11 @@ def check_global_optimality(ka, kb) -> OptimalityReport:
 
     raises: DegenerateStates / RankDeficient from state validation
     """
-    ka, kb, x, y = _validated(ka, kb)
+    return _decide(*_validated(ka, kb))
 
+
+def _decide(ka, kb, x, y) -> OptimalityReport:
+    """check_global_optimality past state validation, on what _validated returns."""
     pair = None
     if abs(ka) >= TOL.tie and abs(kb) >= TOL.tie:
         try:

@@ -55,7 +55,7 @@ from .errors import (
     SingularSystem,
 )
 from .numerics import TOL, hermitian_eigen
-from .optimality import BRANCHES, OptimalityReport, _offsets, _tie_branch, check_global_optimality
+from .optimality import BRANCHES, OptimalityReport, _decide, _offsets, _tie_branch
 from .serialize import Raw, float_template, json_dumps, write_text
 from .states import TAU, CanonicalPair, _orient, _validated
 
@@ -179,10 +179,10 @@ def frame(ka, kb) -> tuple[OptimalityReport, StateVectors]:
              amplitudes of ka, kb when no canonical form exists
     raises:  DegenerateStates / RankDeficient from state validation
     """
-    report = check_global_optimality(ka, kb)
+    ka, kb, x, y = _validated(ka, kb)
+    report = _decide(ka, kb, x, y)
     if report.pair is not None:
         return report, state_vectors(report.pair)
-    ka, kb, x, y = _validated(ka, kb)
     try:
         return report, state_vectors(_orient(ka, kb, x, y)[0])
     except NoCanonicalForm:
@@ -559,14 +559,29 @@ def _draw(probs, shots: int, seed: int):
 _PACKED = np.array([0, 8, 16, 2, 3, 4, 5, 10, 11])
 
 
-def _numbers(data, shape, context) -> np.ndarray:
-    """Float array from nested lists of JSON numbers (not bools or
-    strings) or numpy floats, exactly `shape` deep, every entry finite.
+_NUMBER_TYPES = frozenset((int, float, np.float64))
+
+
+def _numbers(data, shape, context):
+    """Floats from nested lists of JSON numbers (not bools or strings) or numpy
+    floats, exactly `shape` deep, every entry finite: a float array, or for a
+    flat shape, () or (n,) as the meta numbers have, a float or a list of floats
+    checked in plain Python (a numpy array is read as its tolist()).
 
     raises: InvalidPovm naming `context`
     """
+    if len(shape) < 2:
+        values = data.tolist() if isinstance(data, np.ndarray) else data
+        values = values if shape else [values]
+        if (not isinstance(values, (list, tuple)) or len(values) != math.prod(shape)
+                or not all(type(v) in _NUMBER_TYPES for v in values)):
+            raise InvalidPovm(f"{context}: expected a {shape} array of numbers")
+        values = [float(v) for v in values]  # OverflowError on an integer beyond float range
+        if not all(map(math.isfinite, values)):
+            raise InvalidPovm(f"{context}: non-finite entries")
+        return values if shape else values[0]
     arr = np.array(data, dtype=object)
-    if arr.shape != shape or not set(map(type, arr.flat)) <= {int, float, np.float64}:
+    if arr.shape != shape or not set(map(type, arr.flat)) <= _NUMBER_TYPES:
         raise InvalidPovm(f"{context}: expected a {shape} array of numbers")
     arr = arr.astype(float)  # OverflowError on an integer beyond float range
     if not np.isfinite(arr).all():
@@ -581,7 +596,7 @@ def _meta_fields(meta):
     """
     ka = complex(*_numbers(meta["ka"], (2,), "meta ka"))
     kb = complex(*_numbers(meta["kb"], (2,), "meta kb"))
-    kappa = tuple(_numbers(meta["kappa"], (3,), "meta kappa").tolist())
+    kappa = tuple(_numbers(meta["kappa"], (3,), "meta kappa"))
     if meta["branch"] not in BRANCHES:
         raise InvalidPovm(f"meta branch: expected one of {', '.join(BRANCHES)}")
     _numbers(meta["success"], (), "meta success")
@@ -590,25 +605,31 @@ def _meta_fields(meta):
 
 def _from_packed(data, shape, context) -> np.ndarray:
     """Hermitian pieces of `shape` (..., 3, 3) from format 3's nine numbers each."""
-    packed = _numbers(data, (*shape[:-2], 9), context)
+    packed = np.asarray(_numbers(data, (*shape[:-2], 9), context))  # a list for one piece
     floats = np.zeros((*shape[:-2], 18))
     floats[..., _PACKED] = packed
     floats[..., [6, 7, 12, 13, 14, 15]] = packed[..., 3:] * [1, -1, 1, -1, 1, -1]  # H10, H20, H21
     return floats.view(complex).reshape(shape)
 
 
-def _stacks(keys, *parts):
-    """One stack per part (piece, shape, name) of the pieces piece(k), k in
-    keys, each decoded by one _from_packed call.  When any stack fails, every
-    piece is decoded on its own, key by key and part by part within a key,
-    so the error names the first bad piece in that order, as "name k"."""
+def _pieces(block) -> np.ndarray:
+    """The 35 pieces of a sequential block as one (35, 3, 3) stack, Alice's seven
+    and then Bob's four per label, in LABELS order, decoded by one _from_packed
+    call.  When that fails, every piece is decoded on its own, label by label and
+    Alice's before Bob's within a label, so the error names the first bad piece
+    in that order, as "alice label" or "bob label"."""
     try:
-        return [_from_packed([piece(k) for k in keys], (len(keys), *shape), "block")
-                for piece, shape, _ in parts]
+        bob = [block["bob"][label] for label in LABELS]
+        # three rows under one label and five under another would still make 28
+        if all(len(outcomes) == 4 for outcomes in bob):
+            rows = [block["alice"][label] for label in LABELS] + [r for o in bob for r in o]
+            return _from_packed(rows, (35, 3, 3), "block")
     except (InvalidPovm, LookupError, TypeError, ValueError, OverflowError):
-        pieces = ([_from_packed(piece(k), shape, f"{name} {k}") for piece, shape, name in parts]
-                  for k in keys)
-        return [np.stack(stack) for stack in zip(*pieces)]
+        pass
+    alice, bob = zip(*((_from_packed(block["alice"][label], (3, 3), f"alice {label}"),
+                        _from_packed(block["bob"][label], (4, 3, 3), f"bob {label}"))
+                       for label in LABELS))
+    return np.concatenate((np.stack(alice), *bob))
 
 
 @functools.cache
@@ -621,30 +642,35 @@ def _block_template() -> str:
 
 def save_povm(path, seq: SequentialMeasurement, ka: complex, kb: complex, success: float):
     """Write a measurement file, format 3: meta and the pieces Alice and Bob run.
+    The 35 pieces, Alice's seven and then Bob's 28, are checked as one stack,
+    and the numbers written are read off it.
 
     raises: InvalidPovm, writing nothing (an existing target keeps its bytes),
             when meta is what load_povm refuses or a piece has a non-finite
             entry; NonHermitian, writing nothing, when a finite piece is not
             Hermitian; each names the first bad field or piece in load_povm's
             words and order: meta ka, kb, kappa, branch and success, then Alice's
-            seven pieces before Bob's
+            seven pieces before Bob's, a party's non-finite piece first
     """
     ka, kb = complex(ka), complex(kb)
     meta = {"ka": (ka.real, ka.imag), "kb": (kb.real, kb.imag), "branch": seq.branch,
             "kappa": seq.weights, "success": success}
     _meta_fields(meta)
-    for name, ops in (("alice", seq.alice), ("bob", seq.bob)):
-        ops = np.asarray(ops, dtype=complex)  # format 3 spells its upper triangle only
-        finite = np.isfinite(ops)
-        if not finite.all():
-            i = int(np.argmin(finite.reshape(7, -1).all(1)))
+    # format 3 spells each piece's upper triangle only
+    pieces = np.concatenate((np.asarray(seq.alice, dtype=complex),
+                             np.asarray(seq.bob, dtype=complex).reshape(28, 3, 3)))
+    finite = np.isfinite(pieces).all(axis=(1, 2))
+    hermitian = (pieces == np.swapaxes(pieces, 1, 2).conj()).all(axis=(1, 2))
+    # name Alice's pieces before Bob's, and a party's non-finite piece before
+    # one that is not Hermitian; Bob has four pieces per label
+    for name, rows, per_label in (("alice", slice(0, 7), 1), ("bob", slice(7, 35), 4)):
+        if not finite[rows].all():
+            i = int(np.argmin(finite[rows])) // per_label
             raise InvalidPovm(f"{name} {LABELS[i]}: non-finite entries")
-        hermitian = ops == np.swapaxes(ops, -2, -1).conj()
-        if not hermitian.all():
-            i = int(np.argmin(hermitian.reshape(7, -1).all(1)))
+        if not hermitian[rows].all():
+            i = int(np.argmin(hermitian[rows])) // per_label
             raise NonHermitian(f"{name} {LABELS[i]}: not Hermitian", i)
-    numbers = np.concatenate([np.ascontiguousarray(ops, dtype=complex).view(float)
-                              .reshape(-1, 18)[:, _PACKED].ravel() for ops in (seq.alice, seq.bob)])
+    numbers = pieces.view(float).reshape(35, 18)[:, _PACKED].ravel()
     doc = {
         "dim": 9,
         "format": 3,
@@ -667,7 +693,8 @@ class LoadedMeasurement(NamedTuple):
 
 
 def load_povm(path) -> LoadedMeasurement:
-    """Read a save_povm file back.
+    """Read a save_povm file back.  The 35 pieces are decoded as one block
+    (_pieces), and `seq.alice` and `seq.bob` are views of it.
 
     raises: InvalidPovm on any structural problem (missing keys, wrong shapes,
             entries that are not finite numbers, a meta branch outside
@@ -689,10 +716,9 @@ def load_povm(path) -> LoadedMeasurement:
         if not isinstance(meta, dict):
             raise InvalidPovm("meta: expected a JSON object")
         meta["ka"], meta["kb"], weights = _meta_fields(meta)
-        block = doc["sequential"]
-        alice, bob = _stacks(LABELS, (lambda label: block["alice"][label], (3, 3), "alice"),
-                             (lambda label: block["bob"][label], (4, 3, 3), "bob"))
-        seq = SequentialMeasurement(alice=alice, bob=bob, weights=weights, branch=meta["branch"])
+        pieces = _pieces(doc["sequential"])
+        seq = SequentialMeasurement(alice=pieces[:7], bob=pieces[7:].reshape(7, 4, 3, 3),
+                                    weights=weights, branch=meta["branch"])
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidPovm(f"missing or malformed field: {exc}") from exc
     return LoadedMeasurement(seq=seq, meta=meta)

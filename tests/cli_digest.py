@@ -6,7 +6,10 @@ then `scan` in its three modes and `curve`, all in one process through
 written file. The pairs reach every decision branch and both Orthogonal
 routes (with and without a canonical form). Each built measurement is
 verified against its own pair and a wrong one, and again after three
-kinds of tampering. It is then simulated for every state.  The summary
+kinds of tampering. It is then simulated for every state.  Last come
+argv that a parser refuses or answers with help (USAGE), and seven
+damaged copies of one file under `verify` and `simulate`, one for each
+kind of bad piece the loader names.  The summary
 line counts the pairs (`verify_refused`, split by branch) whose own
 `verify` fails after `construct` succeeded, and gives the mean size in
 bytes of the files `construct` wrote (`mean_bytes`); neither is hashed.
@@ -34,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -115,7 +119,7 @@ class Digest:
                 code = f"raised {type(exc).__name__}: {exc}"
         if code == 2 or isinstance(code, str):
             self.internal += 1
-        if argv[0] == "check":
+        if argv[:1] == ["check"]:
             self.branch = json.loads(out.getvalue())["branch"] if code in (0, 1) else "-"
         # a warning's text, not the source line it names
         caught = [(w.category.__name__, str(w.message)) for w in caught]
@@ -129,7 +133,7 @@ class Digest:
             one.update(chunk)
         if self.log is not None:
             shown = code if isinstance(code, int) else "raised"
-            fields = (self.runs, shown, one.hexdigest(), argv[0], self.branch)
+            fields = (self.runs, shown, one.hexdigest(), argv[0] if argv else "-", self.branch)
             self.log.write("\t".join(map(str, fields)) + "\n")
         self.runs += 1
         return code, out.getvalue()
@@ -146,6 +150,38 @@ def _tampered(text, i):
     skew["sequential"]["bob"][list(alice)[i % 3]][i % 4][3] += 1e-3  # Re H01
     huge["sequential"]["alice"][label][0] = 1e308  # H00
     return [json.dumps(d) for d in (scaled, skew, huge)]
+
+
+def _damaged(text):
+    """Seven broken copies of a measurement file, one per kind of bad piece the
+    loader names: a bool, a string, a null and a NaN entry, a ragged and a short
+    Bob row, and a missing Bob label."""
+    docs = [json.loads(text) for _ in range(7)]
+    blocks = [doc["sequential"] for doc in docs]
+    blocks[0]["bob"]["announce2"][2][4] = True
+    blocks[1]["bob"]["exclude1"][2][0] = "1.0"
+    blocks[2]["alice"]["exclude1"][0] = None
+    blocks[3]["alice"]["defer"][2] = math.nan
+    row = blocks[4]["bob"]["exclude0"][1]
+    blocks[4]["bob"]["exclude0"][1] = [row[:3], row[3:6], row[6:]]
+    blocks[5]["bob"]["exclude0"][1].pop()
+    del blocks[6]["bob"]["defer"]
+    return [json.dumps(doc) for doc in docs]
+
+
+# argv that the top-level parser or a command's parser refuses or answers with help
+USAGE = (
+    ["check", "--ka", "0.3", "0", "--kb", "0.25", "0", "extra", "--bogus"],
+    ["construct", "-h"],
+    ["verify", "--he"],
+    ["construct", "--ka", "0.3", "0", "--kb", "0.25", "0", "--ou", "m.json"],
+    ["verify", "--ka", "0.3", "0", "--kb", "0.25", "0", "--", "m.json"],
+    ["check", "--ka", "0.5", "0.1", "--kb", "-1E-10", "0.3"],
+    ["construct", "--ka", "0.3", "0", "--kb", "0.25", "0"],
+    ["--help"],
+    [],
+    ["frobnicate"],
+)
 
 
 def main_digest(log=None):
@@ -196,6 +232,14 @@ def main_digest(log=None):
                    written=["scan.csv"])
     digest.run(["curve", "--s-max", "3", "--step", "0.005", "--out", "curve.csv"],
                written=["curve.csv"])
+    for argv in USAGE:
+        digest.run(argv, written=["m.json"])
+    digest.run(["construct", "--psk", "0.3", "0.3", "--out", "m.json"], written=["m.json"])
+    for bad in _damaged(Path("m.json").read_text()):
+        Path("bad.json").write_text(bad)
+        digest.run(["verify", "bad.json", "--psk", "0.3", "0.3"])
+        digest.run(["simulate", "--povm", "bad.json", "--state", "0", "--shots", "10",
+                    "--seed", "0"])
     counts = " ".join(f"{k}={v}" for k, v in sorted(routes.items()))
     split = " ".join(f"{k}={v}" for k, v in sorted(refused.items()))
     print(f"{digest.sha.hexdigest()}  runs={digest.runs} pairs={PAIRS} {counts}"

@@ -11,11 +11,14 @@ the Orthogonal branch has no pinned width yet), and beside them
 `povm.verify_povm`, `povm.save_povm` (the writer's finite and Hermitian
 gates), `povm.load_povm` (the format check among them), `povm._meta_fields`
 (the meta checks the writer and the reader share), `povm._numbers`
-(the shape and type checks of every stored number), `povm._from_packed`
-(the format-3 decoder, which rebuilds each piece's lower triangle from
-its upper one), `povm.binary_unambiguous`, `povm._bob_stack`, and
-`povm._local_check` and `povm._outcomes` (the per-piece checks and
-outcome table `verify` gates on), and `serialize.write_text` (the `--out`
+(the shape and type checks of every stored number, the meta numbers'
+plain-float path among them), `povm._from_packed` (the format-3 decoder,
+which rebuilds each piece's lower triangle from its upper one),
+`povm._pieces` (the one-block decode of a file's 35 pieces and its
+piece-by-piece fallback), `povm.binary_unambiguous`, `povm._bob_stack`,
+and `povm._local_check` and `povm._outcomes` (the per-piece checks and
+outcome table `verify` gates on), `cli.main` (its dispatch of a command's
+argv to that command's parser), and `serialize.write_text` (the `--out`
 writer: its write loop, and the cut to length with its regular-file
 guard).  In them:
 
@@ -53,9 +56,9 @@ TARGETS = {
     "optimality.py": ("_tie_branch",),
     "geometry.py": ("_check_trace", "outcome_triangle", "_level_rows", "identity_membership"),
     "povm.py": ("dual_certificate", "verify_povm", "save_povm", "load_povm", "_meta_fields",
-                "_numbers", "_from_packed", "binary_unambiguous", "_binary_stack", "_bob_stack",
-                "build_sequential", "_draw", "_local_check", "_outcomes"),
-    "cli.py": ("cmd_verify",),
+                "_numbers", "_from_packed", "_pieces", "binary_unambiguous", "_binary_stack",
+                "_bob_stack", "build_sequential", "_draw", "_local_check", "_outcomes"),
+    "cli.py": ("cmd_verify", "main"),
     "serialize.py": ("write_text",),
 }
 DROPPED = ("failures.append", "os.ftruncate")  # call statements a mutant drops

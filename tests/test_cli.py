@@ -120,6 +120,54 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert _build_parser() is _build_parser()
 
 
+def _full_parse(argv):
+    """The reference for main's parse: the top-level parser reads all of argv,
+    its subparsers action hands the rest to the command's parser, then the
+    command runs."""
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args, parser)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_a_command_parses_its_argv_as_the_full_parse_does(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap to the terminal width
+    monkeypatch.chdir(tmp_path)
+    pair = ["--ka", "0.19", "0.062", "--kb", "0.27", "0.13"]
+    assert run(["construct", *pair, "--out", "m.json"]) == 0
+    capsys.readouterr()
+    argvs = [
+        ["check", *pair, "extra", "--bogus", "-1"],  # tokens the command leaves
+        ["construct", "-h"],
+        ["verify", "--he"],  # an abbreviation of --help
+        ["construct", *pair, "--ou", "out.json"],  # and of --out
+        ["verify", *pair, "--", "m.json"],
+        ["check", "--ka", "0.5", "0.1", "--kb", "0.3", "-1e-10"],
+        ["check", "--ka", "0.5", "0.1", "--kb", "-1E-10", "0.3"],
+        ["construct", *pair],  # --out missing
+        ["simulate", "--povm", "m.json", "--state", "0", "--shots", "10"],  # --seed missing
+        ["--help"],
+        [],
+        ["frobnicate", *pair],
+    ]
+    out = Path("out.json")
+    for argv in argvs:
+        results = []
+        for parse in (run, _full_parse):
+            out.unlink(missing_ok=True)
+            code = parse(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err,
+                            out.read_bytes() if out.exists() else None))
+        assert results[0] == results[1], argv
+    # a command's argv never reaches the top-level parse
+    monkeypatch.setattr(_build_parser(), "parse_args", None)
+    assert run(["check", *pair]) == 0
+    assert run(["check", *pair, "extra"]) == 64
+
+
 def test_domain_errors_map_to_64():
     assert run(["check", "--ka", "1", "0", "--kb", "0.3", "0"]) == 64  # degenerate
     assert run(["check", "--ka", "-0.5", "0", "--kb", "0.3", "0"]) == 64  # rank drop
@@ -619,19 +667,22 @@ def test_curve(tmp_path, capsys):
 def test_each_command_decides_once(tmp_path, capsys, monkeypatch):
     # a validation computes both overlaps' amplitudes: two _amplitudes calls.
     # construct, verify and simulate decide the pair once each, and curve each
-    # row once, its build sharing that row's decision
+    # row once, its build sharing that row's decision; on the Orthogonal branch
+    # too, with and without a canonical form
     import triseq.states
 
     calls = []
     amplitudes = triseq.states._amplitudes
     monkeypatch.setattr(triseq.states, "_amplitudes", lambda k: calls.append(k) or amplitudes(k))
-    pair = ["--ka", "0.19", "0.062", "--kb", "0.27", "0.13"]
     path = str(tmp_path / "m.json")
-    for argv in (["construct", *pair, "--out", path], ["verify", path, *pair],
-                 ["simulate", "--povm", path, "--state", "0", "--shots", "10", "--seed", "1"]):
-        calls.clear()
-        assert run(argv) == 0, argv
-        assert len(calls) == 2, argv
+    for pair in (["--ka", "0.19", "0.062", "--kb", "0.27", "0.13"],
+                 ["--ka", "1e-12", "0", "--kb", "0.3", "0.1"],
+                 ["--ka", "0.3", "0.1", "--kb", "1e-12", "0"]):
+        for argv in (["construct", *pair, "--out", path], ["verify", path, *pair],
+                     ["simulate", "--povm", path, "--state", "0", "--shots", "10", "--seed", "1"]):
+            calls.clear()
+            assert run(argv) == 0, argv
+            assert len(calls) == 2, argv
     calls.clear()
     assert run(["curve", "--s-max", "3", "--step", "0.01", "--out", str(tmp_path / "c.csv")]) == 0
     assert len(calls) == 2 * 300
@@ -845,7 +896,8 @@ def test_loader_names_the_failing_piece(tmp_path, capsys, psk_file):
     head = "cannot load measurement file:"
     overflow = f"{head} missing or malformed field: int too large to convert to float\n"
     for row, name, shape in ((["sequential", "alice", "exclude0"], "alice exclude0", "(9,)"),
-                             (["sequential", "bob", "announce1", 3], "bob announce1", "(4, 9)")):
+                             (["sequential", "bob", "announce1", 3], "bob announce1", "(4, 9)"),
+                             (["sequential", "bob", "defer", 3], "bob defer", "(4, 9)")):
         numbers = f"{head} {name}: expected a {shape} array of numbers\n"
         for value, want in ((True, numbers), (None, numbers), ("0.5", numbers),
                             ("1e400", f"{head} {name}: non-finite entries\n"),
@@ -858,6 +910,14 @@ def test_loader_names_the_failing_piece(tmp_path, capsys, psk_file):
     two = message(_set(["sequential", "alice", "announce1", 0], None),
                   _set(["sequential", "bob", "announce0", 0, 0], None))
     assert two.startswith(f"{head} bob announce0: "), two
+
+    # Bob's 28 rows, one moved from defer to exclude0, are still 28 of nine numbers
+    def moved(doc):
+        bob = doc["sequential"]["bob"]
+        bob["exclude0"].append(bob["defer"].pop())
+        return doc
+
+    assert message(moved) == f"{head} bob exclude0: expected a (4, 9) array of numbers\n"
 
 
 def _no_format_key(doc):

@@ -1300,6 +1300,24 @@ def test_writer_refuses_a_piece_that_is_not_hermitian(tmp_path):
         save_povm(path, seq, pair.ka, pair.kb, 0.5)
 
 
+def test_loader_decodes_a_good_file_in_one_call(tmp_path, monkeypatch):
+    # the 35 pieces are one (35, 3, 3) decode; the piece-by-piece decode runs
+    # only to name a bad piece
+    import triseq.povm
+
+    seq = construct(0.3, 0.25)[1]
+    path = tmp_path / "m.json"
+    save_povm(path, seq, 0.3, 0.25, 0.5)
+    shapes = []
+    decode = triseq.povm._from_packed
+    monkeypatch.setattr(triseq.povm, "_from_packed",
+                        lambda data, shape, context: shapes.append(shape) or decode(data, shape,
+                                                                                    context))
+    loaded = load_povm(path).seq
+    assert shapes == [(35, 3, 3)]
+    assert np.array_equal(loaded.alice, seq.alice) and np.array_equal(loaded.bob, seq.bob)
+
+
 def _edit(piece, a, b, kind, z):
     """Edit entry (a, b) of a 3x3 piece in place: set its real or imaginary
     part to z, add z there alone, or add z there and its conjugate at (b, a)."""
